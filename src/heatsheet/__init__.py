@@ -32,7 +32,7 @@ from .sde import (FieldState, EvolveConfig, EvolveResult, drift, euler_step,
                   stability_limit, spectral_radius, InstabilityError)
 from .stats import (VerificationReport, mean_se, z_test, ks_two_sample,
                     ks_report, matrix_compare, residual_report,
-                    RunningMoments, recompute_pass)
+                    recompute_pass)
 
 __version__ = "0.1.0"
 
@@ -57,6 +57,5 @@ __all__ = [
     "StationarySampler", "evolve", "zero_state", "smooth_window",
     "stability_limit", "spectral_radius", "InstabilityError",
     "VerificationReport", "mean_se", "z_test", "ks_two_sample",
-    "ks_report", "matrix_compare", "residual_report", "RunningMoments",
-    "recompute_pass",
+    "ks_report", "matrix_compare", "residual_report", "recompute_pass",
 ]

@@ -10,7 +10,8 @@ Five subcommands, one per suite:
 
 Each writes <suite>_report.json into --out (plus trajectory.csv and
 final_state.bin for evolve) and exits 0 when every report passes, 1 when
-any fails, 2 on a configuration error.  Replica streams are derived as
+any fails, 2 on a configuration error and 3 on a numerical or resource
+failure, which yields no verdict.  Replica streams are derived as
 seed XOR suite tag, then one SeedSequence spawn per replica, so results
 are independent of the worker count.
 """
@@ -38,7 +39,8 @@ from .gaussfield import (SQRT4PI, cov_u, cov_u_gram, cov_v_gram,
                          drift_field_weights, drift_integral_weights,
                          drift_variance_exact, cameron_martin_laplace,
                          cameron_martin_target, SpaceBump, TensorTestFunction,
-                         WeakformPlan, SheetSample, dump_sheet)
+                         WeakformPlan, SheetSample, dump_sheet,
+                         MAX_SHEET_CELLS, ResourceError)
 from .sde import (EvolveConfig, StationarySampler, stationary_basis, evolve,
                   stability_limit)
 from .stats import z_test, residual_report, matrix_compare
@@ -102,6 +104,12 @@ class RunConfig:
     workers: int = 1
 
     def validate(self):
+        for name, v in (("tmax", self.t_max), ("dz", self.dz), ("Z", self.Z),
+                        ("tail_tol", self.tail_tol)):
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
+        if not all(math.isfinite(v) for v in self.nus):
+            raise ConfigError(f"nu values must be finite, got {list(self.nus)}")
         if self.n is not None and (self.n < 2 or self.n & (self.n - 1)):
             raise ConfigError("n must be a power of two")
         if not (0 <= self.seed < U64):
@@ -280,6 +288,9 @@ def _mc_pairings(W: np.ndarray, ncells: int, scale: float, R: int,
     above single precision).  Replica r reproduces sheet_sample(...,
     seed=seed, stream=stream_base + r, dtype=float32) cell for cell.
     """
+    if ncells > MAX_SHEET_CELLS:
+        raise ResourceError(
+            f"sheet of {ncells} cells exceeds budget {MAX_SHEET_CELLS}")
     nw = W.shape[0]
     X = np.zeros((R, nw))
     W32 = W.astype(np.float32)
@@ -709,6 +720,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (ResourceError, ArithmeticError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ class SpectralPlan:
 
     sym: SymGrid
     pad: int = 2
-    taper: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -83,17 +82,6 @@ class SpectralPlan:
             self._cache[key] = m
         return self._cache[key]
 
-    def taper_window(self) -> np.ndarray:
-        if "win" not in self._cache:
-            m = self.sym.n
-            ramp = max(1, m // 20)
-            win = np.ones(m)
-            edge = np.sin(0.5 * np.pi * (np.arange(ramp) + 0.5) / ramp) ** 2
-            win[:ramp] = edge
-            win[-ramp:] = edge[::-1]
-            self._cache["win"] = win
-        return self._cache["win"]
-
 
 def frac_laplacian(fa: np.ndarray, beta: float, plan: SpectralPlan,
                    check_decay: bool = True) -> np.ndarray:
@@ -121,30 +109,23 @@ def frac_laplacian(fa: np.ndarray, beta: float, plan: SpectralPlan,
         if np.any(means > 1e-10 * np.maximum(norms[..., 0], 1e-300) * m):
             raise ValueError(
                 "beta < -1 needs mean-free input: multiplier singular at tau=0")
-    if plan.taper:
-        fa = fa * plan.taper_window()
     N = plan.padded_len
     spec = np.fft.rfft(fa, n=N, axis=-1)
     out = np.fft.irfft(spec * plan.multiplier(beta), n=N, axis=-1)
     return out[..., :m]
 
 
-def _cell_weights(dt: float, n: int, antideriv) -> np.ndarray:
-    """Exact integrals of a convolution kernel over cells at lags k*dt,
-    k = -(2n-1)..(2n-1), from the kernel antiderivative."""
+def cell_conv(fs: np.ndarray, dt: float, antideriv) -> np.ndarray:
+    """Convolve SymGrid values fs (length 2n) with a singular kernel given by
+    its antiderivative, and return the positive half (length n).
+
+    The kernel is integrated exactly over the cell at each lag k dt,
+    k = -(2n-1)..(2n-1), so it is never sampled at its singularity.
+    """
+    n = fs.shape[-1] // 2
     k = np.arange(-(2 * n - 1), 2 * n)
-    return antideriv(k * dt + 0.5 * dt) - antideriv(k * dt - 0.5 * dt)
-
-
-def a2_kernel_weights(dt: float, n: int) -> np.ndarray:
-    # kernel sgn(u)/sqrt(pi |u|); antiderivative (2/sqrt(pi)) sqrt(|u|)
-    return _cell_weights(dt, n, lambda u: (2.0 / SQRTPI) * np.sqrt(np.abs(u)))
-
-
-def halfroot_kernel_weights(dt: float, n: int) -> np.ndarray:
-    # kernel (4 pi |u|)^(-1/2); antiderivative sgn(u) sqrt(|u|) / sqrt(pi)
-    return _cell_weights(
-        dt, n, lambda u: np.sign(u) * np.sqrt(np.abs(u)) / SQRTPI)
+    w = antideriv(k * dt + 0.5 * dt) - antideriv(k * dt - 0.5 * dt)
+    return fftconvolve(fs, w)[2 * n - 1: 4 * n - 1][n:]
 
 
 def op_A2(h: TestFunction) -> np.ndarray:
@@ -155,12 +136,11 @@ def op_A2(h: TestFunction) -> np.ndarray:
     each cell.  The result restricted to the positive half determines the
     whole (odd) output.
     """
-    g = h.grid
-    n = g.n
     hd = h.deriv_values
     hd_sym = np.concatenate([hd[::-1], hd])  # (h^a)' is even
-    full = fftconvolve(hd_sym, a2_kernel_weights(g.dt, n))[2 * n - 1: 4 * n - 1]
-    return full[n:]
+    # kernel sgn(u)/sqrt(pi |u|); antiderivative (2/sqrt(pi)) sqrt(|u|)
+    return cell_conv(hd_sym, h.grid.dt,
+                     lambda u: (2.0 / SQRTPI) * np.sqrt(np.abs(u)))
 
 
 def _power_tail_nodes(T: float):
@@ -186,8 +166,9 @@ def halfroot_conv(f: np.ndarray, grid: TimeGrid,
     n = grid.n
     if f.shape != (n,):
         raise ValueError("halfroot_conv: values not on the given grid")
-    fa = antisym_extend(f)
-    out = fftconvolve(fa, halfroot_kernel_weights(grid.dt, n))[2 * n - 1: 4 * n - 1]
+    # kernel (4 pi |u|)^(-1/2); antiderivative sgn(u) sqrt(|u|) / sqrt(pi)
+    out = cell_conv(antisym_extend(f), grid.dt,
+                    lambda u: np.sign(u) * np.sqrt(np.abs(u)) / SQRTPI)
     if tail is not None:
         kind, p = tail[0], float(tail[1])
         if kind != "power":
@@ -201,9 +182,8 @@ def halfroot_conv(f: np.ndarray, grid: TimeGrid,
         #  (T, inf): distance t' - t ;  (-inf, -T): distance t' + t
         add = ((vals * wq)[None, :] / np.sqrt(tp[None, :] - t[:, None])).sum(axis=1)
         sub = ((vals * wq)[None, :] / np.sqrt(tp[None, :] + t[:, None])).sum(axis=1)
-        out = out.copy()
-        out[n:] += add - sub
-    return out[n:]
+        out += add - sub
+    return out
 
 
 def op_A1(f: np.ndarray, grid: TimeGrid, tail: tuple) -> np.ndarray:

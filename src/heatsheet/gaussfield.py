@@ -23,11 +23,11 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import erfc, roots_legendre
 
-from .grid import TimeGrid, SymGrid, TestFunction, antisym_extend
-from .fracops import SpectralPlan, frac_laplacian
+from .grid import TimeGrid, SymGrid, TestFunction, antisym_extend, bump_profile
+from .fracops import SpectralPlan, cell_conv, frac_laplacian
+from .kernels import laplace_g
 from .stats import VerificationReport
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
@@ -89,18 +89,6 @@ def cov_u_cross(dx: float, t: float, t2: float, nq: int = 200) -> float:
 # ----------------------------------------------------------------------
 # exact-cell covariance operators on a TimeGrid
 
-def _oddconv_apply(f: np.ndarray, grid: TimeGrid, antideriv) -> np.ndarray:
-    """Convolve the odd extension of f with a kernel given by its
-    antiderivative, integrating the kernel exactly over each cell."""
-    f = np.asarray(f, dtype=float)
-    n = grid.n
-    dt = grid.dt
-    k = np.arange(-(2 * n - 1), 2 * n)
-    w = antideriv(k * dt + 0.5 * dt) - antideriv(k * dt - 0.5 * dt)
-    fa = antisym_extend(f)
-    return fftconvolve(fa, w)[2 * n - 1: 4 * n - 1][n:]
-
-
 def cov_u_apply(f: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """C1 f: kernel -sqrt(|u|)/sqrt(4 pi) against the odd extension.
 
@@ -109,14 +97,14 @@ def cov_u_apply(f: np.ndarray, grid: TimeGrid) -> np.ndarray:
     C1 is positive despite the leading minus in the kernel.
     """
     F = lambda u: -(2.0 / 3.0) * np.sign(u) * np.abs(u) ** 1.5 / SQRT4PI
-    return _oddconv_apply(f, grid, F)
+    return cell_conv(antisym_extend(np.asarray(f, dtype=float)), grid.dt, F)
 
 
 def cov_v_apply(f: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """C2 f: kernel 1/(2 sqrt(4 pi |u|)) against the odd extension."""
     # antiderivative of |u|^(-1/2)/(2 sqrt(4pi)) is sgn(u) sqrt(|u|)/sqrt(4pi)
     F = lambda u: np.sign(u) * np.sqrt(np.abs(u)) / SQRT4PI
-    return _oddconv_apply(f, grid, F)
+    return cell_conv(antisym_extend(np.asarray(f, dtype=float)), grid.dt, F)
 
 
 def _gram(h_list: list[TestFunction], apply_op) -> np.ndarray:
@@ -492,8 +480,8 @@ def cameron_martin_laplace(nu: float, nu2: float, y_gap: float,
 
 def cameron_martin_target(nu: float, nu2: float, y_gap: float) -> float:
     """Closed form g_hat(nu2) g_hat(nu) / ((sqrt(nu2)+sqrt(nu)) (nu2+nu))."""
-    gh = lambda v: math.exp(-math.sqrt(v) * y_gap) / (2.0 * math.sqrt(v))
-    return gh(nu) * gh(nu2) / ((math.sqrt(nu) + math.sqrt(nu2)) * (nu + nu2))
+    return laplace_g(y_gap, nu) * laplace_g(y_gap, nu2) \
+        / ((math.sqrt(nu) + math.sqrt(nu2)) * (nu + nu2))
 
 
 def verify_cameron_martin_laplace(nu: float, nu2: float, y_gap: float = 0.0,
@@ -515,54 +503,20 @@ def verify_cameron_martin_laplace(nu: float, nu2: float, y_gap: float = 0.0,
 
 @dataclass(frozen=True)
 class SpaceBump:
-    """Smooth compactly supported bump profile on the x axis."""
+    """The grid.bump_profile on the x axis."""
 
     center: float
     radius: float
     amplitude: float = 1.0
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x - self.center) / self.radius
-        out = np.zeros_like(x)
-        m = np.abs(u) < 1.0
-        um = u[m]
-        out[m] = self.amplitude * np.exp(-1.0 / (1.0 - um * um))
-        return out
+        return bump_profile(x, self.center, self.radius, self.amplitude)
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x - self.center) / self.radius
-        out = np.zeros_like(x)
-        m = np.abs(u) < 1.0
-        um = u[m]
-        one = 1.0 - um * um
-        phi = self.amplitude * np.exp(-1.0 / one)
-        out[m] = phi * (-2.0 * um) / (self.radius * one * one)
-        return out
+        return bump_profile(x, self.center, self.radius, self.amplitude, 1)
 
     def deriv2(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x - self.center) / self.radius
-        out = np.zeros_like(x)
-        m = np.abs(u) < 1.0
-        um = u[m]
-        one = 1.0 - um * um
-        phi = self.amplitude * np.exp(-1.0 / one)
-        mu = -2.0 * um / (one * one)
-        dmu = (-2.0 - 6.0 * um * um) / (one ** 3)
-        out[m] = phi * (mu * mu + dmu) / (self.radius * self.radius)
-        return out
-
-    def l2sq(self, nq: int = 400) -> float:
-        xg, wg = roots_legendre(nq)
-        x = self.center + self.radius * xg
-        return float(np.sum(self(x) ** 2 * wg) * self.radius)
-
-    def deriv_l2sq(self, nq: int = 400) -> float:
-        xg, wg = roots_legendre(nq)
-        x = self.center + self.radius * xg
-        return float(np.sum(self.deriv(x) ** 2 * wg) * self.radius)
+        return bump_profile(x, self.center, self.radius, self.amplitude, 2)
 
 
 @dataclass(frozen=True)
@@ -608,6 +562,32 @@ class TensorTestFunction:
         return total
 
 
+def _x_nodes(f: TensorTestFunction, x_res: int) -> tuple:
+    """Cell-centered x tabulation over the support of f, x_res cells per
+    radius of the narrowest space bump; returns (nodes, dx)."""
+    xlo, xhi = f.x_support
+    dx = min(fx.radius for fx, _ in f.terms) / x_res
+    nx = int(math.ceil((xhi - xlo) / dx - 1e-9))
+    return xlo + (np.arange(nx) + 0.5) * dx, dx
+
+
+def _bracket(f: TensorTestFunction, x: np.ndarray) -> np.ndarray:
+    """A = dxx f + halflap_t f^a - sqrt(2) dx quarterlap_t f^a on the x
+    nodes times the time grid of f; shape (x.size, n)."""
+    g = f.tgrid
+    nt = g.n
+    plan = SpectralPlan(SymGrid(g))
+    A = np.zeros((x.size, nt))
+    for fx, ft in f.terms:
+        fta = antisym_extend(ft.values)
+        L1 = frac_laplacian(fta, 1.0, plan)[nt:]
+        L12 = frac_laplacian(fta, 0.5, plan)[nt:]
+        A += fx.deriv2(x)[:, None] * ft.values[None, :]
+        A += fx(x)[:, None] * L1[None, :]
+        A -= math.sqrt(2.0) * fx.deriv(x)[:, None] * L12[None, :]
+    return A
+
+
 @dataclass
 class WeakformPlan:
     """Precomputed sheet-cell weights omega for the residual functional.
@@ -635,26 +615,16 @@ class WeakformPlan:
         dt = g.dt
         ds = dt / 2.0
         ns = 2 * nt
-        xlo, xhi = f.x_support
-        rx = min(fx.radius for fx, _ in f.terms)
-        dx = rx / self.x_res
-        nx = int(math.ceil((xhi - xlo) / dx - 1e-9))
-        x = xlo + (np.arange(nx) + 0.5) * dx
+        x, dx = _x_nodes(f, self.x_res)
+        xlo = f.x_support[0]
+        nx = x.size
         dy = dx / 2.0
         # snap the pad to whole cells so every distance x_i - y_c lands
         # exactly on the half-offset lattice dy (q + 1/2)
         pad_cells = int(math.ceil(self.ypad / dy))
         ylo = xlo - pad_cells * dy
         ny = 2 * nx + 2 * pad_cells
-        plan = SpectralPlan(SymGrid(g))
-        A = np.zeros((nx, nt))
-        for fx, ft in f.terms:
-            fta = antisym_extend(ft.values)
-            L1 = frac_laplacian(fta, 1.0, plan)[nt:]
-            L12 = frac_laplacian(fta, 0.5, plan)[nt:]
-            A += fx.deriv2(x)[:, None] * ft.values[None, :]
-            A += fx(x)[:, None] * L1[None, :]
-            A -= math.sqrt(2.0) * fx.deriv(x)[:, None] * L12[None, :]
+        A = _bracket(f, x)
         # distance lattice: x_i - y_c = dy (q + 1/2), q = Q0 + 2i - c
         Q0 = int(round((xlo - ylo) / dy))
         qmin = Q0 - (ny - 1)
@@ -712,26 +682,13 @@ def weakform_residual_reference(sheet: SheetSample, f: TensorTestFunction,
     reordering is exact.  Use small grids.
     """
     g = f.tgrid
-    nt = g.n
     dt = g.dt
     t = g.nodes
-    xlo, xhi = f.x_support
-    rx = min(fx.radius for fx, _ in f.terms)
-    dx = rx / x_res
-    nx = int(math.ceil((xhi - xlo) / dx - 1e-9))
-    x = xlo + (np.arange(nx) + 0.5) * dx
-    plan = SpectralPlan(SymGrid(g))
-    A = np.zeros((nx, nt))
-    for fx, ft in f.terms:
-        fta = antisym_extend(ft.values)
-        L1 = frac_laplacian(fta, 1.0, plan)[nt:]
-        L12 = frac_laplacian(fta, 0.5, plan)[nt:]
-        A += fx.deriv2(x)[:, None] * ft.values[None, :]
-        A += fx(x)[:, None] * L1[None, :]
-        A -= math.sqrt(2.0) * fx.deriv(x)[:, None] * L12[None, :]
+    x, dx = _x_nodes(f, x_res)
+    A = _bracket(f, x)
     eta = 0.0
-    for i in range(nx):
-        for j in range(nt):
+    for i in range(x.size):
+        for j in range(g.n):
             w = point_weights(sheet.y_nodes, sheet.s_nodes, x[i], t[j])
             eta += float(np.sum(w * sheet.increments)) * A[i, j] * dx * dt
     return eta
@@ -760,15 +717,29 @@ def dump_sheet(sheet: SheetSample, path) -> None:
 def load_sheet(path) -> SheetSample:
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError("not a sheet dump (shorter than its header)")
     magic, version, dy, ds, y_min, y_max, s_max, seed, stream, ncols = \
         _HEADER.unpack_from(raw, 0)
     if magic != SHEET_MAGIC:
         raise ValueError("not a sheet dump (bad magic)")
     if version != SHEET_VERSION:
         raise ValueError(f"unsupported sheet dump version {version}")
+    for name, v in (("dy", dy), ("ds", ds)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"corrupt sheet dump ({name} = {v} is not "
+                             f"finite and positive)")
+    if not y_max > y_min:
+        raise ValueError(f"corrupt sheet dump (y_max = {y_max} does not "
+                         f"exceed y_min = {y_min})")
     body = np.frombuffer(raw, dtype=np.float64, offset=_HEADER.size)
     if ncols == 0 or body.size % ncols:
         raise ValueError("corrupt sheet dump (size does not divide)")
     inc = body.reshape(-1, ncols).copy()
+    for axis, got, span in (("rows", inc.shape[0], (y_max - y_min) / dy),
+                            ("columns", ncols, s_max / ds)):
+        if not (math.isfinite(span) and got == round(span)):
+            raise ValueError(f"corrupt sheet dump ({got} {axis}, header "
+                             f"implies {span:g})")
     return SheetSample(y_min=y_min, y_max=y_max, s_max=s_max, dy=dy, ds=ds,
                        seed=seed, stream=stream, increments=inc)

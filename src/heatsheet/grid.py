@@ -108,13 +108,38 @@ def pair(f: np.ndarray, g: np.ndarray, grid: TimeGrid) -> float:
     return float(np.sum(f * g, axis=-1) * grid.dt)
 
 
+def bump_profile(x, center: float, radius: float, amplitude: float = 1.0,
+                 order: int = 0) -> np.ndarray:
+    """The bump a exp(-1 / (1 - u^2)), u = (x - c)/r, inside |u| < 1 and 0
+    outside (order 0), or its first or second derivative in x (order 1, 2).
+
+    With phi the bump and mu = -2u / (1 - u^2)^2 the log-derivative in u,
+    phi' = phi mu / r and phi'' = phi (mu^2 + mu') / r^2.  All derivatives
+    vanish at |u| = 1, so the bump is C-infinity in exact arithmetic.
+    """
+    x = np.asarray(x, dtype=float)
+    u = (x - center) / radius
+    out = np.zeros_like(x)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    one = 1.0 - ui * ui
+    phi = amplitude * np.exp(-1.0 / one)
+    if order == 0:
+        out[inside] = phi
+    elif order == 1:
+        out[inside] = phi * (-2.0 * ui) / (radius * (one * one))
+    else:
+        mu = -2.0 * ui / (one * one)
+        dmu = (-2.0 - 6.0 * ui * ui) / (one * one * one)
+        out[inside] = phi * (mu * mu + dmu) / (radius * radius)
+    return out
+
+
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth compactly supported bump with closed-form value and derivative.
+    """The bump_profile on the time axis, sampled on a TimeGrid.
 
-    h(t) = a * exp(-1 / (1 - ((t - c)/r)^2)) inside |t - c| < r, 0 outside.
-    All derivatives vanish at the support boundary, so h is C-infinity in
-    exact arithmetic.  Support must sit strictly inside (0, t_max).
+    Support [c - r, c + r] must sit strictly inside (0, t_max).
     """
 
     center: float
@@ -134,38 +159,13 @@ class TestFunction:
         return (self.center - self.radius, self.center + self.radius)
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        u = (t - self.center) / self.radius
-        out = np.zeros_like(t)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        out[inside] = self.amplitude * np.exp(-1.0 / (1.0 - ui * ui))
-        return out
+        return bump_profile(t, self.center, self.radius, self.amplitude)
 
     def deriv(self, t) -> np.ndarray:
-        """Closed-form h'(t) = h(t) * (-2u / (r (1-u^2)^2))."""
-        t = np.asarray(t, dtype=float)
-        u = (t - self.center) / self.radius
-        out = np.zeros_like(t)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        phi = self.amplitude * np.exp(-1.0 / (1.0 - ui * ui))
-        out[inside] = phi * (-2.0 * ui) / (self.radius * (1.0 - ui * ui) ** 2)
-        return out
+        return bump_profile(t, self.center, self.radius, self.amplitude, 1)
 
     def deriv2(self, t) -> np.ndarray:
-        """Closed-form second derivative, used by spatial weak-form assembly."""
-        t = np.asarray(t, dtype=float)
-        u = (t - self.center) / self.radius
-        out = np.zeros_like(t)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        one = 1.0 - ui * ui
-        phi = self.amplitude * np.exp(-1.0 / one)
-        mu = -2.0 * ui / (one * one)
-        dmu = (-2.0 - 6.0 * ui * ui) / (one * one * one)
-        out[inside] = phi * (mu * mu + dmu) / (self.radius * self.radius)
-        return out
+        return bump_profile(t, self.center, self.radius, self.amplitude, 2)
 
     @property
     def values(self) -> np.ndarray:

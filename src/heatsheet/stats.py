@@ -2,9 +2,9 @@
 
 Every report is recomputable: the pass flag follows mechanically from the
 stored numbers and the stored rule string, and `recompute_pass` re-derives it.
-Estimator reductions are associative merges of (count, mean, M2) triples, so
-results are independent of how replicas were chunked across workers up to
-floating-point reassociation.
+The suites reduce replica arrays with plain numpy reductions after every
+replica is stored by index, so results do not depend on how replicas were
+chunked across workers.
 """
 
 from __future__ import annotations
@@ -150,52 +150,3 @@ def matrix_compare(emp: np.ndarray, analytic: np.ndarray, se: np.ndarray,
         z=None, rule=f"frac_within >= {frac_required:g}, max|z| <= {2.0 * k:g}",
         passed=bool(ok), replicas=replicas, seed=seed, grid=grid or {})
 
-
-class RunningMoments:
-    """Associative (count, mean, M2) accumulator for streaming replicas."""
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add_batch(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        nb = x.size
-        if nb == 0:
-            return self
-        mb = float(x.mean())
-        m2b = float(((x - mb) ** 2).sum())
-        self._merge(nb, mb, m2b)
-        return self
-
-    def merge(self, other: "RunningMoments"):
-        self._merge(other.count, other.mean, other.m2)
-        return self
-
-    def _merge(self, nb: int, mb: float, m2b: float):
-        na = self.count
-        n = na + nb
-        if n == 0:
-            return
-        delta = mb - self.mean
-        self.mean += delta * nb / n
-        self.m2 += m2b + delta * delta * na * nb / n
-        self.count = n
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            raise ValueError("need >= 2 samples")
-        return self.m2 / (self.count - 1)
-
-    @property
-    def se_of_mean(self) -> float:
-        return math.sqrt(self.variance / self.count)
-
-    @property
-    def se_of_variance(self) -> float:
-        # Gaussian-theory SE of the sample variance: Var * sqrt(2/(n-1))
-        return self.variance * math.sqrt(2.0 / (self.count - 1))

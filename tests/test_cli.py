@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from heatsheet import load_sheet
-from heatsheet.cli import (COV_TAG, OPS_TAG, ConfigError, RunConfig,
-                           build_config, main, make_parser, parse_config_file,
-                           suite_drift, suite_seed, write_report)
+from heatsheet import ResourceError, load_sheet
+from heatsheet.cli import (CHUNK_REPLICAS, COV_TAG, MAX_SHEET_CELLS, OPS_TAG,
+                           ConfigError, RunConfig, _mc_pairings, build_config,
+                           main, make_parser, parse_config_file, suite_cov,
+                           suite_drift, suite_evolve, suite_ops, suite_seed,
+                           suite_spde, write_report)
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -123,6 +125,34 @@ class TestExitCodes:
         assert rc == 2
         assert "stability rule" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,conf,msg", [
+        (["verify-ops", "--tmax", "nan"], "", "tmax must be finite"),
+        (["verify-cov", "--tmax", "inf"], "", "tmax must be finite"),
+        (["evolve", "--dz", "nan"], "", "dz must be finite"),
+        (["evolve", "--Z", "inf"], "", "Z must be finite"),
+        (["verify-drift"], "tail_tol=nan", "tail_tol must be finite"),
+        (["verify-drift"], "nu=1,nan", "nu values must be finite"),
+    ])
+    def test_non_finite_value(self, tmp_path, capsys, argv, conf, msg):
+        p = tmp_path / "run.conf"
+        p.write_text(conf + "\n")
+        rc = run(argv + ["--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert msg in capsys.readouterr().err
+
+    def test_resource_failure_is_not_a_verdict(self, tmp_path, capsys):
+        rc = run(["verify-drift", "--tmax", "2000", "--replicas", "2",
+                  "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceeds budget" in err
+
+    def test_mc_engine_checks_cell_budget(self):
+        # the check precedes any allocation, so a one-cell W suffices
+        with pytest.raises(ResourceError, match="exceeds budget"):
+            _mc_pairings(np.ones((1, 1)), MAX_SHEET_CELLS + 1, 1.0, 2,
+                         seed=0, stream_base=0, workers=1)
+
     def test_degraded_resolution_fails_honestly(self, tmp_path, capsys):
         # at n = 512 the identity-suite refinement targets are unattainable
         rc = run(["verify-ops", "--n", "512", "--out", str(tmp_path)])
@@ -171,7 +201,33 @@ class TestReports:
         assert doc["reports"][0]["statistic"] == "example residual"
 
 
+# reduced sizes; more than CHUNK_REPLICAS replicas, so that two workers
+# really split the Monte Carlo and evolve loops
+INVARIANCE_REPLICAS = CHUNK_REPLICAS + 32
+SUITE_RUNS = {
+    "ops": (suite_ops, {}),
+    "cov": (suite_cov, dict(replicas=INVARIANCE_REPLICAS)),
+    "drift": (suite_drift, dict(t_max=4.0, replicas=INVARIANCE_REPLICAS)),
+    "spde": (suite_spde, dict(replicas=INVARIANCE_REPLICAS, n=128)),
+    "evolve": (suite_evolve, dict(replicas=INVARIANCE_REPLICAS, n=256,
+                                  Z=0.25)),
+}
+
+
 class TestWorkerInvariance:
+    @pytest.mark.parametrize("suite", list(SUITE_RUNS))
+    def test_suite_reports_identical(self, suite):
+        fn, kw = SUITE_RUNS[suite]
+
+        def reports(workers):
+            out = fn(RunConfig(workers=workers, **kw))
+            out = out[0] if suite == "evolve" else out
+            return [r.to_dict() for r in out]
+
+        first = reports(1)
+        assert reports(2) == first
+        assert reports(1) == first
+
     def test_drift_reports_identical(self):
         # verdicts and numbers must not depend on the worker count
         base = dict(t_max=4.0, replicas=100)

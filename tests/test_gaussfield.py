@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -24,10 +24,11 @@ from heatsheet import (CoverageError, ResourceError, TimeGrid, bump,
                        greenrep_eval, ks_two_sample, load_sheet, pair_u, pair_v,
                        sheet_sample, verify_cameron_martin_laplace,
                        weakform_residual)
-from heatsheet.gaussfield import (SpaceBump, TensorTestFunction, WeakformPlan,
-                                  coverage_halfwidth, drift_field_weights,
-                                  drift_integral_weights, exp_tail_u, exp_tail_v,
-                                  gram_cholesky, pair_u_weights, pair_v_weights,
+from heatsheet.gaussfield import (SheetSample, SpaceBump, TensorTestFunction,
+                                  WeakformPlan, coverage_halfwidth,
+                                  drift_field_weights, drift_integral_weights,
+                                  exp_tail_u, exp_tail_v, gram_cholesky,
+                                  pair_u_weights, pair_v_weights,
                                   point_weights, sheet_rng,
                                   weakform_residual_reference)
 
@@ -583,6 +584,50 @@ class TestSheetDump:
         dump_sheet(s, p)
         p.write_bytes(p.read_bytes()[:-8])  # drop one cell, keep 8-alignment
         with pytest.raises(ValueError, match="corrupt"):
+            load_sheet(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(y_min=st.floats(-50.0, 50.0), dy=st.floats(1e-3, 4.0),
+           ds=st.floats(1e-3, 4.0), ny=st.integers(1, 6),
+           ns=st.integers(1, 6), seed=st.integers(0, (1 << 64) - 1),
+           stream=st.integers(0, (1 << 32) - 1))
+    def test_roundtrip_any_geometry(self, tmp_path_factory, y_min, dy, ds,
+                                    ny, ns, seed, stream):
+        inc = np.random.default_rng(ny * 7 + ns).standard_normal((ny, ns))
+        s = SheetSample(y_min=y_min, y_max=y_min + ny * dy, s_max=ns * ds,
+                        dy=dy, ds=ds, seed=seed, stream=stream, increments=inc)
+        path = tmp_path_factory.getbasetemp() / "roundtrip.bin"
+        dump_sheet(s, path)
+        back = load_sheet(path)
+        np.testing.assert_array_equal(back.increments, s.increments)
+        for a in ("y_min", "y_max", "s_max", "dy", "ds", "seed", "stream"):
+            assert getattr(back, a) == getattr(s, a)
+
+    # header layout "<4sI5dQII": dy, ds, y_min, y_max, s_max at byte 8 + 8k
+    @pytest.mark.parametrize("offset,value,msg", [
+        (8, 0.0, r"dy = 0.0 is not finite and positive"),
+        (8, math.nan, r"dy = nan is not finite and positive"),
+        (16, -0.25, r"ds = -0.25 is not finite and positive"),
+        (16, math.inf, r"ds = inf is not finite and positive"),
+        (24, 1.0, r"y_max = 1.0 does not exceed y_min = 1.0"),
+        (32, 1.5, r"2 rows, header implies 3"),
+        (32, math.inf, r"2 rows, header implies inf"),
+        (40, 1.0, r"2 columns, header implies 4"),
+    ])
+    def test_corrupt_header_field(self, tmp_path, offset, value, msg):
+        s = sheet_sample(0.0, 1.0, 0.5, 0.5, 0.25, seed=0)  # 2 x 2 cells
+        p = tmp_path / "x.bin"
+        dump_sheet(s, p)
+        raw = bytearray(p.read_bytes())
+        raw[offset:offset + 8] = struct.pack("<d", value)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="corrupt sheet dump.*" + msg):
+            load_sheet(p)
+
+    def test_short_file(self, tmp_path):
+        p = tmp_path / "x.bin"
+        p.write_bytes(b"SHT1")
+        with pytest.raises(ValueError, match="shorter than its header"):
             load_sheet(p)
 
 

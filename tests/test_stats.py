@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatsheet import (RunningMoments, ks_report, ks_two_sample, matrix_compare,
-                       mean_se, recompute_pass, residual_report, z_test)
+from heatsheet import (ks_report, ks_two_sample, matrix_compare, mean_se,
+                       recompute_pass, residual_report, z_test)
 
 finite = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 
@@ -171,67 +171,6 @@ class TestReportRecords:
     def test_recompute_invariant_residual(self, resid, tol):
         rep = residual_report("r", resid, tol)
         assert recompute_pass(rep) == rep.passed
-
-
-class TestRunningMoments:
-    def test_matches_numpy_in_one_batch(self):
-        x = np.random.default_rng(2).standard_normal(1000)
-        rm = RunningMoments()
-        rm.add_batch(x)
-        assert rm.mean == pytest.approx(x.mean(), rel=1e-12)
-        assert rm.variance == pytest.approx(x.var(ddof=1), rel=1e-12)
-
-    def test_merge_is_order_independent(self):
-        r = np.random.default_rng(3)
-        parts = [r.standard_normal(s) for s in (10, 57, 3, 200)]
-        whole = np.concatenate(parts)
-        a = RunningMoments()
-        for p in parts:
-            a.add_batch(p)
-        b = RunningMoments()
-        for p in reversed(parts):
-            b.add_batch(p)
-        assert a.count == b.count == whole.size
-        assert a.mean == pytest.approx(b.mean, rel=1e-12)
-        assert a.variance == pytest.approx(whole.var(ddof=1), rel=1e-10)
-        assert b.variance == pytest.approx(whole.var(ddof=1), rel=1e-10)
-
-    def test_merge_objects(self):
-        r = np.random.default_rng(5)
-        x, y = r.standard_normal(400), r.standard_normal(300)
-        a = RunningMoments()
-        a.add_batch(x)
-        b = RunningMoments()
-        b.add_batch(y)
-        a.merge(b)
-        both = np.concatenate([x, y])
-        assert a.variance == pytest.approx(both.var(ddof=1), rel=1e-11)
-
-    def test_variance_needs_two(self):
-        rm = RunningMoments()
-        rm.add_batch([1.0])
-        with pytest.raises(ValueError):
-            rm.variance
-
-    def test_se_of_variance_formula(self):
-        x = np.random.default_rng(6).standard_normal(500)
-        rm = RunningMoments()
-        rm.add_batch(x)
-        assert rm.se_of_variance == pytest.approx(
-            rm.variance * math.sqrt(2.0 / (rm.count - 1)), rel=1e-12)
-
-    @settings(max_examples=40)
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60),
-           st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60))
-    def test_merge_equals_concat(self, xs, ys):
-        a = RunningMoments()
-        a.add_batch(np.array(xs))
-        b = RunningMoments()
-        b.add_batch(np.array(ys))
-        a.merge(b)
-        whole = np.array(xs + ys)
-        assert a.mean == pytest.approx(whole.mean(), rel=1e-9, abs=1e-9)
-        assert a.variance == pytest.approx(whole.var(ddof=1), rel=1e-8, abs=1e-8)
 
 
 if __name__ == "__main__":
