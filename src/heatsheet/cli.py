@@ -40,9 +40,9 @@ from .gaussfield import (SQRT4PI, cov_u, cov_u_gram, cov_v_gram,
                          drift_variance_exact, cameron_martin_laplace,
                          cameron_martin_target, SpaceBump, TensorTestFunction,
                          WeakformPlan, SheetSample, dump_sheet,
-                         MAX_SHEET_CELLS, ResourceError)
-from .sde import (EvolveConfig, StationarySampler, stationary_basis, evolve,
-                  stability_limit)
+                         check_sheet_cells, ResourceError)
+from .sde import (EvolveConfig, FieldState, StationarySampler,
+                  stationary_basis, evolve, stability_limit)
 from .stats import z_test, residual_report, matrix_compare
 
 # suite tags XORed into the master seed (hex digits of pi: nothing up
@@ -79,6 +79,10 @@ DRIFT_Y_STEP = 1.0 / 8         # lattice-aligned probe locations
 
 CHUNK_REPLICAS = 128
 CHUNK_CELL_BUDGET = 64_000_000  # float32 buffer cap per worker chunk
+# evolve steps this many replicas as one (B, n) block; at the default grid
+# larger blocks ran slower and raised peak memory (their transform
+# temporaries outgrow the cache and grow with B)
+EVOLVE_BATCH = 16
 
 # refinement reports: halving dt must shrink the error by this factor
 REFINE_GAIN = 1.8
@@ -288,9 +292,7 @@ def _mc_pairings(W: np.ndarray, ncells: int, scale: float, R: int,
     above single precision).  Replica r reproduces sheet_sample(...,
     seed=seed, stream=stream_base + r, dtype=float32) cell for cell.
     """
-    if ncells > MAX_SHEET_CELLS:
-        raise ResourceError(
-            f"sheet of {ncells} cells exceeds budget {MAX_SHEET_CELLS}")
+    check_sheet_cells(ncells)
     nw = W.shape[0]
     X = np.zeros((R, nw))
     W32 = W.astype(np.float32)
@@ -319,10 +321,15 @@ def suite_cov(cfg: RunConfig) -> list:
     grid = TimeGrid(t_max, n)
     R_point = cfg.replicas or COV_POINT_REPLICAS
     R_gram = min(cfg.replicas or COV_GRAM_REPLICAS, COV_GRAM_REPLICAS)
+    point = _cov_point_geometry(cfg.tail_tol)
+    gram = _cov_gram_geometry(t_max, cfg.tail_tol)
+    # both sheets must fit before any weights are built
+    for *_, ny, ns in (point, gram):
+        check_sheet_cells(ny * ns)
     reports = []
 
     # point variance of the field at (0, 1)
-    y0, y1, smax, dy, ds, ny, ns = _cov_point_geometry(cfg.tail_tol)
+    y0, y1, smax, dy, ds, ny, ns = point
     yn = y0 + (np.arange(ny) + 0.5) * dy
     sn = (np.arange(ns) + 0.5) * ds
     Wp = point_weights(yn, sn, 0.0, 1.0).reshape(1, -1)
@@ -339,7 +346,7 @@ def suite_cov(cfg: RunConfig) -> list:
     hs = cov_observables(grid)
     G1 = cov_u_gram(hs)
     G2 = cov_v_gram(hs)
-    y0, y1, smax, dy, ds, ny, ns = _cov_gram_geometry(t_max, cfg.tail_tol)
+    y0, y1, smax, dy, ds, ny, ns = gram
     yn = y0 + (np.arange(ny) + 0.5) * dy
     sn = (np.arange(ns) + 0.5) * ds
     rows = [pair_u_weights(yn, sn, 0.0, h, t_max) for h in hs]
@@ -525,17 +532,18 @@ def suite_evolve(cfg: RunConfig):
     sample = {}
 
     def task(lo, hi):
-        for r in range(lo, hi):
-            rng = sheet_rng(seed, r)
-            init = sampler.draw(rng)
-            res = evolve(init, ecfg, plan, rng=rng)
-            UZ[r] = res.u_obs[-1]
-            VZ[r] = res.v_obs[-1]
-            book[r] = res.bookkeeping_error
-            if r == 0:
-                sample["result"] = res
+        # replica r keeps its own stream: its stationary draw, then its
+        # noise rows, in the same order as a run of r alone
+        rngs = [sheet_rng(seed, r) for r in range(lo, hi)]
+        init = FieldState.stack([sampler.draw(rng) for rng in rngs])
+        res = evolve(init, ecfg, plan, rng=rngs)
+        UZ[lo:hi] = res.u_obs[:, -1]
+        VZ[lo:hi] = res.v_obs[:, -1]
+        book[lo:hi] = res.bookkeeping_error
+        if lo == 0:
+            sample["result"] = res.row(0)
 
-    _parallel(R, cfg.workers, task)
+    _parallel(R, cfg.workers, task, chunk=EVOLVE_BATCH)
 
     gdesc = {"t_max": t_max, "n": n, "dz": dz, "Z": Z, "basis": len(basis)}
     reports = [residual_report(

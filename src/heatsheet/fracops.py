@@ -14,6 +14,7 @@ callers must state how their function decays beyond the grid.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -82,6 +83,16 @@ class SpectralPlan:
             self._cache[key] = m
         return self._cache[key]
 
+    def forward(self, fa: np.ndarray) -> np.ndarray:
+        """Zero-padded real transform of SymGrid values (..., 2n)."""
+        if fa.shape[-1] != self.sym.n:
+            raise ValueError("input not on the plan's SymGrid")
+        return np.fft.rfft(fa, n=self.padded_len, axis=-1)
+
+    def inverse(self, spec: np.ndarray) -> np.ndarray:
+        """Inverse of forward, restricted to the SymGrid: (..., 2n)."""
+        return np.fft.irfft(spec, n=self.padded_len, axis=-1)[..., :self.sym.n]
+
 
 def frac_laplacian(fa: np.ndarray, beta: float, plan: SpectralPlan,
                    check_decay: bool = True) -> np.ndarray:
@@ -94,10 +105,8 @@ def frac_laplacian(fa: np.ndarray, beta: float, plan: SpectralPlan,
     (e.g. evolving states that genuinely do not vanish at t_max).
     """
     fa = np.asarray(fa, dtype=float)
-    m = plan.sym.n
-    if fa.shape[-1] != m:
-        raise ValueError("input not on the plan's SymGrid")
-    norms = np.max(np.abs(fa), axis=-1, keepdims=True)
+    if check_decay or beta < -1.0:
+        norms = np.max(np.abs(fa), axis=-1, keepdims=True)
     if check_decay:
         edge = np.maximum(np.abs(fa[..., :1]), np.abs(fa[..., -1:]))
         if np.any(edge > BOUNDARY_WARN_FACTOR * np.maximum(norms, 1e-300)):
@@ -106,13 +115,11 @@ def frac_laplacian(fa: np.ndarray, beta: float, plan: SpectralPlan,
                           RuntimeWarning, stacklevel=2)
     if beta < -1.0:
         means = np.abs(fa.sum(axis=-1))
-        if np.any(means > 1e-10 * np.maximum(norms[..., 0], 1e-300) * m):
+        if np.any(means > 1e-10 * np.maximum(norms[..., 0], 1e-300)
+                  * plan.sym.n):
             raise ValueError(
                 "beta < -1 needs mean-free input: multiplier singular at tau=0")
-    N = plan.padded_len
-    spec = np.fft.rfft(fa, n=N, axis=-1)
-    out = np.fft.irfft(spec * plan.multiplier(beta), n=N, axis=-1)
-    return out[..., :m]
+    return plan.inverse(plan.forward(fa) * plan.multiplier(beta))
 
 
 def cell_conv(fs: np.ndarray, dt: float, antideriv) -> np.ndarray:
@@ -143,14 +150,25 @@ def op_A2(h: TestFunction) -> np.ndarray:
                      lambda u: (2.0 / SQRTPI) * np.sqrt(np.abs(u)))
 
 
-def _power_tail_nodes(T: float):
+@functools.lru_cache(maxsize=1)
+def _tail_rule():
+    """Gauss-Legendre rule mapped onto (0, inf): offsets w^2 and weights,
+    built on first use and shared read-only."""
     xs, ws = np.polynomial.legendre.leggauss(TAIL_NODES)
     v = 0.5 * (xs + 1.0)
     wv = 0.5 * ws
     w = v / (1.0 - v)
     jac = 2.0 * w / (1.0 - v) ** 2          # dt' = 2 w dw, w = v/(1-v)
-    tp = T + w * w
-    return tp, wv * jac
+    offsets, weights = w * w, wv * jac
+    offsets.flags.writeable = False
+    weights.flags.writeable = False
+    return offsets, weights
+
+
+def _power_tail_nodes(T: float):
+    """Nodes T + w^2 on (T, inf) and their quadrature weights."""
+    offsets, weights = _tail_rule()
+    return T + offsets, weights
 
 
 def halfroot_conv(f: np.ndarray, grid: TimeGrid,

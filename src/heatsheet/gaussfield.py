@@ -192,6 +192,13 @@ def sheet_shape(y_min: float, y_max: float, s_max: float,
     return ny, ns
 
 
+def check_sheet_cells(ncells: int):
+    """Raise ResourceError for a sheet over the in-memory cell budget."""
+    if ncells > MAX_SHEET_CELLS:
+        raise ResourceError(
+            f"sheet of {ncells} cells exceeds budget {MAX_SHEET_CELLS}")
+
+
 def sheet_rng(seed: int, stream: int) -> np.random.Generator:
     """The deterministic generator owned by (seed, stream)."""
     return np.random.default_rng(
@@ -203,9 +210,7 @@ def sheet_sample(y_min: float, y_max: float, s_max: float, dy: float, ds: float,
                  dtype=np.float64) -> SheetSample:
     """Sample sheet increments; a pure function of (seed, stream)."""
     ny, ns = sheet_shape(y_min, y_max, s_max, dy, ds)
-    if ny * ns > MAX_SHEET_CELLS:
-        raise ResourceError(
-            f"sheet of {ny * ns} cells exceeds budget {MAX_SHEET_CELLS}")
+    check_sheet_cells(ny * ns)
     rng = sheet_rng(seed, stream)
     inc = rng.standard_normal((ny, ns), dtype=dtype)
     inc *= np.sqrt(dy * ds)  # in place: keeps the requested dtype
@@ -624,6 +629,7 @@ class WeakformPlan:
         pad_cells = int(math.ceil(self.ypad / dy))
         ylo = xlo - pad_cells * dy
         ny = 2 * nx + 2 * pad_cells
+        check_sheet_cells(ny * ns)
         A = _bracket(f, x)
         # distance lattice: x_i - y_c = dy (q + 1/2), q = Q0 + 2i - c
         Q0 = int(round((xlo - ylo) / dy))

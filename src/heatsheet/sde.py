@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TimeGrid, TestFunction, antisym_extend
-from .fracops import SpectralPlan, frac_laplacian
+from .fracops import SpectralPlan
 from .gaussfield import cov_u_gram, cov_v_gram, gram_cholesky, sheet_rng
 
 SQRT2 = math.sqrt(2.0)
@@ -78,7 +78,11 @@ def smooth_window(grid: TimeGrid, lo: float, hi: float,
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """State (u, v) of the spatial dynamics at location z."""
+    """State (u, v) of the spatial dynamics at location z.
+
+    u and v are (n,) for one replica or (B, n) for a block of B replicas
+    stepped together; every replica of a block sits at the same z.
+    """
 
     u: np.ndarray
     v: np.ndarray
@@ -88,17 +92,27 @@ class FieldState:
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
         v = np.asarray(self.v, dtype=float)
-        if u.shape != (self.grid.n,) or v.shape != (self.grid.n,):
+        if u.ndim not in (1, 2) or u.shape[-1] != self.grid.n \
+                or v.shape != u.shape:
             raise ValueError("state vectors must live on the grid")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+
+    @staticmethod
+    def stack(states: list) -> "FieldState":
+        """One (B, n) block from B single states at a common z."""
+        s0 = states[0]
+        return FieldState(u=np.stack([s.u for s in states]),
+                          v=np.stack([s.v for s in states]),
+                          z=s0.z, grid=s0.grid)
 
     @property
     def finite(self) -> bool:
         return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
 
     def boundary_ratio(self) -> float:
-        """|u(t_0)| / (sqrt(dt) ||u||_rms): small when u vanishes toward t=0.
+        """|u(t_0)| / (sqrt(dt) ||u||_rms) of a single state: small when u
+        vanishes toward t=0.
 
         A diagnostic only; the continuum field is pinned at t = 0 but the
         grid dynamics merely keep the first cell O(sqrt(dt)).
@@ -113,21 +127,45 @@ def zero_state(grid: TimeGrid) -> FieldState:
     return FieldState(u=np.zeros(grid.n), v=np.zeros(grid.n), z=0.0, grid=grid)
 
 
-def _drift_terms(state: FieldState, plan: SpectralPlan):
-    """(halflap u^a, dv/dz) at state; the first also feeds the energy track."""
+def _spectrum(x: np.ndarray, plan: SpectralPlan) -> np.ndarray:
+    """Padded spectrum of the odd extension of grid values (..., n)."""
+    return plan.forward(antisym_extend(x))
+
+
+def _drift_terms(U: np.ndarray, V: np.ndarray, plan: SpectralPlan) -> np.ndarray:
+    """dv/dz = -(halflap u^a + sqrt(2) quarterlap v^a) on t > 0, from the
+    padded spectra U, V of u^a, v^a: both terms in one inverse transform."""
     # evolving states carry sqrt(t)-growth at t_max by design; the domain
-    # margin handles the truncation, so skip the decay warning here
-    n = state.grid.n
-    L1u = frac_laplacian(antisym_extend(state.u), 1.0, plan, check_decay=False)[n:]
-    L12v = frac_laplacian(antisym_extend(state.v), 0.5, plan, check_decay=False)[n:]
-    return L1u, -(L1u + SQRT2 * L12v)
+    # margin handles the truncation, so no decay check happens here
+    n = plan.sym.base.n
+    mixed = U * plan.multiplier(1.0)
+    mixed += V * (SQRT2 * plan.multiplier(0.5))
+    return -plan.inverse(mixed)[..., n:]
+
+
+def _halflap_energy(U: np.ndarray, plan: SpectralPlan) -> np.ndarray:
+    """<u; halflap u^a> dt from the padded spectrum U of u^a (Parseval).
+
+    The padded signal is zero off the SymGrid and u^a halflap u^a is even,
+    so the half-line pairing is half the full circular one."""
+    N = plan.padded_len
+    w = np.full(U.shape[-1], 2.0)
+    w[0] = 1.0
+    w[-1] = 1.0   # N even: the last bin is the Nyquist bin
+    power = U.real ** 2 + U.imag ** 2
+    return power @ (w * plan.multiplier(1.0)) * (plan.sym.dt / (2.0 * N))
+
+
+def _check_plan(grid: TimeGrid, plan: SpectralPlan):
+    if plan.sym.base != grid:
+        raise ValueError("state and plan grids differ")
 
 
 def drift(state: FieldState, plan: SpectralPlan):
     """Deterministic rates (du/dz, dv/dz) at the current state."""
-    if plan.sym.base != state.grid:
-        raise ValueError("state and plan grids differ")
-    return state.v.copy(), _drift_terms(state, plan)[1]
+    _check_plan(state.grid, plan)
+    dv = _drift_terms(_spectrum(state.u, plan), _spectrum(state.v, plan), plan)
+    return state.v.copy(), dv
 
 
 def euler_step(state: FieldState, dz: float, noise: np.ndarray,
@@ -156,10 +194,16 @@ def _advance(state: FieldState, dz: float, du: np.ndarray, dv: np.ndarray,
     return out
 
 
-def noise_draw(rng: np.random.Generator, grid: TimeGrid, dz: float) -> np.ndarray:
+def noise_draw(rng: np.random.Generator, grid: TimeGrid, dz: float,
+               out: np.ndarray | None = None) -> np.ndarray:
     """One white-in-t Brownian increment: N(0, dz/dt) per cell, so that
-    <dW; h> has variance dz ||h||^2 up to grid resolution."""
-    return rng.standard_normal(grid.n) * math.sqrt(dz / grid.dt)
+    <dW; h> has variance dz ||h||^2 up to grid resolution.  With out, the
+    increment is drawn into that length-n row in place."""
+    if out is None:
+        out = np.empty(grid.n)
+    rng.standard_normal(out=out)
+    out *= math.sqrt(dz / grid.dt)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +301,11 @@ class EvolveConfig:
 @dataclass(frozen=True, eq=False)
 class EvolveResult:
     """Trajectory record: observable pairings at every step plus the end
-    state, a telescoping-sum audit, and the noiseless-energy track."""
+    state, a telescoping-sum audit, and the noiseless-energy track.
+
+    Shapes are those of one replica; a run from a (B, n) block puts a
+    leading replica axis on every array and on the audit, and row(r)
+    gives replica r alone."""
 
     z_nodes: np.ndarray            # (steps+1,)
     u_obs: np.ndarray              # (steps+1, m)
@@ -265,6 +313,14 @@ class EvolveResult:
     final_state: FieldState
     bookkeeping_error: float       # max |<u_Z-u_0;h> - sum <v_z;h> dz|
     energy: np.ndarray             # (steps+1,) <v;v> + <u; halflap u^a>
+
+    def row(self, r: int) -> "EvolveResult":
+        fs = self.final_state
+        return EvolveResult(
+            z_nodes=self.z_nodes, u_obs=self.u_obs[r], v_obs=self.v_obs[r],
+            final_state=FieldState(u=fs.u[r], v=fs.v[r], z=fs.z, grid=fs.grid),
+            bookkeeping_error=float(self.bookkeeping_error[r]),
+            energy=self.energy[r])
 
     def to_csv(self) -> str:
         m = self.u_obs.shape[1]
@@ -281,45 +337,69 @@ class EvolveResult:
 
 
 def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
-           rng: np.random.Generator | None = None) -> EvolveResult:
+           rng: np.random.Generator | list | None = None) -> EvolveResult:
     """Run the explicit scheme from init to z + Z, recording observables.
 
-    The u-update is literally u += v dz, so the recorded pairings satisfy
+    init may be one state or a (B, n) block; a block needs rng to be a
+    sequence of B generators, replica r drawing its noise rows from rng[r]
+    in step order, so each row reproduces that replica's single run.
+
+    The block is stepped in Fourier space: the padded spectrum U of u^a is
+    carried across steps (u += v dz gives U += dz V exactly), so a step
+    costs one forward transform (V) and one inverse (the fused drift), and
+    the energy track reads <u; halflap u^a> off U by Parseval.  The
+    u-update is literally u += v dz, so the recorded pairings satisfy
     <u_Z; h> - <u_0; h> = sum over steps of <v_z; h> dz to roundoff; the
     realized maximum deviation is stored on the result.
     """
     grid = init.grid
     cfg.check_stability(grid)
+    _check_plan(grid, plan)
     if cfg.observables and cfg.observables[0].grid != grid:
         raise ValueError("observables not on the state grid")
-    if rng is None:
-        rng = sheet_rng(cfg.seed, cfg.stream)
+    single = init.u.ndim == 1
+    if single:
+        init = FieldState(u=init.u[None], v=init.v[None], z=init.z, grid=grid)
+        rngs = [rng if rng is not None else sheet_rng(cfg.seed, cfg.stream)]
+    else:
+        rngs = list(rng) if rng is not None else []
+        if cfg.noise and len(rngs) != init.u.shape[0]:
+            raise ValueError("a block of states needs one generator per replica")
     Hobs = np.stack([h.values for h in cfg.observables]) \
         if cfg.observables else np.zeros((0, grid.n))
     dt = grid.dt
+    dz = cfg.dz
     steps = cfg.steps
+    B = init.u.shape[0]
     m = Hobs.shape[0]
-    u_obs = np.zeros((steps + 1, m))
-    v_obs = np.zeros((steps + 1, m))
-    energy = np.zeros(steps + 1)
-    zs = init.z + cfg.dz * np.arange(steps + 1)
+    u_obs = np.zeros((B, steps + 1, m))
+    v_obs = np.zeros((B, steps + 1, m))
+    energy = np.zeros((B, steps + 1))
+    zs = init.z + dz * np.arange(steps + 1)
+    noise = np.zeros((B, grid.n))
 
     state = init
-    vsum = np.zeros(m)
+    U = _spectrum(state.u, plan)
+    vsum = np.zeros((B, m))
     for k in range(steps + 1):
-        L1u, dv = _drift_terms(state, plan)
-        u_obs[k] = Hobs @ state.u * dt
-        v_obs[k] = Hobs @ state.v * dt
-        energy[k] = float(np.dot(state.v, state.v) * dt
-                          + np.dot(state.u, L1u) * dt)
+        u_obs[:, k] = state.u @ Hobs.T * dt
+        v_obs[:, k] = state.v @ Hobs.T * dt
+        energy[:, k] = (np.einsum("bi,bi->b", state.v, state.v) * dt
+                        + _halflap_energy(U, plan))
         if k == steps:
             break
-        vsum += v_obs[k] * cfg.dz
-        noise = noise_draw(rng, grid, cfg.dz) if cfg.noise \
-            else np.zeros(grid.n)
-        state = _advance(state, cfg.dz, state.v, dv, noise)
+        V = _spectrum(state.v, plan)
+        dv = _drift_terms(U, V, plan)
+        vsum += v_obs[:, k] * dz
+        if cfg.noise:
+            for row, g in zip(noise, rngs):
+                noise_draw(g, grid, dz, out=row)
+        state = _advance(state, dz, state.v, dv, noise)
+        U += dz * V
 
-    book = float(np.max(np.abs((u_obs[-1] - u_obs[0]) - vsum))) if m else 0.0
-    return EvolveResult(z_nodes=zs, u_obs=u_obs, v_obs=v_obs,
-                        final_state=state, bookkeeping_error=book,
-                        energy=energy)
+    book = np.max(np.abs((u_obs[:, -1] - u_obs[:, 0]) - vsum), axis=1,
+                  initial=0.0)
+    res = EvolveResult(z_nodes=zs, u_obs=u_obs, v_obs=v_obs,
+                       final_state=state, bookkeeping_error=book,
+                       energy=energy)
+    return res.row(0) if single else res

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from heatsheet import ResourceError, load_sheet
-from heatsheet.cli import (CHUNK_REPLICAS, COV_TAG, MAX_SHEET_CELLS, OPS_TAG,
+from heatsheet import ResourceError, cli, gaussfield, load_sheet
+from heatsheet.cli import (CHUNK_REPLICAS, COV_TAG, OPS_TAG,
                            ConfigError, RunConfig, _mc_pairings, build_config,
                            main, make_parser, parse_config_file, suite_cov,
                            suite_drift, suite_evolve, suite_ops, suite_seed,
                            suite_spde, write_report)
+from heatsheet.gaussfield import MAX_SHEET_CELLS
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -147,6 +148,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "exceeds budget" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-cov", "--tmax", "2000"],
+        ["verify-spde", "--n", "65536"],
+    ])
+    def test_budget_checked_before_weights(self, tmp_path, capsys,
+                                           monkeypatch, argv):
+        # an oversized sheet must fail before any weight array is built
+        def unreachable(*a, **k):
+            raise AssertionError("weights built before the budget check")
+
+        monkeypatch.setattr(cli, "point_weights", unreachable)
+        monkeypatch.setattr(cli, "pair_u_weights", unreachable)
+        monkeypatch.setattr(gaussfield, "_bracket", unreachable)
+        rc = run(argv + ["--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceeds budget" in err
+
     def test_mc_engine_checks_cell_budget(self):
         # the check precedes any allocation, so a one-cell W suffices
         with pytest.raises(ResourceError, match="exceeds budget"):
@@ -230,7 +249,7 @@ class TestWorkerInvariance:
 
     def test_drift_reports_identical(self):
         # verdicts and numbers must not depend on the worker count
-        base = dict(t_max=4.0, replicas=100)
+        base = dict(t_max=4.0, replicas=INVARIANCE_REPLICAS)
         r1 = suite_drift(RunConfig(workers=1, **base))
         r3 = suite_drift(RunConfig(workers=3, **base))
         assert len(r1) == len(r3)

@@ -17,8 +17,11 @@ from heatsheet import (EvolveConfig, FieldState, InstabilityError, SpectralPlan,
                        euler_step, noise_draw, pair, smooth_window,
                        spectral_radius, stability_limit, stationary_basis,
                        stationary_init, zero_state)
+from heatsheet.cli import EVOLVE_BATCH, _parallel
+from heatsheet.fracops import frac_laplacian
 from heatsheet.gaussfield import sheet_rng
-from heatsheet.sde import drift
+from heatsheet.grid import antisym_extend
+from heatsheet.sde import SQRT2, _advance, drift
 
 T_MAX = 8.0
 N = 512
@@ -320,6 +323,121 @@ class TestEvolve:
         np.testing.assert_allclose(data[:, 0], res.z_nodes, atol=1e-12)
         np.testing.assert_allclose(data[:, 1], res.u_obs[:, 0], rtol=1e-10,
                                    atol=1e-300)
+
+
+def _rel_diff(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _oracle(states, cfg, plan, rngs):
+    """Per-replica reference stepping: two time-domain frac_laplacian calls
+    per step and the shared Euler update, fed the same noise rows."""
+    out = []
+    for state, rng in zip(states, rngs):
+        n = state.grid.n
+        for _ in range(cfg.steps):
+            L1u = frac_laplacian(antisym_extend(state.u), 1.0, plan,
+                                 check_decay=False)[n:]
+            L12v = frac_laplacian(antisym_extend(state.v), 0.5, plan,
+                                  check_decay=False)[n:]
+            noise = noise_draw(rng, state.grid, cfg.dz)
+            state = _advance(state, cfg.dz, state.v, -(L1u + SQRT2 * L12v),
+                             noise)
+        out.append(state)
+    return out
+
+
+def _direct_energy(u, v, plan):
+    n = plan.sym.base.n
+    L1u = frac_laplacian(antisym_extend(u), 1.0, plan, check_decay=False)[n:]
+    return float(np.dot(v, v) + np.dot(u, L1u)) * plan.sym.dt
+
+
+class TestBatchedEvolve:
+    SEED = 13
+
+    @pytest.fixture(scope="class")
+    def sampler(self, grid):
+        return StationarySampler(stationary_basis(grid), grid)
+
+    def block(self, sampler, lo, hi):
+        rngs = [sheet_rng(self.SEED, r) for r in range(lo, hi)]
+        init = FieldState.stack([sampler.draw(g) for g in rngs])
+        return init, rngs
+
+    def test_matches_time_domain_oracle(self, grid, plan, sampler):
+        # 80 steps at the stability limit: the carried spectrum and the
+        # fused transform agree with the per-replica time-domain route
+        cfg = EvolveConfig(dz=stability_limit(grid), Z=1.0, observables=())
+        assert cfg.steps == 80
+        init, rngs = self.block(sampler, 0, 4)
+        res = evolve(init, cfg, plan, rng=rngs)
+        # fresh streams, advanced past the stationary draw as in the block
+        again, rngs = self.block(sampler, 0, 4)
+        singles = [FieldState(u=again.u[r], v=again.v[r], z=0.0, grid=grid)
+                   for r in range(4)]
+        ref = _oracle(singles, cfg, plan, rngs)
+        for r, st in enumerate(ref):
+            assert _rel_diff(res.final_state.u[r], st.u) <= 1e-12
+            assert _rel_diff(res.final_state.v[r], st.v) <= 1e-12
+            assert res.final_state.z == st.z
+
+    def test_rows_equal_single_runs_across_blocks(self, grid, plan, sampler):
+        # 37 replicas in blocks of EVOLVE_BATCH: the last block is partial
+        R = 37
+        assert R % EVOLVE_BATCH
+        h = bump(4.0, 1.0, grid=grid)
+        cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=(h,))
+        rows = [None] * R
+
+        def task(lo, hi):
+            init, rngs = self.block(sampler, lo, hi)
+            res = evolve(init, cfg, plan, rng=rngs)
+            for r in range(lo, hi):
+                rows[r] = res.row(r - lo)
+
+        _parallel(R, 1, task, chunk=EVOLVE_BATCH)
+        for r in range(R):
+            rng = sheet_rng(self.SEED, r)
+            one = evolve(sampler.draw(rng), cfg, plan, rng=rng)
+            got = rows[r]
+            assert got.u_obs.shape == one.u_obs.shape == (cfg.steps + 1, 1)
+            for a, b in ((got.u_obs, one.u_obs), (got.v_obs, one.v_obs),
+                         (got.energy, one.energy),
+                         (got.final_state.u, one.final_state.u),
+                         (got.final_state.v, one.final_state.v)):
+                assert _rel_diff(a, b) <= 1e-13
+            assert got.bookkeeping_error <= 1e-10
+
+    def test_parseval_energy_matches_direct(self, grid, plan, sampler):
+        cfg = EvolveConfig(dz=stability_limit(grid), Z=0.5, observables=(),
+                           noise=False)
+        init, _ = self.block(sampler, 0, 3)
+        res = evolve(init, cfg, plan)
+        assert res.energy.shape == (3, cfg.steps + 1)
+        fs = res.final_state
+        for r in range(3):
+            e0 = _direct_energy(init.u[r], init.v[r], plan)
+            e1 = _direct_energy(fs.u[r], fs.v[r], plan)
+            assert res.energy[r, 0] == pytest.approx(e0, rel=1e-12)
+            assert res.energy[r, -1] == pytest.approx(e1, rel=1e-12)
+
+    def test_instability_names_z(self, grid, plan):
+        u = np.zeros((3, N))
+        u[1, 100] = np.inf
+        init = FieldState(u=u, v=np.zeros((3, N)), z=0.0, grid=grid)
+        cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=(),
+                           noise=False)
+        with np.errstate(all="ignore"):
+            with pytest.raises(InstabilityError,
+                               match=r"non-finite state at z=0\.0125"):
+                evolve(init, cfg, plan)
+
+    def test_block_needs_one_generator_per_replica(self, grid, plan, sampler):
+        init, rngs = self.block(sampler, 0, 3)
+        cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=())
+        with pytest.raises(ValueError, match="one generator per replica"):
+            evolve(init, cfg, plan, rng=rngs[:2])
 
 
 if __name__ == "__main__":
