@@ -8,13 +8,10 @@ independent oracles.  See the README for the map of checks.
 """
 
 from .grid import (TimeGrid, SymGrid, TestFunction, bump, antisym_extend,
-                   restrict, pair)
-from .kernels import (KernelPoint, heat_kernel, heat_kernel_dx, laplace_g,
-                      image_green, boundary_kernel, LnuSpec, l_nu,
-                      l_nu_laplace)
+                   pair)
+from .kernels import laplace_g, LnuSpec, l_nu, l_nu_laplace
 from .fracops import (SpectralPlan, frac_laplacian, op_A1, op_A2,
-                      halfroot_conv, a1_a2_residual, verify_A1A2_identity,
-                      ConfigurationError)
+                      halfroot_conv, a1_a2_residual, ConfigurationError)
 from .gaussfield import (cov_u, cov_u_cross, cov_u_apply, cov_v_apply,
                          cov_u_gram, cov_v_gram, SheetSample, sheet_sample,
                          sheet_rng, greenrep_eval, pair_u, pair_v,
@@ -27,22 +24,19 @@ from .gaussfield import (cov_u, cov_u_cross, cov_u_apply, cov_v_apply,
                          dump_sheet, load_sheet, coverage_halfwidth,
                          CoverageError, ResourceError)
 from .sde import (FieldState, EvolveConfig, EvolveResult, drift, euler_step,
-                  noise_draw, stationary_basis, stationary_init,
-                  StationarySampler, evolve, zero_state, smooth_window,
-                  stability_limit, spectral_radius, InstabilityError)
-from .stats import (VerificationReport, mean_se, z_test, ks_two_sample,
-                    ks_report, matrix_compare, residual_report,
-                    recompute_pass)
+                  noise_draw, stationary_basis, StationarySampler, evolve,
+                  zero_state, smooth_window, stability_limit,
+                  spectral_radius, InstabilityError)
+from .stats import (VerificationReport, mean_se, z_test, matrix_compare,
+                    residual_report, recompute_pass)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TimeGrid", "SymGrid", "TestFunction", "bump", "antisym_extend",
-    "restrict", "pair",
-    "KernelPoint", "heat_kernel", "heat_kernel_dx", "laplace_g",
-    "image_green", "boundary_kernel", "LnuSpec", "l_nu", "l_nu_laplace",
+    "TimeGrid", "SymGrid", "TestFunction", "bump", "antisym_extend", "pair",
+    "laplace_g", "LnuSpec", "l_nu", "l_nu_laplace",
     "SpectralPlan", "frac_laplacian", "op_A1", "op_A2", "halfroot_conv",
-    "a1_a2_residual", "verify_A1A2_identity", "ConfigurationError",
+    "a1_a2_residual", "ConfigurationError",
     "cov_u", "cov_u_cross", "cov_u_apply", "cov_v_apply", "cov_u_gram",
     "cov_v_gram", "SheetSample", "sheet_sample", "sheet_rng",
     "greenrep_eval", "pair_u", "pair_v", "drift_field_form",
@@ -53,9 +47,9 @@ __all__ = [
     "dump_sheet", "load_sheet", "coverage_halfwidth", "CoverageError",
     "ResourceError",
     "FieldState", "EvolveConfig", "EvolveResult", "drift", "euler_step",
-    "noise_draw", "stationary_basis", "stationary_init",
-    "StationarySampler", "evolve", "zero_state", "smooth_window",
-    "stability_limit", "spectral_radius", "InstabilityError",
-    "VerificationReport", "mean_se", "z_test", "ks_two_sample",
-    "ks_report", "matrix_compare", "residual_report", "recompute_pass",
+    "noise_draw", "stationary_basis", "StationarySampler", "evolve",
+    "zero_state", "smooth_window", "stability_limit", "spectral_radius",
+    "InstabilityError",
+    "VerificationReport", "mean_se", "z_test", "matrix_compare",
+    "residual_report", "recompute_pass",
 ]

@@ -11,9 +11,9 @@ Five subcommands, one per suite:
 Each writes <suite>_report.json into --out (plus trajectory.csv and
 final_state.bin for evolve) and exits 0 when every report passes, 1 when
 any fails, 2 on a configuration error and 3 on a numerical or resource
-failure, which yields no verdict.  Replica streams are derived as
-seed XOR suite tag, then one SeedSequence spawn per replica, so results
-are independent of the worker count.
+failure, exhausted memory included, which yields no verdict.  Replica
+streams are derived as seed XOR suite tag, then one SeedSequence spawn per
+replica, so results are independent of the worker count.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from .gaussfield import (SQRT4PI, cov_u, cov_u_gram, cov_v_gram,
                          drift_variance_exact, cameron_martin_laplace,
                          cameron_martin_target, SpaceBump, TensorTestFunction,
                          WeakformPlan, SheetSample, dump_sheet,
-                         check_sheet_cells, ResourceError)
+                         check_sheet_cells, weakform_geometry, ResourceError)
 from .sde import (EvolveConfig, FieldState, StationarySampler,
                   stationary_basis, evolve, stability_limit)
-from .stats import z_test, residual_report, matrix_compare
+from .stats import mean_se, z_test, residual_report, matrix_compare
 
 # suite tags XORed into the master seed (hex digits of pi: nothing up
 # the sleeve, just five fixed distinct words)
@@ -469,8 +469,12 @@ def suite_spde(cfg: RunConfig) -> list:
     n = cfg.n or SPDE_N
     grid = TimeGrid(t_max, n)
     R = cfg.replicas or SPDE_REPLICAS
+    fs = spde_test_functions(grid)
+    # every plan must fit before any is built
+    for f in fs:
+        weakform_geometry(f)
     reports = []
-    for fi, f in enumerate(spde_test_functions(grid)):
+    for fi, f in enumerate(fs):
         plan = WeakformPlan(f)
         g = plan.geometry
         scale = math.sqrt(g["dy"] * g["ds"])
@@ -481,8 +485,7 @@ def suite_spde(cfg: RunConfig) -> list:
         tgt = f.l2sq()
         gdesc = {"t_max": t_max, "n": n, "x_radius": f.terms[0][0].radius,
                  **{k: g[k] for k in ("dy", "ds", "nx", "dx")}}
-        mean = float(eta.mean())
-        se_mean = float(eta.std(ddof=1) / math.sqrt(R))
+        mean, se_mean = mean_se(eta)
         reports.append(z_test(
             mean, se_mean, 0.0, name=f"weak-form residual mean, f{fi + 1}",
             seed=seed, replicas=R, grid=gdesc))
@@ -553,8 +556,7 @@ def suite_evolve(cfg: RunConfig):
         lab = f"h{i + 1} (center {h.center:g})"
         for name, data, tgt_var in (("u", UZ[:, i], G1[i, i]),
                                     ("v", VZ[:, i], G2[i, i])):
-            mean = float(data.mean())
-            se_m = float(data.std(ddof=1) / math.sqrt(R))
+            mean, se_m = mean_se(data)
             reports.append(z_test(
                 mean, se_m, 0.0,
                 name=f"terminal {name}-pairing mean, {lab}",
@@ -728,8 +730,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ResourceError, ArithmeticError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ResourceError, ArithmeticError, MemoryError) as e:
+        print(f"error: {str(e) or 'memory exhausted'}", file=sys.stderr)
         return 3
 
 

@@ -23,7 +23,6 @@ from scipy.signal import fftconvolve
 from scipy.special import erfc
 
 from .grid import TimeGrid, SymGrid, TestFunction, antisym_extend
-from .stats import VerificationReport, residual_report
 
 SQRTPI = np.sqrt(np.pi)
 SQRT4PI = np.sqrt(4.0 * np.pi)
@@ -272,19 +271,3 @@ def a1_a2_residual(h: TestFunction, plan: SpectralPlan | None = None,
     lhs_minus = frac_laplacian(antisym_extend(h.values), 1.0, plan)[g.n:]
     return float(np.max(np.abs(a1a2 + h.deriv_values - lhs_minus)))
 
-
-def verify_A1A2_identity(h: TestFunction, tol_factor: float = 2e-2,
-                         refine: bool = True, seed: int = 0) -> VerificationReport:
-    """Report on the composition identity, with an optional half-dt
-    refinement ratio recorded alongside the residual."""
-    g = h.grid
-    hd_max = float(np.max(np.abs(h.deriv_values))) or 1.0
-    res = a1_a2_residual(h)
-    grid_desc = {"t_max": g.t_max, "n": g.n, "dt": g.dt}
-    if refine:
-        fine = TestFunction(h.center, h.radius, TimeGrid(g.t_max, 2 * g.n),
-                            h.amplitude)
-        res_fine = a1_a2_residual(fine)
-        grid_desc["refinement_ratio"] = res / res_fine if res_fine else np.inf
-    return residual_report("A1(A2 h) + h' - halflap(h^a) max abs",
-                           res, tol_factor * hd_max, seed=seed, grid=grid_desc)

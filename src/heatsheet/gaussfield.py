@@ -43,6 +43,11 @@ PAIR_U_NODES = 32
 PAIR_V_NODES = 32
 PAIR_V_CUT = 6.5  # e^(-v^2) support cut for the derivative-kernel integral
 
+# weak-form plan: x cells per space-bump radius, sheet margin beyond the
+# x support
+WEAKFORM_X_RES = 40
+WEAKFORM_YPAD = 8.0
+
 
 class CoverageError(ValueError):
     """Sheet rectangle does not cover the kernel's effective support."""
@@ -192,11 +197,12 @@ def sheet_shape(y_min: float, y_max: float, s_max: float,
     return ny, ns
 
 
-def check_sheet_cells(ncells: int):
-    """Raise ResourceError for a sheet over the in-memory cell budget."""
+def check_sheet_cells(ncells: int, what: str = "sheet"):
+    """Raise ResourceError for an array (a sheet by default) of more float64
+    cells than the in-memory cell budget."""
     if ncells > MAX_SHEET_CELLS:
         raise ResourceError(
-            f"sheet of {ncells} cells exceeds budget {MAX_SHEET_CELLS}")
+            f"{what} of {ncells} cells exceeds budget {MAX_SHEET_CELLS}")
 
 
 def sheet_rng(seed: int, stream: int) -> np.random.Generator:
@@ -576,6 +582,28 @@ def _x_nodes(f: TensorTestFunction, x_res: int) -> tuple:
     return xlo + (np.arange(nx) + 0.5) * dx, dx
 
 
+def weakform_geometry(f: TensorTestFunction, x_res: int = WEAKFORM_X_RES,
+                      ypad: float = WEAKFORM_YPAD) -> tuple:
+    """Sizes of the WeakformPlan of f: (x nodes, dx, pad cells, ny, ns).
+
+    Raises ResourceError, before anything is built, when the sheet or the
+    plan's largest table is over the cell budget.  That table is the complex
+    kernel transform Khat, one row per lattice distance (ny + 2 nx - 2) and
+    2 nt + 1 columns, two float64 cells per entry.
+    """
+    x, dx = _x_nodes(f, x_res)
+    nx = x.size
+    nt = f.tgrid.n
+    # snap the pad to whole cells so every distance x_i - y_c lands
+    # exactly on the half-offset lattice dy (q + 1/2), dy = dx / 2
+    pad_cells = int(math.ceil(ypad / (dx / 2.0)))
+    ny = 2 * nx + 2 * pad_cells
+    ns = 2 * nt
+    check_sheet_cells(ny * ns)
+    check_sheet_cells(2 * (ny + 2 * nx - 2) * (2 * nt + 1), "kernel table")
+    return x, dx, pad_cells, ny, ns
+
+
 def _bracket(f: TensorTestFunction, x: np.ndarray) -> np.ndarray:
     """A = dxx f + halflap_t f^a - sqrt(2) dx quarterlap_t f^a on the x
     nodes times the time grid of f; shape (x.size, n)."""
@@ -608,8 +636,8 @@ class WeakformPlan:
     """
 
     f: TensorTestFunction
-    x_res: int = 40      # x cells per space-bump radius
-    ypad: float = 8.0    # sheet margin beyond the x support
+    x_res: int = WEAKFORM_X_RES
+    ypad: float = WEAKFORM_YPAD
     omega: np.ndarray = field(default=None, repr=False)
     geometry: dict = field(default_factory=dict)
 
@@ -619,17 +647,11 @@ class WeakformPlan:
         nt = g.n
         dt = g.dt
         ds = dt / 2.0
-        ns = 2 * nt
-        x, dx = _x_nodes(f, self.x_res)
+        x, dx, pad_cells, ny, ns = weakform_geometry(f, self.x_res, self.ypad)
         xlo = f.x_support[0]
         nx = x.size
         dy = dx / 2.0
-        # snap the pad to whole cells so every distance x_i - y_c lands
-        # exactly on the half-offset lattice dy (q + 1/2)
-        pad_cells = int(math.ceil(self.ypad / dy))
         ylo = xlo - pad_cells * dy
-        ny = 2 * nx + 2 * pad_cells
-        check_sheet_cells(ny * ns)
         A = _bracket(f, x)
         # distance lattice: x_i - y_c = dy (q + 1/2), q = Q0 + 2i - c
         Q0 = int(round((xlo - ylo) / dy))

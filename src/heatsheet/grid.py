@@ -45,16 +45,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) * self.dt
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TimeGrid)
-            and self.t_max == other.t_max
-            and self.n == other.n
-        )
-
-    def __hash__(self):
-        return hash((self.t_max, self.n))
-
 
 @dataclass(frozen=True)
 class SymGrid:
@@ -88,15 +78,6 @@ def antisym_extend(f: np.ndarray) -> np.ndarray:
     """
     f = np.asarray(f)
     return np.concatenate([-f[..., ::-1], f], axis=-1)
-
-
-def restrict(fa: np.ndarray) -> np.ndarray:
-    """Inverse of antisym_extend: keep the positive-time half."""
-    fa = np.asarray(fa)
-    m = fa.shape[-1]
-    if m % 2:
-        raise ValueError("symmetric-grid array must have even length")
-    return fa[..., m // 2:]
 
 
 def pair(f: np.ndarray, g: np.ndarray, grid: TimeGrid) -> float:

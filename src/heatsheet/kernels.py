@@ -1,55 +1,24 @@
 """Closed-form kernels for the half-plane heat field.
 
-Everything here is a pure function of its arguments: the free-space heat
-kernel and its spatial derivative, the Dirichlet image kernel and boundary
-flux kernel, the time-Laplace transform of the kernel started on a vertical
-line, and the slowly decaying comparison function l_nu that arises when a
-half-root convolution hits a decaying exponential.
+Everything here is a pure function of its arguments: the time-Laplace
+transform of the heat kernel started on a vertical line, and the slowly
+decaying comparison function l_nu that arises when a half-root convolution
+hits a decaying exponential, together with its Laplace transform.
 
-Causality is exact: every kernel returns 0 whenever t <= s (the indicator
-is open at s), which also sidesteps the 1/sqrt(t - s) blowup.
+l_nu is evaluated from its elementary closed form in the scaled special
+functions dawsn and erfcx, which cannot overflow at large nu t.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import dawsn, erfcx
 
-SQRT4PI = np.sqrt(4.0 * np.pi)
-
-# absolute tolerance for the singularity-split quadrature of l_nu
-LNU_QUAD_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """A (source, field) point pair: source (y, s), field (x, t)."""
-
-    y: float
-    s: float
-    x: float
-    t: float
-
-
-def heat_kernel(p: KernelPoint) -> float:
-    """Free-space heat kernel g(y,s;x,t) = (4 pi (t-s))^(-1/2) exp(-(x-y)^2 / (4(t-s))).
-
-    Returns 0 for t <= s.
-    """
-    tau = p.t - p.s
-    if tau <= 0.0:
-        return 0.0
-    return float(np.exp(-((p.x - p.y) ** 2) / (4.0 * tau)) / np.sqrt(4.0 * np.pi * tau))
-
-
-def heat_kernel_dx(p: KernelPoint) -> float:
-    """Spatial derivative dg/dx = -((x-y) / (2(t-s))) g; 0 for t <= s."""
-    tau = p.t - p.s
-    if tau <= 0.0:
-        return 0.0
-    return -((p.x - p.y) / (2.0 * tau)) * heat_kernel(p)
+SQRTPI = math.sqrt(math.pi)
 
 
 def laplace_g(dist: float, nu: float) -> float:
@@ -65,40 +34,11 @@ def laplace_g(dist: float, nu: float) -> float:
     return float(np.exp(-rt * dist) / (2.0 * rt))
 
 
-def image_green(p: KernelPoint, x0: float) -> float:
-    """Dirichlet half-plane kernel by reflection: g(y,...) - g(2 x0 - y, ...)."""
-    mirrored = KernelPoint(2.0 * x0 - p.y, p.s, p.x, p.t)
-    return heat_kernel(p) - heat_kernel(mirrored)
-
-
-def boundary_kernel(s: float, x: float, t: float, x0: float) -> float:
-    """Boundary flux kernel 2 d/dy g(x0,s;x,t) = ((x-x0)/(t-s)) g(x0,s;x,t).
-
-    Defined for field points strictly right of the boundary line x0.
-    Integrating over s in [0, t] gives the harmonic measure of the
-    half-plane, which approaches 1 as x -> x0+.
-    """
-    if x <= x0:
-        raise ValueError("boundary_kernel requires x > x0")
-    tau = t - s
-    if tau <= 0.0:
-        return 0.0
-    g = heat_kernel(KernelPoint(x0, s, x, t))
-    return ((x - x0) / tau) * g
-
-
 @dataclass(frozen=True)
 class LnuSpec:
-    """Decay rate and quadrature settings for l_nu.
-
-    The r-integral is split at the |1 - r|^(-1/2) singularity and the far
-    piece is mapped to a finite interval by r = 1/w; each piece is handled
-    by adaptive Gauss-Kronrod quadrature to absolute tolerance quad_tol.
-    """
+    """Decay rate of the exponential window in l_nu."""
 
     nu: float
-    quad_tol: float = LNU_QUAD_TOL
-    split: float = 2.0  # start of the mapped far piece
 
     def __post_init__(self):
         if self.nu <= 0.0:
@@ -109,37 +49,19 @@ def l_nu(spec: LnuSpec, t: float) -> float:
     """The comparison function
 
         l_nu(t) = sqrt(t)/sqrt(4 pi) * int_0^inf (|1-r|^(-1/2) - (1+r)^(-1/2)) e^(-nu t r) dr
+                = (e^(-a) + (2/sqrt(pi)) dawsn(sqrt(a)) - erfcx(sqrt(a))) / (2 sqrt(nu)),
 
-    evaluated by singularity-split quadrature.  l_nu(0) = 0 exactly, l_nu is
-    continuous and nonnegative, and t^(3/2) l_nu(t) stays bounded as t grows.
+    with a = nu t.  l_nu(0) = 0 exactly, l_nu is continuous and nonnegative,
+    and t^(3/2) l_nu(t) stays bounded as t grows.
     """
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return 0.0
     a = spec.nu * t
-    tol = spec.quad_tol
-    # [0,1]: substitute 1 - r = w^2 to remove the left singularity
-    i1, e1 = quad(lambda w: 2.0 * np.exp(-a * (1.0 - w * w)), 0.0, 1.0,
-                  epsabs=tol, epsrel=tol)[:2]
-    # [1,2]: substitute r = 1 + w^2 for the right side of the singularity
-    i2, e2 = quad(lambda w: 2.0 * np.exp(-a * (1.0 + w * w)), 0.0, 1.0,
-                  epsabs=tol, epsrel=tol)[:2]
-    # smooth -(1+r)^(-1/2) part on [0,2]
-    i3, e3 = quad(lambda r: -np.exp(-a * r) / np.sqrt(1.0 + r), 0.0, 2.0,
-                  epsabs=tol, epsrel=tol)[:2]
-    # far piece [2, inf): map r = 1/w onto (0, 1/2]
-    def far(w):
-        r = 1.0 / w
-        return (1.0 / np.sqrt(r - 1.0) - 1.0 / np.sqrt(r + 1.0)) \
-            * np.exp(-a * r) / (w * w)
-
-    i4, e4 = quad(far, 1e-300, 1.0 / spec.split, epsabs=tol, epsrel=tol)[:2]
-    achieved = e1 + e2 + e3 + e4
-    if achieved > 1e-6:
-        raise ArithmeticError(
-            f"l_nu quadrature did not converge: residual {achieved:.2e}")
-    return float(np.sqrt(t) / SQRT4PI * (i1 + i2 + i3 + i4))
+    ra = math.sqrt(a)
+    return float((math.exp(-a) + 2.0 / SQRTPI * dawsn(ra) - erfcx(ra))
+                 / (2.0 * math.sqrt(spec.nu)))
 
 
 def l_nu_laplace(spec: LnuSpec, nu_tilde: float, t_cut: float = 60.0) -> float:

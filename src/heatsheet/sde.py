@@ -259,13 +259,6 @@ class StationarySampler:
                           grid=self.grid)
 
 
-def stationary_init(h_basis: list, grid: TimeGrid, seed: int,
-                    stream: int = 0) -> FieldState:
-    """One stationary draw; see StationarySampler for the reconstruction
-    (and its bias) and for the amortized many-replica path."""
-    return StationarySampler(h_basis, grid).draw(sheet_rng(seed, stream))
-
-
 # ----------------------------------------------------------------------
 # trajectories
 

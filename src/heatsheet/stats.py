@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 import numpy as np
-import scipy.stats
 
 DEFAULT_K = 4.0
 
@@ -59,9 +58,6 @@ def recompute_pass(report: VerificationReport) -> bool:
         return abs(z) <= k
     if rule == "estimate <= target":
         return report.estimate <= report.target
-    if rule.startswith("p >"):
-        thresh = float(rule.split(">")[1])
-        return report.estimate > thresh
     if rule.startswith("frac_within >="):
         # matrix comparisons store the within-k fraction as the estimate and
         # the worst |z| in se; target holds the required fraction
@@ -108,26 +104,6 @@ def residual_report(name: str, residual: float, tol: float,
         statistic=name, estimate=float(residual), se=0.0, target=float(tol),
         z=None, rule="estimate <= target", passed=bool(residual <= tol),
         replicas=0, seed=seed, grid=grid or {})
-
-
-def ks_two_sample(a, b) -> tuple[float, float]:
-    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("ks_two_sample needs nonempty samples")
-    res = scipy.stats.ks_2samp(a, b, method="asymp")
-    return float(res.statistic), float(res.pvalue)
-
-
-def ks_report(name: str, a, b, p_threshold: float = 0.01,
-              seed: int = 0, grid: dict | None = None) -> VerificationReport:
-    stat, p = ks_two_sample(a, b)
-    return VerificationReport(
-        statistic=name, estimate=float(p), se=0.0, target=float(p_threshold),
-        z=None, rule=f"p > {p_threshold:g}", passed=bool(p > p_threshold),
-        replicas=min(len(a), len(b)), seed=seed,
-        grid=dict(grid or {}, ks_statistic=stat))
 
 
 def matrix_compare(emp: np.ndarray, analytic: np.ndarray, se: np.ndarray,

@@ -151,6 +151,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["verify-cov", "--tmax", "2000"],
         ["verify-spde", "--n", "65536"],
+        ["verify-spde", "--n", "32768"],
+        ["verify-spde", "--n", "16384"],
     ])
     def test_budget_checked_before_weights(self, tmp_path, capsys,
                                            monkeypatch, argv):
@@ -165,6 +167,16 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "exceeds budget" in err
+
+    def test_memory_error_is_not_a_verdict(self, tmp_path, capsys,
+                                           monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "suite_cov", exhausted)
+        rc = run(["verify-cov", "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_mc_engine_checks_cell_budget(self):
         # the check precedes any allocation, so a one-cell W suffices

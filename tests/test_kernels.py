@@ -1,4 +1,4 @@
-"""Heat kernel, Laplace-transformed Green's function, boundary kernel, l_nu."""
+"""The heat kernel, its Laplace transform, and the window integral l_nu."""
 import math
 
 import numpy as np
@@ -6,74 +6,78 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import dawsn, erfc, erfcx
 
-from heatsheet import (KernelPoint, LnuSpec, boundary_kernel, heat_kernel,
-                       heat_kernel_dx, image_green, l_nu, l_nu_laplace, laplace_g)
+from heatsheet import LnuSpec, l_nu, l_nu_laplace, laplace_g
+from heatsheet.gaussfield import point_weights
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
 
 
-def l_nu_closed(nu, t):
-    # independent route: l_nu(t) = (e^-a + (2/sqrt pi) dawsn(sqrt a)
-    #                               - erfcx(sqrt a)) / (2 sqrt nu), a = nu t
+def heat_kernel(y, s, x, t):
+    # the library heat kernel g(y, s; x, t) on a single sheet cell
+    return float(point_weights(np.array([y]), np.array([s]), x, t)[0, 0])
+
+
+def l_nu_quad(nu, t):
+    # independent route: the defining r-integral, split at the
+    # |1 - r|^(-1/2) singularity, with the far piece mapped by r = 1/w
     if t == 0.0:
         return 0.0
     a = nu * t
-    ra = math.sqrt(a)
-    return (math.exp(-a) + 2.0 / math.sqrt(math.pi) * dawsn(ra)
-            - erfcx(ra)) / (2.0 * math.sqrt(nu))
+    tol = 1e-12
+    # [0,1]: substitute 1 - r = w^2 to remove the left singularity
+    i1 = quad(lambda w: 2.0 * np.exp(-a * (1.0 - w * w)), 0.0, 1.0,
+              epsabs=tol, epsrel=tol)[0]
+    # [1,2]: substitute r = 1 + w^2 for the right side of the singularity
+    i2 = quad(lambda w: 2.0 * np.exp(-a * (1.0 + w * w)), 0.0, 1.0,
+              epsabs=tol, epsrel=tol)[0]
+    # smooth -(1+r)^(-1/2) part on [0,2]
+    i3 = quad(lambda r: -np.exp(-a * r) / np.sqrt(1.0 + r), 0.0, 2.0,
+              epsabs=tol, epsrel=tol)[0]
+
+    def far(w):
+        r = 1.0 / w
+        return (1.0 / np.sqrt(r - 1.0) - 1.0 / np.sqrt(r + 1.0)) \
+            * np.exp(-a * r) / (w * w)
+
+    i4 = quad(far, 1e-300, 0.5, epsabs=tol, epsrel=tol)[0]
+    return math.sqrt(t) / SQRT4PI * (i1 + i2 + i3 + i4)
 
 
 class TestHeatKernel:
     def test_unit_height_at_quarter_pi_inverse_time(self):
-        assert heat_kernel(KernelPoint(0.0, 0.0, 0.0, 1.0 / (4.0 * math.pi))) == 1.0
+        assert heat_kernel(0.0, 0.0, 0.0, 1.0 / (4.0 * math.pi)) == 1.0
 
     def test_distance_two_unit_time(self):
-        val = heat_kernel(KernelPoint(0.0, 0.0, 2.0, 1.0))
+        val = heat_kernel(0.0, 0.0, 2.0, 1.0)
         assert val == pytest.approx(math.exp(-1.0) / SQRT4PI, rel=1e-12)
         assert val == pytest.approx(0.103777, abs=1e-6)
 
     def test_causality_zero_at_or_before_source_time(self):
-        assert heat_kernel(KernelPoint(0.0, 1.0, 0.5, 1.0)) == 0.0
-        assert heat_kernel(KernelPoint(0.0, 2.0, 0.5, 1.0)) == 0.0
+        assert heat_kernel(0.0, 1.0, 0.5, 1.0) == 0.0
+        assert heat_kernel(0.0, 2.0, 0.5, 1.0) == 0.0
 
     def test_chapman_kolmogorov(self):
         # semigroup property: integrating over the intermediate point at
         # time 0.5 reproduces the kernel over the full interval
         t_mid, t_end, x = 0.5, 1.5, 0.3
         composed = quad(
-            lambda z: heat_kernel(KernelPoint(0.0, 0.0, z, t_mid))
-            * heat_kernel(KernelPoint(z, t_mid, x, t_end)),
+            lambda z: heat_kernel(0.0, 0.0, z, t_mid)
+            * heat_kernel(z, t_mid, x, t_end),
             -14.0, 14.0, epsabs=1e-12, epsrel=1e-12, limit=300)[0]
-        direct = heat_kernel(KernelPoint(0.0, 0.0, x, t_end))
+        direct = heat_kernel(0.0, 0.0, x, t_end)
         assert composed == pytest.approx(direct, abs=1e-9)
 
     def test_mass_one(self):
-        total = quad(lambda y: heat_kernel(KernelPoint(y, 0.0, 0.0, 2.0)),
+        total = quad(lambda y: heat_kernel(y, 0.0, 0.0, 2.0),
                      -40.0, 40.0, epsabs=1e-12, epsrel=1e-12, limit=300)[0]
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @settings(max_examples=40)
     @given(st.floats(0.01, 10.0), st.floats(-5.0, 5.0))
     def test_positive_and_finite(self, tau, d):
-        v = heat_kernel(KernelPoint(0.0, 0.0, d, tau))
+        v = heat_kernel(0.0, 0.0, d, tau)
         assert 0.0 < v < 10.0
-
-
-class TestHeatKernelDx:
-    def test_matches_finite_difference(self):
-        eps = 1e-6
-        for (d, tau) in ((0.3, 0.7), (-1.2, 2.0), (0.0, 1.0)):
-            fd = (heat_kernel(KernelPoint(0.0, 0.0, d + eps, tau))
-                  - heat_kernel(KernelPoint(0.0, 0.0, d - eps, tau))) / (2 * eps)
-            assert heat_kernel_dx(KernelPoint(0.0, 0.0, d, tau)) == pytest.approx(
-                fd, abs=1e-6)
-
-    def test_odd_in_distance(self):
-        a = heat_kernel_dx(KernelPoint(0.0, 0.0, 0.8, 1.0))
-        b = heat_kernel_dx(KernelPoint(0.0, 0.0, -0.8, 1.0))
-        assert a == pytest.approx(-b, rel=1e-14)
 
 
 class TestLaplaceG:
@@ -86,8 +90,8 @@ class TestLaplaceG:
         # laplace transform of the heat kernel in its time variable
         for dist in (0.0, 0.5, 1.0, 2.0):
             for nu in (0.5, 1.0, 4.0):
-                num = quad(lambda t: heat_kernel(KernelPoint(0.0, 0.0, dist, t))
-                           * math.exp(-nu * t),
+                num = quad(lambda t: math.exp(-dist * dist / (4.0 * t))
+                           / math.sqrt(4.0 * math.pi * t) * math.exp(-nu * t),
                            1e-12, 200.0, epsabs=1e-12, epsrel=1e-12, limit=500)[0]
                 assert laplace_g(dist, nu) == pytest.approx(num, rel=1e-6)
 
@@ -96,46 +100,6 @@ class TestLaplaceG:
             laplace_g(1.0, 0.0)
         with pytest.raises(ValueError):
             laplace_g(-0.5, 1.0)
-
-
-class TestImageGreen:
-    def test_absorbing_value_one_step_inside(self):
-        x0 = 2.0
-        val = image_green(KernelPoint(x0 + 1.0, 0.0, x0 + 1.0, 1.0), x0)
-        assert val == pytest.approx((1.0 - math.exp(-1.0)) / SQRT4PI, rel=1e-12)
-        assert val == pytest.approx(0.178317, abs=1e-6)
-
-    def test_vanishes_on_the_boundary(self):
-        x0 = 1.5
-        for y in (2.0, 3.7):
-            assert image_green(KernelPoint(y, 0.0, x0, 2.0), x0) == pytest.approx(
-                0.0, abs=1e-15)
-
-    def test_dominated_by_free_kernel(self):
-        x0 = 0.0
-        p = KernelPoint(1.0, 0.0, 2.0, 1.5)
-        assert 0.0 < image_green(p, x0) < heat_kernel(p)
-
-
-class TestBoundaryKernel:
-    def test_closed_value(self):
-        val = boundary_kernel(0.0, 1.0, 1.0, 0.0)
-        assert val == pytest.approx(math.exp(-0.25) / SQRT4PI, rel=1e-12)
-        assert val == pytest.approx(0.219695, abs=1e-6)
-
-    def test_rejects_points_not_right_of_the_boundary(self):
-        with pytest.raises(ValueError):
-            boundary_kernel(0.0, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            boundary_kernel(0.0, -1.0, 1.0, 0.0)
-
-    def test_time_integral_is_harmonic_measure(self):
-        # int_0^t k(s) ds = erfc(d / (2 sqrt t)): probability the point is
-        # dragged to the boundary by time t
-        for d in (0.5, 0.1):
-            hm = quad(lambda s: boundary_kernel(s, d, 1.0, 0.0),
-                      0.0, 1.0 - 1e-12, epsabs=1e-12, epsrel=1e-12, limit=400)[0]
-            assert hm == pytest.approx(erfc(d / 2.0), abs=1e-9)
 
 
 class TestLnu:
@@ -151,11 +115,12 @@ class TestLnu:
             LnuSpec(nu=0.0)
 
     def test_matches_special_function_closed_form(self):
+        # the library's closed form against the singularity-split quadrature
         for nu in (1.0, 2.0):
             spec = LnuSpec(nu=nu)
             for t in (0.3, 1.0, 2.5, 10.0, 100.0):
                 assert l_nu(spec, t) == pytest.approx(
-                    l_nu_closed(nu, t), rel=1e-11)
+                    l_nu_quad(nu, t), rel=1e-11)
 
     def test_frozen_value(self):
         assert l_nu(LnuSpec(nu=1.0), 1.0) == pytest.approx(

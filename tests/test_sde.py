@@ -16,7 +16,7 @@ from heatsheet import (EvolveConfig, FieldState, InstabilityError, SpectralPlan,
                        StationarySampler, SymGrid, TimeGrid, bump, evolve,
                        euler_step, noise_draw, pair, smooth_window,
                        spectral_radius, stability_limit, stationary_basis,
-                       stationary_init, zero_state)
+                       zero_state)
 from heatsheet.cli import EVOLVE_BATCH, _parallel
 from heatsheet.fracops import frac_laplacian
 from heatsheet.gaussfield import sheet_rng
@@ -221,9 +221,9 @@ class TestStationary:
         assert abs(corr) <= 4.0 / math.sqrt(R)
 
     def test_stationary_init_deterministic(self, grid):
-        basis = stationary_basis(grid)
-        a = stationary_init(basis, grid, seed=9)
-        b = stationary_init(basis, grid, seed=9)
+        sampler = StationarySampler(stationary_basis(grid), grid)
+        a = sampler.draw(sheet_rng(9, 0))
+        b = sampler.draw(sheet_rng(9, 0))
         np.testing.assert_array_equal(a.u, b.u)
         assert a.z == 0.0
         assert a.finite
@@ -271,7 +271,8 @@ class TestEvolve:
     def test_telescoping_bookkeeping(self, grid, plan):
         h = bump(4.0, 1.0, grid=grid)
         cfg = EvolveConfig(dz=0.0125, Z=0.5, observables=(h,), seed=3)
-        init = stationary_init(stationary_basis(grid), grid, seed=11)
+        init = StationarySampler(stationary_basis(grid), grid).draw(
+            sheet_rng(11, 0))
         res = evolve(init, cfg, plan)
         assert res.bookkeeping_error <= 1e-10
 

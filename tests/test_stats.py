@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatsheet import (ks_report, ks_two_sample, matrix_compare, mean_se,
-                       recompute_pass, residual_report, z_test)
+from heatsheet import (matrix_compare, mean_se, recompute_pass,
+                       residual_report, z_test)
 
 finite = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 
@@ -69,35 +69,6 @@ class TestZTest:
     def test_negative_se_rejected(self):
         with pytest.raises(ValueError):
             z_test(1.0, -0.1, 1.0)
-
-
-class TestKsTwoSample:
-    def test_identical_samples(self):
-        a = np.arange(100.0)
-        stat, p = ks_two_sample(a, a)
-        assert stat == 0.0
-        assert p == 1.0
-
-    def test_disjoint_supports(self):
-        stat, p = ks_two_sample(np.zeros(40), np.ones(40) + 5.0)
-        assert stat == 1.0
-        assert p < 1e-6
-
-    def test_calibration(self):
-        ok = 0
-        for seed in range(100):
-            r = np.random.default_rng(1000 + seed)
-            _, p = ks_two_sample(r.standard_normal(10000), r.standard_normal(10000))
-            ok += p > 0.01
-        assert ok >= 98
-
-    def test_report_wrapper(self):
-        r = np.random.default_rng(4)
-        rep = ks_report("shift check", r.standard_normal(500),
-                        r.standard_normal(500))
-        assert rep.passed
-        assert "p >" in rep.rule
-        assert "ks_statistic" in rep.grid
 
 
 class TestMatrixCompare:
