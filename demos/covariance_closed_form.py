@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from heatsheet import cov_u, cov_u_cross
+from heatsheet import SheetLattice, cov_u, cov_u_cross, var_se
 from heatsheet.gaussfield import point_weights, sheet_rng
 
 SEED = 2026
@@ -23,18 +23,14 @@ HALF_WIDTH = 14.0   # kernel mass beyond |y| = 14 at t = 1 is ~1e-44
 
 
 def mc_point_variance(dy: float, ds: float) -> tuple:
-    ny = 2 * int(round(HALF_WIDTH / dy))
-    ns = int(round(1.0 / ds))
-    yn = -HALF_WIDTH + (np.arange(ny) + 0.5) * dy
-    sn = (np.arange(ns) + 0.5) * ds
-    w = point_weights(yn, sn, 0.0, 1.0).ravel()
-    scale = math.sqrt(dy * ds)
+    lat = SheetLattice(-HALF_WIDTH, dy, ds, 2 * round(HALF_WIDTH / dy),
+                       round(1.0 / ds))
+    w = point_weights(lat.y_nodes, lat.s_nodes, 0.0, 1.0).ravel()
     samples = np.empty(REPLICAS)
     for r in range(REPLICAS):
         g = sheet_rng(SEED, r).standard_normal(w.size)
-        samples[r] = scale * float(w @ g)
-    var = float(samples.var(ddof=1))
-    se = var * math.sqrt(2.0 / (REPLICAS - 1))
+        samples[r] = lat.scale * float(w @ g)
+    var, se = var_se(samples)
     return var, se, float(w @ w) * dy * ds
 
 

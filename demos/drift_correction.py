@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
-from heatsheet import (cameron_martin_laplace, cameron_martin_target,
-                       drift_variance_exact, sheet_sample)
+from heatsheet import (SheetLattice, cameron_martin_laplace,
+                       cameron_martin_target, drift_variance_exact,
+                       sheet_sample)
 from heatsheet.gaussfield import (coverage_halfwidth, drift_field_form,
                                   drift_integral_form)
 
@@ -34,10 +35,11 @@ def main() -> int:
     # the field form needs heat-kernel coverage on both sides of every
     # probe point; that reach dominates the integral form's exponential one
     lo = coverage_halfwidth(S_MAX) + 1.0
-    hi = float(Y_VALUES.max()) + lo
-    sheet = sheet_sample(-lo, hi, S_MAX, DY, DS, seed=SEED, stream=0)
-    print(f"sheet on [{-lo:.1f}, {hi:.1f}] x [0, {S_MAX:g}], "
-          f"{sheet.increments.size} cells, nu = {NU:g}\n")
+    ny = round((2.0 * lo + float(Y_VALUES.max())) / DY)
+    lat = SheetLattice(-lo, DY, DS, ny, round(S_MAX / DS))
+    sheet = sheet_sample(lat, seed=SEED, stream=0)
+    print(f"sheet on [{lat.y_min:.1f}, {lat.y_max:.1f}] x [0, {lat.s_max:g}], "
+          f"{lat.cells} cells, nu = {NU:g}\n")
 
     print("y       field form   integral form   difference")
     a = np.empty(Y_VALUES.size)

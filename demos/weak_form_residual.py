@@ -12,13 +12,11 @@ holds weakly, eta(f) is centered Gaussian with variance ||f||^2.  The
 script builds two plans, shows the reordering against the literal
 two-stage tabulation on one sheet, then runs a small ensemble.
 """
-import math
-
 import numpy as np
 
 from heatsheet import (SpaceBump, TensorTestFunction, TimeGrid, WeakformPlan,
-                       bump, sheet_rng, sheet_sample, weakform_residual,
-                       weakform_residual_reference)
+                       bump, mean_se, sheet_rng, sheet_sample, var_se,
+                       weakform_residual, weakform_residual_reference)
 
 SEED = 11
 REPLICAS = 800
@@ -34,9 +32,7 @@ def main() -> int:
     f0 = make_f(small, 1.5)
     # same x tabulation on both paths, so the comparison is exact reordering
     plan0 = WeakformPlan(f0, x_res=8)
-    g = plan0.geometry
-    sheet = sheet_sample(g["y_min"], g["y_max"], g["s_max"], g["dy"],
-                         g["ds"], seed=SEED, stream=0)
+    sheet = sheet_sample(plan0.lattice, seed=SEED, stream=0)
     fast = weakform_residual(sheet, f0, plan=plan0)
     slow = weakform_residual_reference(sheet, f0, x_res=8)
     print("reordering check on one sheet (small grid):")
@@ -47,22 +43,18 @@ def main() -> int:
     grid = TimeGrid(8.0, 256)
     f = make_f(grid, 2.5)
     plan = WeakformPlan(f)
-    g = plan.geometry
     tgt = f.l2sq()
     disc = plan.variance_discrete()
     print(f"test function ||f||^2 = {tgt:.6f}; the plan's own cell-sum "
           f"variance is {disc:.6f} (bias {disc / tgt - 1.0:+.2e})")
 
     w = plan.omega.ravel()
-    scale = math.sqrt(g["dy"] * g["ds"])
     eta = np.empty(REPLICAS)
     for r in range(REPLICAS):
         z = sheet_rng(SEED, 1 + r).standard_normal(w.size)
-        eta[r] = scale * float(w @ z)
-    mean = float(eta.mean())
-    se_m = float(eta.std(ddof=1) / math.sqrt(REPLICAS))
-    var = float(eta.var(ddof=1))
-    se_v = var * math.sqrt(2.0 / (REPLICAS - 1))
+        eta[r] = plan.lattice.scale * float(w @ z)
+    mean, se_m = mean_se(eta)
+    var, se_v = var_se(eta)
     print(f"\nensemble of {REPLICAS} sheets:")
     print(f"  mean eta(f)  {mean:+.6f} +- {se_m:.6f}   (target 0)")
     print(f"  var  eta(f)  {var:.6f} +- {se_v:.6f}   (target {tgt:.6f})")

@@ -13,9 +13,9 @@ from .kernels import laplace_g, LnuSpec, l_nu, l_nu_laplace
 from .fracops import (SpectralPlan, frac_laplacian, op_A1, op_A2,
                       halfroot_conv, a1_a2_residual, ConfigurationError)
 from .gaussfield import (cov_u, cov_u_cross, cov_u_apply, cov_v_apply,
-                         cov_u_gram, cov_v_gram, SheetSample, sheet_sample,
-                         sheet_rng, greenrep_eval, pair_u, pair_v,
-                         drift_field_form, drift_integral_form,
+                         cov_u_gram, cov_v_gram, SheetLattice, SheetSample,
+                         sheet_sample, sheet_rng, greenrep_eval, pair_u,
+                         pair_v, drift_field_form, drift_integral_form,
                          drift_variance_exact, cameron_martin_laplace,
                          cameron_martin_target,
                          verify_cameron_martin_laplace, SpaceBump,
@@ -27,8 +27,8 @@ from .sde import (FieldState, EvolveConfig, EvolveResult, drift, euler_step,
                   noise_draw, stationary_basis, StationarySampler, evolve,
                   zero_state, smooth_window, stability_limit,
                   spectral_radius, InstabilityError)
-from .stats import (VerificationReport, mean_se, z_test, matrix_compare,
-                    residual_report, recompute_pass)
+from .stats import (VerificationReport, mean_se, var_se, z_test,
+                    matrix_compare, residual_report, recompute_pass)
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "SpectralPlan", "frac_laplacian", "op_A1", "op_A2", "halfroot_conv",
     "a1_a2_residual", "ConfigurationError",
     "cov_u", "cov_u_cross", "cov_u_apply", "cov_v_apply", "cov_u_gram",
-    "cov_v_gram", "SheetSample", "sheet_sample", "sheet_rng",
+    "cov_v_gram", "SheetLattice", "SheetSample", "sheet_sample", "sheet_rng",
     "greenrep_eval", "pair_u", "pair_v", "drift_field_form",
     "drift_integral_form", "drift_variance_exact",
     "cameron_martin_laplace", "cameron_martin_target",
@@ -50,6 +50,6 @@ __all__ = [
     "noise_draw", "stationary_basis", "StationarySampler", "evolve",
     "zero_state", "smooth_window", "stability_limit", "spectral_radius",
     "InstabilityError",
-    "VerificationReport", "mean_se", "z_test", "matrix_compare",
+    "VerificationReport", "mean_se", "var_se", "z_test", "matrix_compare",
     "residual_report", "recompute_pass",
 ]

@@ -39,11 +39,11 @@ from .gaussfield import (SQRT4PI, cov_u, cov_u_gram, cov_v_gram,
                          drift_field_weights, drift_integral_weights,
                          drift_variance_exact, cameron_martin_laplace,
                          cameron_martin_target, SpaceBump, TensorTestFunction,
-                         WeakformPlan, SheetSample, dump_sheet,
+                         WeakformPlan, SheetLattice, SheetSample, dump_sheet,
                          check_sheet_cells, weakform_geometry, ResourceError)
 from .sde import (EvolveConfig, FieldState, StationarySampler,
                   stationary_basis, evolve, stability_limit)
-from .stats import mean_se, z_test, residual_report, matrix_compare
+from .stats import mean_se, var_se, z_test, residual_report, matrix_compare
 
 # suite tags XORed into the master seed (hex digits of pi: nothing up
 # the sleeve, just five fixed distinct words)
@@ -136,6 +136,15 @@ class RunConfig:
 
 def suite_seed(cfg: RunConfig, tag: int) -> int:
     return (cfg.seed ^ tag) % U64
+
+
+def _sheet_band(y_last: float, t: float, dy: float, ds: float,
+                reach: float) -> SheetLattice:
+    """The lattice over [-m dy, y_last + m dy] x [0, t], m = ceil(reach/dy)
+    + 1: every probe in [0, y_last] has reach plus a spare cell each side."""
+    m = math.ceil(reach / dy) + 1
+    return SheetLattice(-m * dy, dy, ds, 2 * m + round(y_last / dy),
+                        round(t / ds))
 
 
 def _parallel(total: int, workers: int, task, chunk: int = CHUNK_REPLICAS):
@@ -257,27 +266,6 @@ def suite_ops(cfg: RunConfig) -> list:
 # ----------------------------------------------------------------------
 # verify-cov
 
-def _cov_point_geometry(tail_tol: float):
-    t = 1.0
-    ds = COV_POINT_DS
-    L = coverage_halfwidth(t, tail_tol)
-    dy = math.sqrt(ds)
-    ny = 2 * int(math.ceil(L / dy)) + 2   # one spare cell per side
-    y_min = -0.5 * ny * dy
-    ns = int(round(t / ds))
-    return y_min, -y_min, t, dy, ds, ny, ns
-
-
-def _cov_gram_geometry(t_max: float, tail_tol: float):
-    ds = COV_GRAM_DS
-    dy = COV_GRAM_DY
-    L = coverage_halfwidth(t_max, tail_tol)
-    ny = 2 * (int(math.ceil(L / dy)) + 1)
-    y_min = -0.5 * ny * dy
-    ns = int(round(t_max / ds))
-    return y_min, -y_min, t_max, dy, ds, ny, ns
-
-
 def cov_observables(grid: TimeGrid) -> list:
     centers = 1.0 + 0.8 * np.arange(8)
     return [TestFunction(center=float(c), radius=0.7, grid=grid)
@@ -296,7 +284,7 @@ def _mc_pairings(W: np.ndarray, ncells: int, scale: float, R: int,
     nw = W.shape[0]
     X = np.zeros((R, nw))
     W32 = W.astype(np.float32)
-    chunk = max(4, min(CHUNK_REPLICAS, CHUNK_CELL_BUDGET // max(ncells, 1)))
+    chunk = max(1, min(CHUNK_REPLICAS, CHUNK_CELL_BUDGET // max(ncells, 1)))
 
     def task(lo, hi):
         buf = np.empty((hi - lo, ncells), dtype=np.float32)
@@ -321,55 +309,49 @@ def suite_cov(cfg: RunConfig) -> list:
     grid = TimeGrid(t_max, n)
     R_point = cfg.replicas or COV_POINT_REPLICAS
     R_gram = min(cfg.replicas or COV_GRAM_REPLICAS, COV_GRAM_REPLICAS)
-    point = _cov_point_geometry(cfg.tail_tol)
-    gram = _cov_gram_geometry(t_max, cfg.tail_tol)
     # both sheets must fit before any weights are built
-    for *_, ny, ns in (point, gram):
-        check_sheet_cells(ny * ns)
+    point = _sheet_band(0.0, 1.0, math.sqrt(COV_POINT_DS), COV_POINT_DS,
+                        coverage_halfwidth(1.0, cfg.tail_tol))
+    gram = _sheet_band(0.0, t_max, COV_GRAM_DY, COV_GRAM_DS,
+                       coverage_halfwidth(t_max, cfg.tail_tol))
     reports = []
 
     # point variance of the field at (0, 1)
-    y0, y1, smax, dy, ds, ny, ns = point
-    yn = y0 + (np.arange(ny) + 0.5) * dy
-    sn = (np.arange(ns) + 0.5) * ds
-    Wp = point_weights(yn, sn, 0.0, 1.0).reshape(1, -1)
-    X = _mc_pairings(Wp, ny * ns, math.sqrt(dy * ds), R_point,
+    Wp = point_weights(point.y_nodes, point.s_nodes, 0.0, 1.0).reshape(1, -1)
+    X = _mc_pairings(Wp, point.cells, point.scale, R_point,
                      seed, 0, cfg.workers)
-    var = float(X[:, 0].var(ddof=1))
-    se = var * math.sqrt(2.0 / (R_point - 1))
+    var, se = var_se(X[:, 0])
     tgt = cov_u(1.0, 1.0)
     reports.append(z_test(
         var, se, tgt, name="field variance at (0,1)", seed=seed,
-        replicas=R_point, grid={"dy": dy, "ds": ds, "ny": ny, "ns": ns}))
+        replicas=R_point, grid={"dy": point.dy, "ds": point.ds,
+                                "ny": point.ny, "ns": point.ns}))
 
     # Gram comparison of field and derivative pairings at x = 0
     hs = cov_observables(grid)
     G1 = cov_u_gram(hs)
     G2 = cov_v_gram(hs)
-    y0, y1, smax, dy, ds, ny, ns = gram
-    yn = y0 + (np.arange(ny) + 0.5) * dy
-    sn = (np.arange(ns) + 0.5) * ds
+    yn, sn = gram.y_nodes, gram.s_nodes
     rows = [pair_u_weights(yn, sn, 0.0, h, t_max) for h in hs]
     rows += [pair_v_weights(yn, sn, 0.0, h, t_max) for h in hs]
     W = np.stack([w.ravel() for w in rows])
-    X = _mc_pairings(W, ny * ns, math.sqrt(dy * ds), R_gram,
+    X = _mc_pairings(W, gram.cells, gram.scale, R_gram,
                      seed, GRAM_STREAM_BASE, cfg.workers)
     m = len(hs)
     S = np.cov(X.T, ddof=1)
-    Suu, Svv, Suv = S[:m, :m], S[m:, m:], S[:m, m:]
-    gdesc = {"dy": dy, "ds": ds, "ny": ny, "ns": ns, "t_max": t_max}
+    se = _cov_se(S, R_gram)
+    gdesc = {"dy": gram.dy, "ds": gram.ds, "ny": gram.ny, "ns": gram.ns,
+             "t_max": t_max}
     reports.append(matrix_compare(
-        Suu, G1, _cov_se(S, R_gram)[:m, :m],
+        S[:m, :m], G1, se[:m, :m],
         name="field pairing Gram (8x8)",
         seed=seed, replicas=R_gram, grid=gdesc))
     reports.append(matrix_compare(
-        Svv, G2, _cov_se(S, R_gram)[m:, m:],
+        S[m:, m:], G2, se[m:, m:],
         name="derivative pairing Gram (8x8)",
         seed=seed, replicas=R_gram, grid=gdesc))
-    se_uv = np.sqrt((np.outer(np.diag(Suu), np.diag(Svv)) + Suv ** 2)
-                    / (R_gram - 1))
     reports.append(matrix_compare(
-        Suv, np.zeros_like(Suv), se_uv,
+        S[:m, m:], np.zeros((m, m)), se[:m, m:],
         name="field/derivative cross-covariance vs 0",
         seed=seed, replicas=R_gram, grid=gdesc))
     return reports
@@ -378,23 +360,9 @@ def suite_cov(cfg: RunConfig) -> list:
 # ----------------------------------------------------------------------
 # verify-drift
 
-def _drift_geometry(t_max: float, nu: float, tail_tol: float):
-    ds = COV_GRAM_DS
-    dy = COV_GRAM_DY
-    L = coverage_halfwidth(t_max, tail_tol)
-    reach = math.log(1.0 / tail_tol) / math.sqrt(nu)
-    y_last = (DRIFT_Y_COUNT - 1) * DRIFT_Y_STEP
-    lo_cells = int(math.ceil(max(L, reach) / dy)) + 1
-    y_min = -lo_cells * dy
-    y_max = y_last + lo_cells * dy
-    ny = int(round((y_max - y_min) / dy))
-    ns = int(round(t_max / ds))
-    return y_min, y_max, dy, ds, ny, ns
-
-
 def _drift_rms(sheet: SheetSample, nu: float, t_max: float,
                yvals: np.ndarray, nw: int) -> float:
-    yn, sn = sheet.y_nodes, sheet.s_nodes
+    yn, sn = sheet.lattice.y_nodes, sheet.lattice.s_nodes
     num = den = 0.0
     for y in yvals:
         wf = drift_field_weights(yn, sn, float(y), nu, t_max, nw=nw, nv=nw)
@@ -411,13 +379,17 @@ def suite_drift(cfg: RunConfig) -> list:
     t_max = cfg.t_max or OPS_T_MAX
     nu = cfg.nus[0]
     R = cfg.replicas or DRIFT_REPLICAS
-    y0, y1, dy, ds, ny, ns = _drift_geometry(t_max, nu, cfg.tail_tol)
-    gdesc = {"dy": dy, "ds": ds, "ny": ny, "ns": ns, "t_max": t_max,
-             "nu": nu}
+    # heat-kernel support and the exponential's reach around every probe
+    reach = max(coverage_halfwidth(t_max, cfg.tail_tol),
+                math.log(1.0 / cfg.tail_tol) / math.sqrt(nu))
+    lat = _sheet_band((DRIFT_Y_COUNT - 1) * DRIFT_Y_STEP, t_max,
+                      COV_GRAM_DY, COV_GRAM_DS, reach)
+    gdesc = {"dy": lat.dy, "ds": lat.ds, "ny": lat.ny, "ns": lat.ns,
+             "t_max": t_max, "nu": nu}
     reports = []
 
     # pathwise identity on one shared sheet, probed on the cell-edge lattice
-    sheet = sheet_sample(y0, y1, t_max, dy, ds, seed=seed, stream=0)
+    sheet = sheet_sample(lat, seed=seed, stream=0)
     yvals = np.arange(DRIFT_Y_COUNT) * DRIFT_Y_STEP
     rms = _drift_rms(sheet, nu, t_max, yvals, nw=32)
     reports.append(residual_report(
@@ -431,12 +403,10 @@ def suite_drift(cfg: RunConfig) -> list:
               "coarse_rms": rms_coarse}))
 
     # law: variance of the explicit form matches the closed double integral
-    yn = y0 + (np.arange(ny) + 0.5) * dy
-    sn = (np.arange(ns) + 0.5) * ds
-    Wi = drift_integral_weights(yn, sn, 0.0, nu).reshape(1, -1)
-    X = _mc_pairings(Wi, ny * ns, math.sqrt(dy * ds), R, seed, 1, cfg.workers)
-    var = float(X[:, 0].var(ddof=1))
-    se = var * math.sqrt(2.0 / (R - 1))
+    Wi = drift_integral_weights(lat.y_nodes, lat.s_nodes, 0.0, nu)
+    X = _mc_pairings(Wi.reshape(1, -1), lat.cells, lat.scale, R, seed, 1,
+                     cfg.workers)
+    var, se = var_se(X[:, 0])
     reports.append(z_test(
         var, se, drift_variance_exact(nu), name="drift functional variance",
         seed=seed, replicas=R, grid=gdesc))
@@ -476,21 +446,18 @@ def suite_spde(cfg: RunConfig) -> list:
     reports = []
     for fi, f in enumerate(fs):
         plan = WeakformPlan(f)
-        g = plan.geometry
-        scale = math.sqrt(g["dy"] * g["ds"])
-        W = plan.omega.reshape(1, -1)
-        X = _mc_pairings(W, plan.omega.size, scale, R, seed,
-                         fi * SPDE_STREAM_STRIDE, cfg.workers)
+        lat = plan.lattice
+        X = _mc_pairings(plan.omega.reshape(1, -1), lat.cells, lat.scale, R,
+                         seed, fi * SPDE_STREAM_STRIDE, cfg.workers)
         eta = X[:, 0]
         tgt = f.l2sq()
         gdesc = {"t_max": t_max, "n": n, "x_radius": f.terms[0][0].radius,
-                 **{k: g[k] for k in ("dy", "ds", "nx", "dx")}}
+                 "dy": lat.dy, "ds": lat.ds, "nx": plan.nx, "dx": plan.dx}
         mean, se_mean = mean_se(eta)
         reports.append(z_test(
             mean, se_mean, 0.0, name=f"weak-form residual mean, f{fi + 1}",
             seed=seed, replicas=R, grid=gdesc))
-        var = float(eta.var(ddof=1))
-        se_var = var * math.sqrt(2.0 / (R - 1))
+        var, se_var = var_se(eta)
         reports.append(z_test(
             var, se_var, tgt, name=f"weak-form residual variance, f{fi + 1}",
             seed=seed, replicas=R, grid=gdesc))
@@ -561,8 +528,7 @@ def suite_evolve(cfg: RunConfig):
                 mean, se_m, 0.0,
                 name=f"terminal {name}-pairing mean, {lab}",
                 seed=seed, replicas=R, grid=gdesc))
-            var = float(data.var(ddof=1))
-            se_v = var * math.sqrt(2.0 / (R - 1))
+            var, se_v = var_se(data)
             reports.append(z_test(
                 var, se_v, float(tgt_var),
                 name=f"terminal {name}-pairing variance, {lab}",
@@ -626,10 +592,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
             fh.write(sample.to_csv())
         # final state reuses the binary matrix container: row 0 = u, row 1 = v
         state = sample.final_state
-        holder = SheetSample(
-            y_min=0.0, y_max=2.0, s_max=grid.t_max, dy=1.0, ds=grid.dt,
-            seed=seed, stream=0,
-            increments=np.vstack([state.u, state.v]))
+        holder = SheetSample(SheetLattice(0.0, 1.0, grid.dt, 2, grid.n),
+                             seed=seed, stream=0,
+                             increments=np.vstack([state.u, state.v]))
         dump_sheet(holder, os.path.join(cfg.out_dir, "final_state.bin"))
     return _finish("evolve", "evolve_report.json", cfg, reports)
 

@@ -151,52 +151,6 @@ def gram_cholesky(G: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Brownian sheet
 
-@dataclass(frozen=True, eq=False)
-class SheetSample:
-    """One realization of sheet increments on [y_min, y_max] x [0, s_max].
-
-    increments[j, k] is the integral of B(dy, ds) over cell (j, k): i.i.d.
-    centered Gaussians with variance dy * ds.  Cell centers sit at
-    y_min + (j + 1/2) dy and (k + 1/2) ds.
-    """
-
-    y_min: float
-    y_max: float
-    s_max: float
-    dy: float
-    ds: float
-    seed: int
-    stream: int
-    increments: np.ndarray = field(repr=False)
-
-    @property
-    def y_nodes(self) -> np.ndarray:
-        ny = self.increments.shape[0]
-        return self.y_min + (np.arange(ny) + 0.5) * self.dy
-
-    @property
-    def s_nodes(self) -> np.ndarray:
-        ns = self.increments.shape[1]
-        return (np.arange(ns) + 0.5) * self.ds
-
-    @property
-    def cells(self) -> int:
-        return self.increments.size
-
-
-def sheet_shape(y_min: float, y_max: float, s_max: float,
-                dy: float, ds: float) -> tuple[int, int]:
-    if dy <= 0 or ds <= 0:
-        raise ValueError("dy and ds must be positive")
-    if y_max <= y_min or s_max <= 0:
-        raise ValueError("empty sheet rectangle")
-    ny = int(round((y_max - y_min) / dy))
-    ns = int(round(s_max / ds))
-    if ny < 1 or ns < 1:
-        raise ValueError("empty sheet rectangle")
-    return ny, ns
-
-
 def check_sheet_cells(ncells: int, what: str = "sheet"):
     """Raise ResourceError for an array (a sheet by default) of more float64
     cells than the in-memory cell budget."""
@@ -205,23 +159,92 @@ def check_sheet_cells(ncells: int, what: str = "sheet"):
             f"{what} of {ncells} cells exceeds budget {MAX_SHEET_CELLS}")
 
 
+@dataclass(frozen=True)
+class SheetLattice:
+    """The cells of a sheet on [y_min, y_max] x [0, s_max]: ny rows of
+    height dy, ns columns of width ds, centers y_min + (j + 1/2) dy and
+    (k + 1/2) ds.  A lattice over the cell budget cannot be built."""
+
+    y_min: float
+    dy: float
+    ds: float
+    ny: int
+    ns: int
+
+    def __post_init__(self):
+        if not (0 < self.dy < math.inf and 0 < self.ds < math.inf):
+            raise ValueError(f"dy and ds must be finite and positive, got "
+                             f"{self.dy} and {self.ds}")
+        if self.ny < 1 or self.ns < 1:
+            raise ValueError(
+                f"empty sheet lattice ({self.ny} x {self.ns} cells)")
+        check_sheet_cells(self.cells)
+
+    @property
+    def y_max(self) -> float:
+        return self.y_min + self.ny * self.dy
+
+    @property
+    def s_max(self) -> float:
+        return self.ns * self.ds
+
+    @property
+    def cells(self) -> int:
+        return self.ny * self.ns
+
+    @property
+    def scale(self) -> float:
+        """Standard deviation sqrt(dy ds) of one cell increment."""
+        return math.sqrt(self.dy * self.ds)
+
+    @property
+    def y_nodes(self) -> np.ndarray:
+        return self.y_min + (np.arange(self.ny) + 0.5) * self.dy
+
+    @property
+    def s_nodes(self) -> np.ndarray:
+        return (np.arange(self.ns) + 0.5) * self.ds
+
+
+@dataclass(frozen=True, eq=False)
+class SheetSample:
+    """One realization of sheet increments on a lattice.
+
+    increments[j, k] is the integral of B(dy, ds) over cell (j, k): i.i.d.
+    centered Gaussians with variance dy * ds.
+    """
+
+    lattice: SheetLattice
+    seed: int
+    stream: int
+    increments: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        lat = self.lattice
+        if self.increments.shape != (lat.ny, lat.ns):
+            raise ValueError(f"increments of shape {self.increments.shape} "
+                             f"on a {lat.ny} x {lat.ns} lattice")
+
+    @property
+    def cells(self) -> int:
+        return self.increments.size
+
+
 def sheet_rng(seed: int, stream: int) -> np.random.Generator:
     """The deterministic generator owned by (seed, stream)."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
-def sheet_sample(y_min: float, y_max: float, s_max: float, dy: float, ds: float,
-                 seed: int, stream: int = 0,
+def sheet_sample(lattice: SheetLattice, seed: int, stream: int = 0,
                  dtype=np.float64) -> SheetSample:
     """Sample sheet increments; a pure function of (seed, stream)."""
-    ny, ns = sheet_shape(y_min, y_max, s_max, dy, ds)
-    check_sheet_cells(ny * ns)
     rng = sheet_rng(seed, stream)
-    inc = rng.standard_normal((ny, ns), dtype=dtype)
-    inc *= np.sqrt(dy * ds)  # in place: keeps the requested dtype
-    return SheetSample(y_min=y_min, y_max=y_max, s_max=s_max, dy=dy, ds=ds,
-                       seed=seed, stream=stream, increments=inc)
+    inc = rng.standard_normal((lattice.ny, lattice.ns), dtype=dtype)
+    # in place: a float64 product, stored in the requested dtype
+    inc *= np.float64(lattice.scale)
+    return SheetSample(lattice=lattice, seed=seed, stream=stream,
+                       increments=inc)
 
 
 def coverage_halfwidth(t_hi: float, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
@@ -229,20 +252,20 @@ def coverage_halfwidth(t_hi: float, tail_tol: float = DEFAULT_TAIL_TOL) -> float
     return math.sqrt(4.0 * t_hi * math.log(1.0 / tail_tol))
 
 
-def _check_coverage(sheet: SheetSample, x: float, t_hi: float,
+def _check_coverage(lat: SheetLattice, x: float, t_hi: float,
                     tail_tol: float = DEFAULT_TAIL_TOL):
     need = coverage_halfwidth(t_hi, tail_tol)
-    if x - sheet.y_min < need:
+    if x - lat.y_min < need:
         raise CoverageError(
             f"sheet y_min side short: need {need:.2f} below x={x}, "
-            f"have {x - sheet.y_min:.2f}")
-    if sheet.y_max - x < need:
+            f"have {x - lat.y_min:.2f}")
+    if lat.y_max - x < need:
         raise CoverageError(
             f"sheet y_max side short: need {need:.2f} above x={x}, "
-            f"have {sheet.y_max - x:.2f}")
-    if sheet.s_max < t_hi - 1e-12:
+            f"have {lat.y_max - x:.2f}")
+    if lat.s_max < t_hi - 1e-12:
         raise CoverageError(
-            f"sheet s_max={sheet.s_max} does not reach t={t_hi}")
+            f"sheet s_max={lat.s_max} does not reach t={t_hi}")
 
 
 # ----------------------------------------------------------------------
@@ -317,30 +340,27 @@ def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
 def greenrep_eval(sheet: SheetSample, x: float, t: float,
                   tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """Riemann-Ito evaluation of the field at (x, t): sum g * dB over cells."""
-    _check_coverage(sheet, x, t, tail_tol)
-    w = point_weights(sheet.y_nodes, sheet.s_nodes, x, t)
+    lat = sheet.lattice
+    _check_coverage(lat, x, t, tail_tol)
+    w = point_weights(lat.y_nodes, lat.s_nodes, x, t)
     return float(np.sum(w * sheet.increments))
-
-
-def _pair_check(sheet: SheetSample, x: float, h: TestFunction,
-                tail_tol: float):
-    hi = h.support[1]
-    _check_coverage(sheet, x, hi, tail_tol)
 
 
 def pair_u(sheet: SheetSample, x: float, h: TestFunction,
            tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """The field observable U(x, h) as a sheet integral."""
-    _pair_check(sheet, x, h, tail_tol)
-    w = pair_u_weights(sheet.y_nodes, sheet.s_nodes, x, h, h.grid.t_max)
+    lat = sheet.lattice
+    _check_coverage(lat, x, h.support[1], tail_tol)
+    w = pair_u_weights(lat.y_nodes, lat.s_nodes, x, h, h.grid.t_max)
     return float(np.sum(w * sheet.increments))
 
 
 def pair_v(sheet: SheetSample, x: float, h: TestFunction,
            tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """The derivative observable (d/dx U)(x, h) as a sheet integral."""
-    _pair_check(sheet, x, h, tail_tol)
-    w = pair_v_weights(sheet.y_nodes, sheet.s_nodes, x, h, h.grid.t_max)
+    lat = sheet.lattice
+    _check_coverage(lat, x, h.support[1], tail_tol)
+    w = pair_v_weights(lat.y_nodes, lat.s_nodes, x, h, h.grid.t_max)
     return float(np.sum(w * sheet.increments))
 
 
@@ -407,9 +427,10 @@ def drift_field_form(sheet: SheetSample, y: float, nu: float,
     window location' form)."""
     if nu <= 0:
         raise ValueError("nu must be positive")
-    _check_coverage(sheet, y, sheet.s_max, tail_tol)
-    W = drift_field_weights(sheet.y_nodes, sheet.s_nodes, y, nu,
-                            sheet.s_max, nw=nw, nv=nw)
+    lat = sheet.lattice
+    _check_coverage(lat, y, lat.s_max, tail_tol)
+    W = drift_field_weights(lat.y_nodes, lat.s_nodes, y, nu, lat.s_max,
+                            nw=nw, nv=nw)
     return float(np.sum(W * sheet.increments))
 
 
@@ -418,12 +439,13 @@ def drift_integral_form(sheet: SheetSample, y: float, nu: float,
     """Drift functional as the explicit exponential sheet integral."""
     if nu <= 0:
         raise ValueError("nu must be positive")
+    lat = sheet.lattice
     reach = math.log(1.0 / tail_tol) / math.sqrt(nu)
-    if sheet.y_max - y < reach:
+    if lat.y_max - y < reach:
         raise CoverageError(
             f"sheet y_max side short for the exponential: need {reach:.2f} "
-            f"above y={y}, have {sheet.y_max - y:.2f}")
-    W = drift_integral_weights(sheet.y_nodes, sheet.s_nodes, y, nu)
+            f"above y={y}, have {lat.y_max - y:.2f}")
+    W = drift_integral_weights(lat.y_nodes, lat.s_nodes, y, nu)
     return float(np.sum(W * sheet.increments))
 
 
@@ -584,7 +606,7 @@ def _x_nodes(f: TensorTestFunction, x_res: int) -> tuple:
 
 def weakform_geometry(f: TensorTestFunction, x_res: int = WEAKFORM_X_RES,
                       ypad: float = WEAKFORM_YPAD) -> tuple:
-    """Sizes of the WeakformPlan of f: (x nodes, dx, pad cells, ny, ns).
+    """The WeakformPlan of f before it is built: (x nodes, dx, lattice).
 
     Raises ResourceError, before anything is built, when the sheet or the
     plan's largest table is over the cell budget.  That table is the complex
@@ -594,14 +616,14 @@ def weakform_geometry(f: TensorTestFunction, x_res: int = WEAKFORM_X_RES,
     x, dx = _x_nodes(f, x_res)
     nx = x.size
     nt = f.tgrid.n
-    # snap the pad to whole cells so every distance x_i - y_c lands
-    # exactly on the half-offset lattice dy (q + 1/2), dy = dx / 2
-    pad_cells = int(math.ceil(ypad / (dx / 2.0)))
-    ny = 2 * nx + 2 * pad_cells
-    ns = 2 * nt
-    check_sheet_cells(ny * ns)
-    check_sheet_cells(2 * (ny + 2 * nx - 2) * (2 * nt + 1), "kernel table")
-    return x, dx, pad_cells, ny, ns
+    # half-offset lattice dy = dx / 2, ds = dt / 2; the pad is snapped to
+    # whole cells so every distance x_i - y_c lands exactly on dy (q + 1/2)
+    dy = dx / 2.0
+    pad_cells = int(math.ceil(ypad / dy))
+    lat = SheetLattice(f.x_support[0] - pad_cells * dy, dy, f.tgrid.dt / 2.0,
+                       2 * nx + 2 * pad_cells, 2 * nt)
+    check_sheet_cells(2 * (lat.ny + 2 * nx - 2) * (2 * nt + 1), "kernel table")
+    return x, dx, lat
 
 
 def _bracket(f: TensorTestFunction, x: np.ndarray) -> np.ndarray:
@@ -638,23 +660,22 @@ class WeakformPlan:
     f: TensorTestFunction
     x_res: int = WEAKFORM_X_RES
     ypad: float = WEAKFORM_YPAD
-    omega: np.ndarray = field(default=None, repr=False)
-    geometry: dict = field(default_factory=dict)
+    omega: np.ndarray = field(init=False, repr=False)
+    lattice: SheetLattice = field(init=False)
+    nx: int = field(init=False)
+    dx: float = field(init=False)
 
     def __post_init__(self):
         f = self.f
         g = f.tgrid
         nt = g.n
         dt = g.dt
-        ds = dt / 2.0
-        x, dx, pad_cells, ny, ns = weakform_geometry(f, self.x_res, self.ypad)
-        xlo = f.x_support[0]
+        x, dx, lat = weakform_geometry(f, self.x_res, self.ypad)
         nx = x.size
-        dy = dx / 2.0
-        ylo = xlo - pad_cells * dy
+        dy, ds, ny, ns = lat.dy, lat.ds, lat.ny, lat.ns
         A = _bracket(f, x)
         # distance lattice: x_i - y_c = dy (q + 1/2), q = Q0 + 2i - c
-        Q0 = int(round((xlo - ylo) / dy))
+        Q0 = int(round((f.x_support[0] - lat.y_min) / dy))
         qmin = Q0 - (ny - 1)
         qmax = Q0 + 2 * (nx - 1)
         dist = dy * (np.arange(qmin, qmax + 1) + 0.5)
@@ -672,26 +693,16 @@ class WeakformPlan:
             qidx = (Q0 + 2 * i - crange) - qmin
             Ohat += np.conj(Khat[qidx]) * Bhat[i][None, :]
         self.omega = np.fft.irfft(Ohat, n=NF, axis=1)[:, :ns]
-        self.geometry = {
-            "y_min": ylo, "y_max": ylo + ny * dy, "s_max": ns * ds,
-            "dy": dy, "ds": ds, "nx": nx, "dx": dx,
-        }
-
-    def matches(self, sheet: SheetSample) -> bool:
-        g = self.geometry
-        return (sheet.increments.shape == self.omega.shape
-                and abs(sheet.y_min - g["y_min"]) < 1e-9
-                and abs(sheet.dy - g["dy"]) < 1e-12
-                and abs(sheet.ds - g["ds"]) < 1e-12)
+        self.lattice, self.nx, self.dx = lat, nx, dx
 
     def residual(self, sheet: SheetSample) -> float:
-        if not self.matches(sheet):
-            raise CoverageError("sheet geometry does not match the plan")
+        if sheet.lattice != self.lattice:
+            raise CoverageError("sheet lattice does not match the plan")
         return float(np.sum(self.omega * sheet.increments))
 
     def variance_discrete(self) -> float:
-        g = self.geometry
-        return float(np.sum(self.omega ** 2) * g["dy"] * g["ds"])
+        lat = self.lattice
+        return float(np.sum(self.omega ** 2) * lat.dy * lat.ds)
 
 
 def weakform_residual(sheet: SheetSample, f: TensorTestFunction,
@@ -714,10 +725,11 @@ def weakform_residual_reference(sheet: SheetSample, f: TensorTestFunction,
     t = g.nodes
     x, dx = _x_nodes(f, x_res)
     A = _bracket(f, x)
+    yn, sn = sheet.lattice.y_nodes, sheet.lattice.s_nodes
     eta = 0.0
     for i in range(x.size):
         for j in range(g.n):
-            w = point_weights(sheet.y_nodes, sheet.s_nodes, x[i], t[j])
+            w = point_weights(yn, sn, x[i], t[j])
             eta += float(np.sum(w * sheet.increments)) * A[i, j] * dx * dt
     return eta
 
@@ -733,10 +745,10 @@ assert _HEADER.size == 64
 
 def dump_sheet(sheet: SheetSample, path) -> None:
     """Binary matrix dump: 64-byte header + row-major float64 increments."""
-    ncols = sheet.increments.shape[1]
-    hdr = _HEADER.pack(SHEET_MAGIC, SHEET_VERSION, sheet.dy, sheet.ds,
-                       sheet.y_min, sheet.y_max, sheet.s_max,
-                       sheet.seed % (1 << 64), sheet.stream, ncols)
+    lat = sheet.lattice
+    hdr = _HEADER.pack(SHEET_MAGIC, SHEET_VERSION, lat.dy, lat.ds, lat.y_min,
+                       lat.y_max, lat.s_max, sheet.seed % (1 << 64),
+                       sheet.stream, lat.ns)
     with open(path, "wb") as fh:
         fh.write(hdr)
         fh.write(np.ascontiguousarray(sheet.increments, dtype=np.float64).tobytes())
@@ -769,5 +781,5 @@ def load_sheet(path) -> SheetSample:
         if not (math.isfinite(span) and got == round(span)):
             raise ValueError(f"corrupt sheet dump ({got} {axis}, header "
                              f"implies {span:g})")
-    return SheetSample(y_min=y_min, y_max=y_max, s_max=s_max, dy=dy, ds=ds,
+    return SheetSample(lattice=SheetLattice(y_min, dy, ds, *inc.shape),
                        seed=seed, stream=stream, increments=inc)

@@ -77,6 +77,16 @@ def mean_se(samples) -> tuple[float, float]:
     return m, se
 
 
+def var_se(samples) -> tuple[float, float]:
+    """Sample variance (unbiased) and its standard error var sqrt(2/(R-1)),
+    exact for Gaussian samples."""
+    x = np.asarray(samples, dtype=float)
+    if x.size < 2:
+        raise ValueError("var_se needs at least 2 samples")
+    var = float(x.var(ddof=1))
+    return var, var * math.sqrt(2.0 / (x.size - 1))
+
+
 def z_test(estimate: float, se: float, target: float, k: float = DEFAULT_K,
            name: str = "", replicas: int = 0, seed: int = 0,
            grid: dict | None = None) -> VerificationReport:

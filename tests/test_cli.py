@@ -1,16 +1,18 @@
 """Command-line orchestration: config resolution, exit codes, report files,
 determinism, and worker-count invariance."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from heatsheet import ResourceError, cli, gaussfield, load_sheet
-from heatsheet.cli import (CHUNK_REPLICAS, COV_TAG, OPS_TAG,
-                           ConfigError, RunConfig, _mc_pairings, build_config,
-                           main, make_parser, parse_config_file, suite_cov,
-                           suite_drift, suite_evolve, suite_ops, suite_seed,
-                           suite_spde, write_report)
+from heatsheet.cli import (CHUNK_CELL_BUDGET, CHUNK_REPLICAS, COV_TAG,
+                           OPS_TAG, ConfigError, RunConfig, _mc_pairings,
+                           build_config, main, make_parser,
+                           parse_config_file, suite_cov, suite_drift,
+                           suite_evolve, suite_ops, suite_seed, suite_spde,
+                           write_report)
 from heatsheet.gaussfield import MAX_SHEET_CELLS
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -184,11 +186,72 @@ class TestExitCodes:
             _mc_pairings(np.ones((1, 1)), MAX_SHEET_CELLS + 1, 1.0, 2,
                          seed=0, stream_base=0, workers=1)
 
+    def test_mc_chunk_stays_under_buffer_cap(self, monkeypatch):
+        # above CHUNK_CELL_BUDGET / 2 cells a chunk holds one replica; the
+        # recording _parallel runs no task, so nothing large is allocated
+        chunks = []
+
+        def record(total, workers, task, chunk):
+            chunks.append(chunk)
+
+        monkeypatch.setattr(cli, "_parallel", record)
+        ncells = 30_000_000
+        _mc_pairings(np.ones((1, 1)), ncells, 1.0, 8, seed=0, stream_base=0,
+                     workers=1)
+        assert chunks and chunks[0] * ncells <= CHUNK_CELL_BUDGET
+
     def test_degraded_resolution_fails_honestly(self, tmp_path, capsys):
         # at n = 512 the identity-suite refinement targets are unattainable
         rc = run(["verify-ops", "--n", "512", "--out", str(tmp_path)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestDefaultLattices:
+    # (y_min, dy, ds, ny, ns) of each suite's sheet at the default config
+    COV = [(-8.662058069535208, 0.04419417382415922, 1 / 512, 392, 512),
+           (-24.5, 1 / 8, 1 / 64, 392, 512)]
+    DRIFT = [(-24.5, 1 / 8, 1 / 64, 411, 512)]
+    SPDE = [(-10.5, 1 / 32, 1 / 128, 672, 1024),
+            (-9.0, 0.0125, 1 / 128, 1440, 1024)]
+
+    @staticmethod
+    def lattices(monkeypatch, suite, builder, stop_at, pick=lambda out: out):
+        # record what the suite builds, then stop it at its first weight
+        # build or plan, before any Monte Carlo
+        built = []
+        orig = getattr(cli, builder)
+
+        def record(*a, **k):
+            out = orig(*a, **k)
+            built.append(dataclasses.astuple(pick(out)))
+            return out
+
+        def stop(*a, **k):
+            raise _Stop
+
+        monkeypatch.setattr(cli, builder, record)
+        monkeypatch.setattr(cli, stop_at, stop)
+        with pytest.raises(_Stop):
+            suite(RunConfig())
+        return built
+
+    def test_cov(self, monkeypatch):
+        assert self.lattices(monkeypatch, suite_cov, "_sheet_band",
+                             "point_weights") == self.COV
+
+    def test_drift(self, monkeypatch):
+        assert self.lattices(monkeypatch, suite_drift, "_sheet_band",
+                             "sheet_sample") == self.DRIFT
+
+    def test_spde(self, monkeypatch):
+        assert self.lattices(monkeypatch, suite_spde, "weakform_geometry",
+                             "WeakformPlan", pick=lambda out: out[2]) \
+            == self.SPDE
 
 
 @pytest.fixture(scope="module")

@@ -18,10 +18,11 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 import heatsheet as hs
-from heatsheet import (CoverageError, ResourceError, TimeGrid, bump,
-                       cameron_martin_laplace, cameron_martin_target, cov_u,
-                       cov_u_cross, cov_u_gram, cov_v_gram, drift_field_form,
-                       drift_integral_form, drift_variance_exact, dump_sheet,
+from heatsheet import (CoverageError, ResourceError, SheetLattice, TimeGrid,
+                       bump, cameron_martin_laplace, cameron_martin_target,
+                       cov_u, cov_u_cross, cov_u_gram, cov_v_gram,
+                       drift_field_form, drift_integral_form,
+                       drift_variance_exact, dump_sheet,
                        greenrep_eval, load_sheet, pair_u, pair_v,
                        sheet_sample, verify_cameron_martin_laplace,
                        weakform_residual)
@@ -49,7 +50,7 @@ def zeroed(sheet):
 
 def qf_cross(w1, w2, sheet):
     # covariance of two sheet pairings is the cell-weighted inner product
-    return float(np.sum(w1 * w2)) * sheet.dy * sheet.ds
+    return float(np.sum(w1 * w2)) * sheet.lattice.dy * sheet.lattice.ds
 
 
 class TestCovU:
@@ -121,43 +122,50 @@ class TestGrams:
 
 class TestSheetSample:
     def test_deterministic_in_seed_and_stream(self):
-        a = sheet_sample(-1.0, 1.0, 0.5, 0.25, 0.125, seed=9, stream=3)
-        b = sheet_sample(-1.0, 1.0, 0.5, 0.25, 0.125, seed=9, stream=3)
+        lat = SheetLattice(-1.0, 0.25, 0.125, 8, 4)
+        a = sheet_sample(lat, seed=9, stream=3)
+        b = sheet_sample(lat, seed=9, stream=3)
         np.testing.assert_array_equal(a.increments, b.increments)
-        c = sheet_sample(-1.0, 1.0, 0.5, 0.25, 0.125, seed=9, stream=4)
+        c = sheet_sample(lat, seed=9, stream=4)
         assert np.any(c.increments != a.increments)
 
     def test_cell_centers(self):
-        s = sheet_sample(-1.0, 1.0, 0.5, 0.5, 0.25, seed=0)
-        np.testing.assert_allclose(s.y_nodes, [-0.75, -0.25, 0.25, 0.75])
-        np.testing.assert_allclose(s.s_nodes, [0.125, 0.375])
-        assert s.cells == 8
+        lat = SheetLattice(-1.0, 0.5, 0.25, 4, 2)
+        np.testing.assert_allclose(lat.y_nodes, [-0.75, -0.25, 0.25, 0.75])
+        np.testing.assert_allclose(lat.s_nodes, [0.125, 0.375])
+        assert (lat.y_max, lat.s_max, lat.cells) == (1.0, 0.5, 8)
+        assert lat.scale == math.sqrt(0.125)
+        assert sheet_sample(lat, seed=0).cells == 8
 
     def test_increment_moments(self):
         # 10^6 cells: the scaled sum of squares is chi^2 with that many
         # degrees of freedom, the plain sum is centered Gaussian
-        s = sheet_sample(0.0, 1.0, 1.0, 1e-3, 1e-3, seed=2)
+        s = sheet_sample(SheetLattice(0.0, 1e-3, 1e-3, 1000, 1000), seed=2)
         n = s.cells
-        ssq = float(np.sum(s.increments ** 2)) / (s.dy * s.ds)
+        cell_var = s.lattice.dy * s.lattice.ds
+        ssq = float(np.sum(s.increments ** 2)) / cell_var
         assert abs(ssq - n) / math.sqrt(2.0 * n) <= 4.0
-        tot = float(np.sum(s.increments)) / math.sqrt(n * s.dy * s.ds)
+        tot = float(np.sum(s.increments)) / math.sqrt(n * cell_var)
         assert abs(tot) <= 4.0
 
     def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            sheet_sample(0.0, 1.0, 1.0, -0.1, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            sheet_sample(1.0, 0.0, 1.0, 0.1, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            sheet_sample(0.0, 1.0, 0.0, 0.1, 0.1, seed=0)
+        for args in ((0.0, -0.1, 0.1, 10, 10), (0.0, 0.1, 0.0, 10, 10),
+                     (0.0, 0.1, math.nan, 10, 10), (0.0, 0.1, 0.1, 0, 10),
+                     (0.0, 0.1, 0.1, 10, 0)):
+            with pytest.raises(ValueError):
+                SheetLattice(*args)
+        lat = SheetLattice(0.0, 0.5, 0.25, 2, 2)
+        with pytest.raises(ValueError, match="2 x 2 lattice"):
+            SheetSample(lat, seed=0, stream=0, increments=np.zeros((1, 2)))
 
     def test_cell_budget(self):
         with pytest.raises(ResourceError):
-            sheet_sample(0.0, 1.0, 0.7, 1e-4, 1e-4, seed=0)
+            SheetLattice(0.0, 1e-4, 1e-4, 10_000, 7_000)
 
     def test_float32_variant_is_deterministic(self):
-        a = sheet_sample(0.0, 1.0, 0.5, 0.25, 0.25, seed=7, dtype=np.float32)
-        b = sheet_sample(0.0, 1.0, 0.5, 0.25, 0.25, seed=7, dtype=np.float32)
+        lat = SheetLattice(0.0, 0.25, 0.25, 4, 2)
+        a = sheet_sample(lat, seed=7, dtype=np.float32)
+        b = sheet_sample(lat, seed=7, dtype=np.float32)
         assert a.increments.dtype == np.float32
         np.testing.assert_array_equal(a.increments, b.increments)
 
@@ -167,32 +175,29 @@ class TestMcPairingsBuffer:
         # the Monte Carlo inner loop must equal pairing the float32 sheet
         # of the documented (seed, stream), cell for cell
         from heatsheet.cli import _mc_pairings
-        y0, y1, smax, dy, ds = -4.0, 4.0, 0.25, 0.125, 1.0 / 64
-        yn = y0 + (np.arange(64) + 0.5) * dy
-        sn = (np.arange(16) + 0.5) * ds
-        W = point_weights(yn, sn, 0.0, 0.25).reshape(1, -1)
+        lat = SheetLattice(-4.0, 0.125, 1.0 / 64, 64, 16)
+        W = point_weights(lat.y_nodes, lat.s_nodes, 0.0, 0.25).reshape(1, -1)
         R = 5
-        X = _mc_pairings(W, W.shape[1], math.sqrt(dy * ds), R,
+        X = _mc_pairings(W, lat.cells, lat.scale, R,
                          seed=123, stream_base=17, workers=2)
         for r in range(R):
-            s32 = sheet_sample(y0, y1, smax, dy, ds, seed=123, stream=17 + r,
-                               dtype=np.float32)
+            s32 = sheet_sample(lat, seed=123, stream=17 + r, dtype=np.float32)
             direct = float(np.sum(W.reshape(64, 16) * s32.increments))
             assert X[r, 0] == pytest.approx(direct, rel=1e-4)
 
 
 class TestGreenrep:
     def test_zero_sheet_gives_zero(self):
-        s = zeroed(sheet_sample(-5.0, 5.0, 0.5, 0.25, 0.25, seed=0))
+        s = zeroed(sheet_sample(SheetLattice(-5.0, 0.25, 0.25, 40, 2), seed=0))
         assert greenrep_eval(s, 0.0, 0.25) == 0.0
 
     def test_coverage_errors_name_the_side(self):
-        s = sheet_sample(-5.0, 5.0, 0.5, 0.25, 0.25, seed=0)
+        s = sheet_sample(SheetLattice(-5.0, 0.25, 0.25, 40, 2), seed=0)
         with pytest.raises(CoverageError, match="y_min side"):
             greenrep_eval(s, -4.0, 0.25)
         with pytest.raises(CoverageError, match="y_max side"):
             greenrep_eval(s, 4.0, 0.25)
-        wide = sheet_sample(-10.0, 10.0, 0.5, 0.5, 0.25, seed=0)
+        wide = sheet_sample(SheetLattice(-10.0, 0.5, 0.25, 40, 2), seed=0)
         with pytest.raises(CoverageError, match="does not reach"):
             greenrep_eval(wide, 0.0, 0.75)
 
@@ -202,13 +207,10 @@ class TestGreenrep:
         L = coverage_halfwidth(1.0)
         rels = []
         for dyinv, ns in ((16, 1024), (32, 4096)):
-            dy = 1.0 / dyinv
-            ny = 2 * int(math.ceil(L / dy) + 1)
-            yn = -0.5 * ny * dy + (np.arange(ny) + 0.5) * dy
-            ds = 1.0 / ns
-            sn = (np.arange(ns) + 0.5) * ds
-            w = point_weights(yn, sn, 0.0, 1.0)
-            qf = float(np.sum(w * w)) * dy * ds
+            m = math.ceil(L * dyinv) + 1
+            lat = SheetLattice(-m / dyinv, 1.0 / dyinv, 1.0 / ns, 2 * m, ns)
+            w = point_weights(lat.y_nodes, lat.s_nodes, 0.0, 1.0)
+            qf = float(np.sum(w * w)) * lat.dy * lat.ds
             rels.append(abs(qf / cov_u(1.0, 1.0) - 1.0))
         assert rels[0] <= 2e-2
         assert rels[1] <= 1e-2
@@ -216,13 +218,12 @@ class TestGreenrep:
 
     def test_monte_carlo_moments(self):
         R = 2000
-        sheets0 = sheet_sample(-6.0, 6.0, 0.25, 1.0 / 16, 1.0 / 256, seed=31)
-        w = point_weights(sheets0.y_nodes, sheets0.s_nodes, 0.0, 0.25)
-        target = float(np.sum(w * w)) * sheets0.dy * sheets0.ds
+        lat = SheetLattice(-6.0, 1.0 / 16, 1.0 / 256, 192, 64)
+        w = point_weights(lat.y_nodes, lat.s_nodes, 0.0, 0.25)
+        target = float(np.sum(w * w)) * lat.dy * lat.ds
         vals = np.empty(R)
         for r in range(R):
-            s = sheet_sample(-6.0, 6.0, 0.25, 1.0 / 16, 1.0 / 256, seed=31,
-                             stream=r)
+            s = sheet_sample(lat, seed=31, stream=r)
             vals[r] = float(np.sum(w * s.increments))
         mean, se = hs.mean_se(vals)
         assert abs(mean) <= 4.0 * se
@@ -236,31 +237,30 @@ def geometry():
     g = TimeGrid(8.0, 512)
     h1 = bump(2.0, 0.7, grid=g)
     h2 = bump(3.4, 0.7, grid=g)
-    L = coverage_halfwidth(8.0)
-    dy, ds = 1.0 / 8, 1.0 / 64
-    ny = 2 * int(math.ceil(L / dy) + 1)
-    yn = -0.5 * ny * dy + (np.arange(ny) + 0.5) * dy
-    sn = (np.arange(int(round(8.0 / ds))) + 0.5) * ds
-    return g, (h1, h2), yn, sn, dy, ds
+    m = math.ceil(coverage_halfwidth(8.0) * 8) + 1
+    return g, (h1, h2), SheetLattice(-m / 8, 1.0 / 8, 1.0 / 64, 2 * m, 512)
+
+
+# [-16, 16] x [0, 3]: coverage_halfwidth(3.0) = 14.9 on both sides of x = 0
+PAIR_LATTICE = SheetLattice(-16.0, 0.25, 1.0 / 32, 128, 96)
 
 
 class TestPairings:
     def test_zero_sheet_gives_zero(self):
         g = TimeGrid(2.0, 64)
         h = bump(1.0, 0.5, grid=g)
-        L = coverage_halfwidth(2.0)
-        s = zeroed(sheet_sample(-L - 1, L + 1, 2.0, 0.5, 0.25, seed=0))
+        s = zeroed(sheet_sample(PAIR_LATTICE, seed=0))
         assert pair_u(s, 0.0, h) == 0.0
         assert pair_v(s, 0.0, h) == 0.0
 
     def test_quadratic_form_matches_gram(self, geometry):
-        g, (h1, h2), yn, sn, dy, ds = geometry
+        g, (h1, h2), lat = geometry
+        yn, sn = lat.y_nodes, lat.s_nodes
         G1 = cov_u_gram([h1, h2])
         G2 = cov_v_gram([h1, h2])
         wu = [pair_u_weights(yn, sn, 0.0, h, g.t_max) for h in (h1, h2)]
         wv = [pair_v_weights(yn, sn, 0.0, h, g.t_max) for h in (h1, h2)]
-        fake = sheet_sample(yn[0] - 0.5 * dy, yn[-1] + 0.5 * dy, 8.0, dy, ds,
-                            seed=0)
+        fake = sheet_sample(lat, seed=0)
         for i in range(2):
             for j in range(i, 2):
                 qf = qf_cross(wu[i], wu[j], fake)
@@ -271,16 +271,15 @@ class TestPairings:
     def test_field_and_derivative_uncorrelated_at_same_point(self, geometry):
         # x -> u, x -> v are independent at equal x: the weight product is
         # odd in y and cancels exactly on the symmetric lattice
-        g, (h1, h2), yn, sn, dy, ds = geometry
-        wu = pair_u_weights(yn, sn, 0.0, h1, g.t_max)
-        wv = pair_v_weights(yn, sn, 0.0, h2, g.t_max)
+        g, (h1, h2), lat = geometry
+        wu = pair_u_weights(lat.y_nodes, lat.s_nodes, 0.0, h1, g.t_max)
+        wv = pair_v_weights(lat.y_nodes, lat.s_nodes, 0.0, h2, g.t_max)
         scale = math.sqrt(float(np.sum(wu ** 2)) * float(np.sum(wv ** 2)))
         assert abs(float(np.sum(wu * wv))) <= 1e-12 * scale
 
     def test_linearity_in_test_function(self):
         g = TimeGrid(3.0, 128)
-        L = coverage_halfwidth(3.0)
-        s = sheet_sample(-L - 1, L + 1, 3.0, 0.25, 1.0 / 32, seed=4)
+        s = sheet_sample(PAIR_LATTICE, seed=4)
         a = pair_u(s, 0.0, bump(1.5, 0.6, grid=g))
         b = pair_u(s, 0.0, bump(1.5, 0.6, grid=g, amplitude=-2.5))
         assert b == pytest.approx(-2.5 * a, rel=1e-12)
@@ -288,9 +287,8 @@ class TestPairings:
     def test_linearity_in_sheet(self):
         g = TimeGrid(3.0, 128)
         h = bump(1.5, 0.6, grid=g)
-        L = coverage_halfwidth(3.0)
-        s1 = sheet_sample(-L - 1, L + 1, 3.0, 0.25, 1.0 / 32, seed=4)
-        s2 = sheet_sample(-L - 1, L + 1, 3.0, 0.25, 1.0 / 32, seed=5)
+        s1 = sheet_sample(PAIR_LATTICE, seed=4)
+        s2 = sheet_sample(PAIR_LATTICE, seed=5)
         both = dataclasses.replace(s1, increments=s1.increments + s2.increments)
         assert pair_v(both, 0.0, h) == pytest.approx(
             pair_v(s1, 0.0, h) + pair_v(s2, 0.0, h), rel=1e-10)
@@ -302,18 +300,15 @@ class TestPairings:
         g = TimeGrid(3.0, 256)
         h = bump(2.0, 0.7, grid=g)
         need = coverage_halfwidth(h.support[1]) + 1.0
-        dy, ds = 1.0 / 8, 1.0 / 32
         samples = []
         for xi, x in enumerate((0.0, 1.0, 2.0)):
-            ylo = x - need
-            ny = int(round(2 * need / dy))
-            yn = ylo + (np.arange(ny) + 0.5) * dy
-            sn = (np.arange(96) + 0.5) * ds
-            w = pair_u_weights(yn, sn, x, h, g.t_max)
+            lat = SheetLattice(x - need, 1.0 / 8, 1.0 / 32,
+                               round(2 * need * 8), 96)
+            w = pair_u_weights(lat.y_nodes, lat.s_nodes, x, h, g.t_max)
             vals = np.empty(R)
             for r in range(R):
                 rng = sheet_rng(77, xi * R + r)
-                inc = rng.standard_normal((ny, 96)) * math.sqrt(dy * ds)
+                inc = rng.standard_normal(w.shape) * lat.scale
                 vals[r] = float(np.sum(w * inc))
             samples.append(vals)
         for i in range(3):
@@ -351,47 +346,36 @@ DRIFT_NU = 1.0
 
 @pytest.fixture(scope="module")
 def lattice():
-    # covers both the heat-kernel support around y = 0 and the
-    # exponential reach to the right
-    dy, ds = 1.0 / 8, 1.0 / 16
-    smax = 20.0
-    reach = math.log(1e8) / math.sqrt(DRIFT_NU)
-    lo = coverage_halfwidth(smax) + 1.0
-    lo_cells = int(math.ceil(lo / dy))
-    hi_cells = int(math.ceil(max(lo, reach + 1.0) / dy))
-    y_min = -lo_cells * dy
-    ny = lo_cells + hi_cells
-    yn = y_min + (np.arange(ny) + 0.5) * dy
-    sn = (np.arange(int(round(smax / ds))) + 0.5) * ds
-    return yn, sn, dy, ds, smax
+    # [-39.5, 39.5] x [0, 20] covers both the heat-kernel support around
+    # y = 0, coverage_halfwidth(20) + 1 = 39.4, and the exponential reach
+    # ln(1e8) / sqrt(nu) + 1 = 19.4 to the right
+    return SheetLattice(-39.5, 1.0 / 8, 1.0 / 16, 632, 320)
 
 
 class TestDrift:
     NU = DRIFT_NU
 
     def test_zero_sheet_gives_zero(self, lattice):
-        yn, sn, dy, ds, smax = lattice
-        s = zeroed(sheet_sample(yn[0] - 0.5 * dy, yn[-1] + 0.5 * dy, smax,
-                                dy, ds, seed=0))
+        s = zeroed(sheet_sample(lattice, seed=0))
         assert drift_field_form(s, 0.0, self.NU) == 0.0
         assert drift_integral_form(s, 0.0, self.NU) == 0.0
 
     def test_weights_agree_cell_by_cell(self, lattice):
         # the two routes to the drift functional assign the same weight to
         # every sheet cell; this is the pathwise content of the identity
-        yn, sn, dy, ds, smax = lattice
-        wf = drift_field_weights(yn, sn, 0.0, self.NU, smax)
+        yn, sn = lattice.y_nodes, lattice.s_nodes
+        wf = drift_field_weights(yn, sn, 0.0, self.NU, lattice.s_max)
         wi = drift_integral_weights(yn, sn, 0.0, self.NU)
         scale = math.sqrt(float(np.mean(wi ** 2)))
         rms = math.sqrt(float(np.mean((wf - wi) ** 2)))
         assert rms <= 1e-3 * scale
 
     def test_variance_quadrature(self, lattice):
-        yn, sn, dy, ds, smax = lattice
+        yn, sn = lattice.y_nodes, lattice.s_nodes
         target = drift_variance_exact(self.NU)
-        for W in (drift_field_weights(yn, sn, 0.0, self.NU, smax),
+        for W in (drift_field_weights(yn, sn, 0.0, self.NU, lattice.s_max),
                   drift_integral_weights(yn, sn, 0.0, self.NU)):
-            qf = float(np.sum(W * W)) * dy * ds
+            qf = float(np.sum(W * W)) * lattice.dy * lattice.ds
             assert qf == pytest.approx(target, rel=1e-2)
 
     def test_variance_closed_form(self):
@@ -399,7 +383,7 @@ class TestDrift:
         assert drift_variance_exact(4.0) == pytest.approx(1.0 / 32.0, rel=1e-15)
 
     def test_weights_shift_invariant(self, lattice):
-        yn, sn, dy, ds, smax = lattice
+        yn, sn = lattice.y_nodes, lattice.s_nodes
         c = 3.75
         w0 = drift_integral_weights(yn, sn, 0.0, self.NU)
         wc = drift_integral_weights(yn + c, sn, c, self.NU)
@@ -407,28 +391,28 @@ class TestDrift:
 
     def test_distribution_shift_invariant(self, lattice):
         # same functional at y = 0 and y = 1 over independent replicas
-        yn, sn, dy, ds, smax = lattice
+        yn, sn = lattice.y_nodes, lattice.s_nodes
         R = 300
         w0 = drift_integral_weights(yn, sn, 0.0, self.NU)
         w1 = drift_integral_weights(yn, sn, 1.0, self.NU)
         v0 = np.empty(R)
         v1 = np.empty(R)
+        scale = lattice.scale
         for r in range(R):
-            inc = sheet_rng(91, r).standard_normal(w0.shape) * math.sqrt(dy * ds)
+            inc = sheet_rng(91, r).standard_normal(w0.shape) * scale
             v0[r] = float(np.sum(w0 * inc))
-            inc = sheet_rng(91, R + r).standard_normal(w0.shape) * math.sqrt(dy * ds)
+            inc = sheet_rng(91, R + r).standard_normal(w0.shape) * scale
             v1[r] = float(np.sum(w1 * inc))
         assert ks_2samp(v0, v1, method="asymp").pvalue > 0.01
 
     def test_validation(self, lattice):
-        yn, sn, dy, ds, smax = lattice
-        s = sheet_sample(yn[0] - 0.5 * dy, yn[-1] + 0.5 * dy, smax, dy, ds, seed=0)
+        s = sheet_sample(lattice, seed=0)
         with pytest.raises(ValueError):
             drift_field_form(s, 0.0, -1.0)
         with pytest.raises(ValueError):
             drift_integral_form(s, 0.0, 0.0)
         with pytest.raises(CoverageError, match="exponential"):
-            drift_integral_form(s, float(yn[-1]) - 1.0, self.NU)
+            drift_integral_form(s, lattice.y_max - 1.0, self.NU)
 
 
 class TestCameronMartin:
@@ -490,9 +474,7 @@ def small_tensor(nt=32, terms=1):
 
 
 def plan_sheet(plan, seed, stream=0):
-    g = plan.geometry
-    return sheet_sample(g["y_min"], g["y_max"], g["s_max"], g["dy"], g["ds"],
-                        seed=seed, stream=stream)
+    return sheet_sample(plan.lattice, seed=seed, stream=stream)
 
 
 class TestWeakform:
@@ -524,11 +506,13 @@ class TestWeakform:
     def test_geometry_mismatch_rejected(self):
         f = small_tensor()
         plan = WeakformPlan(f, x_res=8, ypad=4.0)
-        g = plan.geometry
-        bad = sheet_sample(g["y_min"], g["y_max"], g["s_max"], g["dy"],
-                           g["ds"] / 2.0, seed=0)
-        with pytest.raises(CoverageError):
-            plan.residual(bad)
+        lat = plan.lattice
+        for bad in (SheetLattice(lat.y_min, lat.dy, lat.ds / 2, lat.ny,
+                                 2 * lat.ns),
+                    SheetLattice(lat.y_min + lat.dy, lat.dy, lat.ds, lat.ny,
+                                 lat.ns)):
+            with pytest.raises(CoverageError, match="does not match"):
+                plan.residual(sheet_sample(bad, seed=0))
 
     def test_discrete_variance_near_l2sq(self):
         # at production resolution, and with room for the operator tails
@@ -553,14 +537,15 @@ class TestWeakform:
 
 class TestSheetDump:
     def test_roundtrip(self, tmp_path):
-        s = sheet_sample(-1.0, 2.0, 0.75, 0.25, 0.125, seed=42, stream=6)
+        s = sheet_sample(SheetLattice(-1.0, 0.25, 0.125, 12, 6), seed=42,
+                         stream=6)
         path = tmp_path / "sheet.bin"
         dump_sheet(s, path)
         assert path.stat().st_size == 64 + 8 * s.cells
         back = load_sheet(path)
         np.testing.assert_array_equal(back.increments, s.increments)
-        for a in ("y_min", "y_max", "s_max", "dy", "ds", "seed", "stream"):
-            assert getattr(back, a) == getattr(s, a)
+        assert (back.lattice, back.seed, back.stream) == \
+            (s.lattice, s.seed, s.stream)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.bin"
@@ -569,7 +554,7 @@ class TestSheetDump:
             load_sheet(p)
 
     def test_bad_version(self, tmp_path):
-        s = sheet_sample(0.0, 1.0, 0.5, 0.5, 0.25, seed=0)
+        s = sheet_sample(SheetLattice(0.0, 0.5, 0.25, 2, 2), seed=0)
         p = tmp_path / "x.bin"
         dump_sheet(s, p)
         raw = bytearray(p.read_bytes())
@@ -579,7 +564,7 @@ class TestSheetDump:
             load_sheet(p)
 
     def test_truncated_body(self, tmp_path):
-        s = sheet_sample(0.0, 1.0, 0.5, 0.5, 0.25, seed=0)
+        s = sheet_sample(SheetLattice(0.0, 0.5, 0.25, 2, 2), seed=0)
         p = tmp_path / "x.bin"
         dump_sheet(s, p)
         p.write_bytes(p.read_bytes()[:-8])  # drop one cell, keep 8-alignment
@@ -594,14 +579,14 @@ class TestSheetDump:
     def test_roundtrip_any_geometry(self, tmp_path_factory, y_min, dy, ds,
                                     ny, ns, seed, stream):
         inc = np.random.default_rng(ny * 7 + ns).standard_normal((ny, ns))
-        s = SheetSample(y_min=y_min, y_max=y_min + ny * dy, s_max=ns * ds,
-                        dy=dy, ds=ds, seed=seed, stream=stream, increments=inc)
+        s = SheetSample(SheetLattice(y_min, dy, ds, ny, ns), seed=seed,
+                        stream=stream, increments=inc)
         path = tmp_path_factory.getbasetemp() / "roundtrip.bin"
         dump_sheet(s, path)
         back = load_sheet(path)
         np.testing.assert_array_equal(back.increments, s.increments)
-        for a in ("y_min", "y_max", "s_max", "dy", "ds", "seed", "stream"):
-            assert getattr(back, a) == getattr(s, a)
+        assert (back.lattice, back.seed, back.stream) == \
+            (s.lattice, s.seed, s.stream)
 
     # header layout "<4sI5dQII": dy, ds, y_min, y_max, s_max at byte 8 + 8k
     @pytest.mark.parametrize("offset,value,msg", [
@@ -615,7 +600,7 @@ class TestSheetDump:
         (40, 1.0, r"2 columns, header implies 4"),
     ])
     def test_corrupt_header_field(self, tmp_path, offset, value, msg):
-        s = sheet_sample(0.0, 1.0, 0.5, 0.5, 0.25, seed=0)  # 2 x 2 cells
+        s = sheet_sample(SheetLattice(0.0, 0.5, 0.25, 2, 2), seed=0)
         p = tmp_path / "x.bin"
         dump_sheet(s, p)
         raw = bytearray(p.read_bytes())

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatsheet import (matrix_compare, mean_se, recompute_pass,
-                       residual_report, z_test)
+                       residual_report, var_se, z_test)
 
 finite = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 
@@ -39,6 +39,27 @@ class TestMeanSe:
             x = np.random.default_rng(seed).standard_normal(100000)
             m, se = mean_se(x)
             hits += abs(m) <= 4.0 * se
+        assert hits == 100
+
+
+class TestVarSe:
+    def test_alternating_binary(self):
+        # unbiased variance of a balanced 0/1 vector is 0.25 n/(n-1)
+        var, se = var_se(np.tile([0.0, 1.0], 500))
+        assert var == pytest.approx(0.25 * 1000 / 999, rel=1e-12)
+        assert se == var * math.sqrt(2.0 / 999)
+
+    def test_requires_two_samples(self):
+        with pytest.raises(ValueError):
+            var_se([1.0])
+
+    def test_four_se_calibration(self):
+        # Gaussian samples: the 4 se band around the estimate holds 1
+        hits = 0
+        for seed in range(100):
+            x = np.random.default_rng(seed).standard_normal(10000)
+            var, se = var_se(x)
+            hits += abs(var - 1.0) <= 4.0 * se
         assert hits == 100
 
 
