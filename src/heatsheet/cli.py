@@ -360,18 +360,23 @@ def suite_cov(cfg: RunConfig) -> list:
 # ----------------------------------------------------------------------
 # verify-drift
 
-def _drift_rms(sheet: SheetSample, nu: float, t_max: float,
-               yvals: np.ndarray, nw: int) -> float:
-    yn, sn = sheet.lattice.y_nodes, sheet.lattice.s_nodes
-    num = den = 0.0
-    for y in yvals:
-        wf = drift_field_weights(yn, sn, float(y), nu, t_max, nw=nw, nv=nw)
-        wi = drift_integral_weights(yn, sn, float(y), nu)
-        a = float(np.sum(wf * sheet.increments))
-        b = float(np.sum(wi * sheet.increments))
-        num += (a - b) ** 2
-        den += b * b
-    return math.sqrt(num / den)
+def _probe_weights(lat: SheetLattice, yvals: np.ndarray, build) -> list:
+    """The weight arrays build(y_nodes, s_nodes, y) of every probe y.
+
+    The drift weights depend on y only through y - y_node, so a probe k
+    whole cells above the first is the first probe's array on a node column
+    shifted down by k cells: one build at the first probe on a column
+    widened by the probes' spread, sliced once per probe.
+    """
+    k = (yvals - yvals[0]) / lat.dy
+    shift = np.rint(k).astype(int)
+    if np.any(np.abs(k - shift) > 1e-9):
+        raise ValueError(f"drift probes {yvals.tolist()} are not whole cells "
+                         f"of {lat.dy} apart")
+    lo, hi = int(shift.min()), int(shift.max())
+    yn = lat.y_min + (np.arange(-hi, lat.ny - lo) + 0.5) * lat.dy
+    W = build(yn, lat.s_nodes, float(yvals[0]))
+    return [W[hi - j:hi - j + lat.ny] for j in shift]
 
 
 def suite_drift(cfg: RunConfig) -> list:
@@ -391,20 +396,33 @@ def suite_drift(cfg: RunConfig) -> list:
     # pathwise identity on one shared sheet, probed on the cell-edge lattice
     sheet = sheet_sample(lat, seed=seed, stream=0)
     yvals = np.arange(DRIFT_Y_COUNT) * DRIFT_Y_STEP
-    rms = _drift_rms(sheet, nu, t_max, yvals, nw=32)
+    wi = _probe_weights(lat, yvals, lambda yn, sn, y:
+                        drift_integral_weights(yn, sn, y, nu))
+    integral = [float(np.sum(w * sheet.increments)) for w in wi]
+
+    def field_rms(nw):
+        wf = _probe_weights(lat, yvals, lambda yn, sn, y: drift_field_weights(
+            yn, sn, y, nu, t_max, nw=nw, nv=nw))
+        num = den = 0.0
+        for w, b in zip(wf, integral):
+            num += (float(np.sum(w * sheet.increments)) - b) ** 2
+            den += b * b
+        return math.sqrt(num / den)
+
+    rms = field_rms(32)
     reports.append(residual_report(
         "drift pathwise identity, relative RMS", rms, 5e-2,
         seed=seed, grid=gdesc))
-    rms_coarse = _drift_rms(sheet, nu, t_max, yvals, nw=8)
+    rms_coarse = field_rms(8)
     reports.append(residual_report(
         "drift quadrature refinement gain", rms / max(rms_coarse, 1e-300),
         0.25, seed=seed,
         grid={**gdesc, "coarse_nodes": 8, "fine_nodes": 32,
               "coarse_rms": rms_coarse}))
 
-    # law: variance of the explicit form matches the closed double integral
-    Wi = drift_integral_weights(lat.y_nodes, lat.s_nodes, 0.0, nu)
-    X = _mc_pairings(Wi.reshape(1, -1), lat.cells, lat.scale, R, seed, 1,
+    # law: variance of the explicit form matches the closed double integral,
+    # on the weights of the first probe, y = 0
+    X = _mc_pairings(wi[0].reshape(1, -1), lat.cells, lat.scale, R, seed, 1,
                      cfg.workers)
     var, se = var_se(X[:, 0])
     reports.append(z_test(

@@ -17,8 +17,8 @@ deterministic.
 
 from __future__ import annotations
 
-import io
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -643,7 +643,7 @@ def _bracket(f: TensorTestFunction, x: np.ndarray) -> np.ndarray:
     return A
 
 
-@dataclass
+@dataclass(eq=False)
 class WeakformPlan:
     """Precomputed sheet-cell weights omega for the residual functional.
 
@@ -755,31 +755,37 @@ def dump_sheet(sheet: SheetSample, path) -> None:
 
 
 def load_sheet(path) -> SheetSample:
+    """Read a dump_sheet file.  The header is validated and the lattice,
+    with its cell budget, built before the body is read into one array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError("not a sheet dump (shorter than its header)")
-    magic, version, dy, ds, y_min, y_max, s_max, seed, stream, ncols = \
-        _HEADER.unpack_from(raw, 0)
-    if magic != SHEET_MAGIC:
-        raise ValueError("not a sheet dump (bad magic)")
-    if version != SHEET_VERSION:
-        raise ValueError(f"unsupported sheet dump version {version}")
-    for name, v in (("dy", dy), ("ds", ds)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"corrupt sheet dump ({name} = {v} is not "
-                             f"finite and positive)")
-    if not y_max > y_min:
-        raise ValueError(f"corrupt sheet dump (y_max = {y_max} does not "
-                         f"exceed y_min = {y_min})")
-    body = np.frombuffer(raw, dtype=np.float64, offset=_HEADER.size)
-    if ncols == 0 or body.size % ncols:
-        raise ValueError("corrupt sheet dump (size does not divide)")
-    inc = body.reshape(-1, ncols).copy()
-    for axis, got, span in (("rows", inc.shape[0], (y_max - y_min) / dy),
-                            ("columns", ncols, s_max / ds)):
-        if not (math.isfinite(span) and got == round(span)):
-            raise ValueError(f"corrupt sheet dump ({got} {axis}, header "
-                             f"implies {span:g})")
-    return SheetSample(lattice=SheetLattice(y_min, dy, ds, *inc.shape),
-                       seed=seed, stream=stream, increments=inc)
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError("not a sheet dump (shorter than its header)")
+        magic, version, dy, ds, y_min, y_max, s_max, seed, stream, ncols = \
+            _HEADER.unpack(head)
+        if magic != SHEET_MAGIC:
+            raise ValueError("not a sheet dump (bad magic)")
+        if version != SHEET_VERSION:
+            raise ValueError(f"unsupported sheet dump version {version}")
+        for name, v in (("dy", dy), ("ds", ds)):
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"corrupt sheet dump ({name} = {v} is not "
+                                 f"finite and positive)")
+        if not y_max > y_min:
+            raise ValueError(f"corrupt sheet dump (y_max = {y_max} does not "
+                             f"exceed y_min = {y_min})")
+        body_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if ncols == 0 or body_bytes % (8 * ncols):
+            raise ValueError("corrupt sheet dump (size does not divide)")
+        nrows = body_bytes // (8 * ncols)
+        for axis, got, span in (("rows", nrows, (y_max - y_min) / dy),
+                                ("columns", ncols, s_max / ds)):
+            if not (math.isfinite(span) and got == round(span)):
+                raise ValueError(f"corrupt sheet dump ({got} {axis}, header "
+                                 f"implies {span:g})")
+        lat = SheetLattice(y_min, dy, ds, nrows, ncols)
+        inc = np.fromfile(fh, dtype=np.float64, count=lat.cells)
+    if inc.size != lat.cells:
+        raise ValueError("corrupt sheet dump (body ends early)")
+    return SheetSample(lattice=lat, seed=seed, stream=stream,
+                       increments=inc.reshape(nrows, ncols))

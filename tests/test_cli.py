@@ -254,6 +254,42 @@ class TestDefaultLattices:
             == self.SPDE
 
 
+class TestDriftProbeWeights:
+    SMALL = dict(t_max=4.0, replicas=16)
+
+    def test_each_weight_array_built_once(self, monkeypatch):
+        # one field build per quadrature order and one integral build serve
+        # all probes and the variance Monte Carlo
+        calls = {"drift_field_weights": 0, "drift_integral_weights": 0}
+        for name in calls:
+            def count(*a, _name=name, _orig=getattr(cli, name), **k):
+                calls[_name] += 1
+                return _orig(*a, **k)
+            monkeypatch.setattr(cli, name, count)
+        suite_drift(RunConfig(**self.SMALL))
+        assert calls == {"drift_field_weights": 2,
+                         "drift_integral_weights": 1}
+
+    def test_slices_equal_per_probe_builds(self):
+        # probes two cells apart, one below the first: shifts are read off
+        # the lattice, not the default probe step
+        lat = gaussfield.SheetLattice(-4.0, 0.25, 0.5, 40, 8)
+        yvals = np.array([0.0, 0.5, 1.5, -0.5])
+
+        def build(yn, sn, y):
+            return gaussfield.drift_field_weights(yn, sn, y, 1.0, 4.0,
+                                                  nw=8, nv=8)
+        got = cli._probe_weights(lat, yvals, build)
+        for y, w in zip(yvals, got):
+            np.testing.assert_array_equal(
+                w, build(lat.y_nodes, lat.s_nodes, float(y)))
+
+    def test_probe_off_the_cell_lattice(self, monkeypatch):
+        monkeypatch.setattr(cli, "DRIFT_Y_STEP", cli.COV_GRAM_DY / 2)
+        with pytest.raises(ValueError, match="not whole cells"):
+            suite_drift(RunConfig(**self.SMALL))
+
+
 @pytest.fixture(scope="module")
 def ops_runs(tmp_path_factory):
     outs = []

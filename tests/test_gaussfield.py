@@ -9,6 +9,7 @@ quadrature used by the implementation).
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,6 +390,18 @@ class TestDrift:
         wc = drift_integral_weights(yn + c, sn, c, self.NU)
         np.testing.assert_array_equal(w0, wc)
 
+    def test_field_weights_shift_invariant(self, lattice):
+        # a probe k cells above y = 0 sees rows K - k .. K - k + ny of one
+        # build at y = 0 on the node column widened K cells downward
+        yn, sn, dy = lattice.y_nodes, lattice.s_nodes, lattice.dy
+        K = 12
+        wide = drift_field_weights(
+            lattice.y_min + (np.arange(-K, lattice.ny) + 0.5) * dy, sn, 0.0,
+            self.NU, lattice.s_max)
+        for k in (5, K):
+            wk = drift_field_weights(yn, sn, k * dy, self.NU, lattice.s_max)
+            np.testing.assert_array_equal(wide[K - k:K - k + lattice.ny], wk)
+
     def test_distribution_shift_invariant(self, lattice):
         # same functional at y = 0 and y = 1 over independent replicas
         yn, sn = lattice.y_nodes, lattice.s_nodes
@@ -514,6 +527,12 @@ class TestWeakform:
             with pytest.raises(CoverageError, match="does not match"):
                 plan.residual(sheet_sample(bad, seed=0))
 
+    def test_plans_compare_by_identity(self):
+        f = small_tensor()
+        plan = WeakformPlan(f, x_res=8, ypad=4.0)
+        assert plan == plan
+        assert plan != WeakformPlan(f, x_res=8, ypad=4.0)
+
     def test_discrete_variance_near_l2sq(self):
         # at production resolution, and with room for the operator tails
         # beyond the bump support, the weight variance reproduces ||f||^2
@@ -608,6 +627,38 @@ class TestSheetDump:
         p.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="corrupt sheet dump.*" + msg):
             load_sheet(p)
+
+    def test_load_holds_one_copy_of_the_body(self, tmp_path):
+        lat = SheetLattice(0.0, 1.0, 1.0, 1000, 1000)
+        p = tmp_path / "x.bin"
+        dump_sheet(SheetSample(lat, seed=0, stream=0,
+                               increments=np.ones((1000, 1000))), p)
+        tracemalloc.start()
+        try:
+            back = load_sheet(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.increments.flags.writeable
+        assert np.all(back.increments == 1.0)
+        assert peak < 1.25 * 8 * lat.cells
+
+    def test_over_budget_dump_fails_before_reading(self, tmp_path):
+        # a sparse file: its size promises one column of MAX + 1 cells
+        rows = hs.gaussfield.MAX_SHEET_CELLS + 1
+        p = tmp_path / "x.bin"
+        with open(p, "wb") as fh:
+            fh.write(struct.pack("<4sI5dQII", b"SHT1", 1, 1.0, 1.0, 0.0,
+                                 float(rows), 1.0, 0, 0, 1))
+            fh.truncate(64 + 8 * rows)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="exceeds budget"):
+                load_sheet(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_short_file(self, tmp_path):
         p = tmp_path / "x.bin"
