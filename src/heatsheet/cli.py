@@ -78,7 +78,7 @@ DRIFT_Y_COUNT = 20
 DRIFT_Y_STEP = 1.0 / 8         # lattice-aligned probe locations
 
 CHUNK_REPLICAS = 128
-CHUNK_CELL_BUDGET = 64_000_000  # float32 buffer cap per worker chunk
+CHUNK_CELL_BUDGET = 16_000_000  # float32 cells per chunk buffer (64 MB)
 # evolve steps this many replicas as one (B, n) block; at the default grid
 # larger blocks ran slower and raised peak memory (their transform
 # temporaries outgrow the cache and grow with B)
@@ -272,28 +272,40 @@ def cov_observables(grid: TimeGrid) -> list:
             for c in centers]
 
 
+def _mc_chunks(R: int, ncells: int) -> list:
+    """ceil(R / cap) replica ranges (lo, hi), in order and of sizes that
+    differ by at most 1; the cap is CHUNK_REPLICAS replicas, fewer to keep
+    a chunk within CHUNK_CELL_BUDGET cells, but at least 1."""
+    cap = max(1, min(CHUNK_REPLICAS, CHUNK_CELL_BUDGET // max(ncells, 1)))
+    k = -(-R // cap)
+    edges = [R * j // k for j in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _mc_pairings(W: np.ndarray, ncells: int, scale: float, R: int,
                  seed: int, stream_base: int, workers: int) -> np.ndarray:
     """Monte Carlo pairings X[r] = W @ sheet_r for per-replica streams.
 
     Drawn in float32 (halves bandwidth; the estimator noise floor is far
-    above single precision).  Replica r reproduces sheet_sample(...,
-    seed=seed, stream=stream_base + r, dtype=float32) cell for cell.
+    above single precision) straight into the rows of one chunk buffer of
+    at most max(one sheet, CHUNK_CELL_BUDGET) cells per worker.  Replica r
+    reproduces sheet_sample(..., seed=seed, stream=stream_base + r,
+    dtype=float32) cell for cell.
     """
     check_sheet_cells(ncells)
-    nw = W.shape[0]
-    X = np.zeros((R, nw))
+    X = np.zeros((R, W.shape[0]))
     W32 = W.astype(np.float32)
-    chunk = max(1, min(CHUNK_REPLICAS, CHUNK_CELL_BUDGET // max(ncells, 1)))
+    chunks = _mc_chunks(R, ncells)
 
-    def task(lo, hi):
+    def task(k, _):
+        lo, hi = chunks[k]
         buf = np.empty((hi - lo, ncells), dtype=np.float32)
         for r in range(lo, hi):
-            rng = sheet_rng(seed, stream_base + r)
-            buf[r - lo] = rng.standard_normal(ncells, dtype=np.float32)
+            sheet_rng(seed, stream_base + r).standard_normal(
+                dtype=np.float32, out=buf[r - lo])
         X[lo:hi] = (buf @ W32.T).astype(np.float64) * scale
 
-    _parallel(R, workers, task, chunk=chunk)
+    _parallel(len(chunks), workers, task, chunk=1)  # task(chunk index, _)
     return X
 
 

@@ -23,6 +23,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.special import erfc, roots_legendre
 
 from .grid import TimeGrid, SymGrid, TestFunction, antisym_extend, bump_profile
@@ -609,9 +610,9 @@ def weakform_geometry(f: TensorTestFunction, x_res: int = WEAKFORM_X_RES,
     """The WeakformPlan of f before it is built: (x nodes, dx, lattice).
 
     Raises ResourceError, before anything is built, when the sheet or the
-    plan's largest table is over the cell budget.  That table is the complex
-    kernel transform Khat, one row per lattice distance (ny + 2 nx - 2) and
-    2 nt + 1 columns, two float64 cells per entry.
+    plan's largest tables are over the cell budget: the complex Khat and
+    Bhat it holds at once, 2 nt + 1 time frequencies by next_fast_len(ny +
+    2 nx - 2) distances each, two float64 cells per entry.
     """
     x, dx = _x_nodes(f, x_res)
     nx = x.size
@@ -622,7 +623,8 @@ def weakform_geometry(f: TensorTestFunction, x_res: int = WEAKFORM_X_RES,
     pad_cells = int(math.ceil(ypad / dy))
     lat = SheetLattice(f.x_support[0] - pad_cells * dy, dy, f.tgrid.dt / 2.0,
                        2 * nx + 2 * pad_cells, 2 * nt)
-    check_sheet_cells(2 * (lat.ny + 2 * nx - 2) * (2 * nt + 1), "kernel table")
+    check_sheet_cells(2 * (2 * nt + 1) * next_fast_len(lat.ny + 2 * nx - 2),
+                      "kernel table")
     return x, dx, lat
 
 
@@ -680,19 +682,30 @@ class WeakformPlan:
         qmax = Q0 + 2 * (nx - 1)
         dist = dy * (np.arange(qmin, qmax + 1) + 0.5)
         um = (np.arange(2 * nt) + 0.5) * ds  # half-integer lags m = 2j - k
-        Ktab = np.exp(-dist[:, None] ** 2 / (4.0 * um[None, :])) \
-            / np.sqrt(4.0 * np.pi * um[None, :])
+        # tables run time lag (or frequency) by distance, so that every
+        # transform writes into a table slice or runs in place along rows
+        Ktab = np.exp(-dist[None, :] ** 2 / (4.0 * um[:, None])) \
+            / np.sqrt(4.0 * np.pi * um[:, None])
         NF = 4 * nt
-        Khat = np.fft.rfft(Ktab, n=NF, axis=1)
-        Bt = np.zeros((nx, NF))
-        Bt[:, 0:2 * nt:2] = A * dx * dt
-        Bhat = np.fft.rfft(Bt, axis=1)
-        Ohat = np.zeros((ny, NF // 2 + 1), dtype=complex)
-        crange = np.arange(ny)
-        for i in range(nx):
-            qidx = (Q0 + 2 * i - crange) - qmin
-            Ohat += np.conj(Khat[qidx]) * Bhat[i][None, :]
-        self.omega = np.fft.irfft(Ohat, n=NF, axis=1)[:, :ns]
+        Khat = np.zeros((NF // 2 + 1, next_fast_len(dist.size)), dtype=complex)
+        np.fft.rfft(Ktab, n=NF, axis=0, out=Khat[:, :dist.size])
+        del Ktab
+        Bt = np.zeros((NF, nx))
+        Bt[0:2 * nt:2] = (A * dx * dt).T
+        Bhat = np.zeros_like(Khat)  # the bracket, upsampled 2x in distance
+        np.fft.rfft(Bt, axis=0, out=Bhat[:, 0:2 * nx:2])
+        # Ohat[c] = sum_i conj(Khat[ny - 1 - c + 2i]) Bhat[2i] = conj(C[ny - 1
+        # - c]) with C[d] = sum_p Khat[d + p] conj(Bhat[p]), one correlation
+        # by FFT along distance; its lags d + p < dist.size do not wrap
+        np.fft.fft(Khat, axis=1, out=Khat)
+        np.fft.fft(Bhat, axis=1, out=Bhat)
+        Khat *= np.conjugate(Bhat, out=Bhat)
+        del Bhat
+        np.fft.ifft(Khat, axis=1, out=Khat)
+        np.conjugate(Khat, out=Khat)
+        om = np.fft.irfft(Khat[:, ny - 1::-1], n=NF, axis=0)
+        del Khat
+        self.omega = np.ascontiguousarray(om[:ns].T)
         self.lattice, self.nx, self.dx = lat, nx, dx
 
     def residual(self, sheet: SheetSample) -> float:

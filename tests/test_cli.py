@@ -2,14 +2,15 @@
 determinism, and worker-count invariance."""
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from heatsheet import ResourceError, cli, gaussfield, load_sheet
 from heatsheet.cli import (CHUNK_CELL_BUDGET, CHUNK_REPLICAS, COV_TAG,
-                           OPS_TAG, ConfigError, RunConfig, _mc_pairings,
-                           build_config, main, make_parser,
+                           OPS_TAG, ConfigError, RunConfig, _mc_chunks,
+                           _mc_pairings, build_config, main, make_parser,
                            parse_config_file, suite_cov, suite_drift,
                            suite_evolve, suite_ops, suite_seed, suite_spde,
                            write_report)
@@ -186,19 +187,17 @@ class TestExitCodes:
             _mc_pairings(np.ones((1, 1)), MAX_SHEET_CELLS + 1, 1.0, 2,
                          seed=0, stream_base=0, workers=1)
 
-    def test_mc_chunk_stays_under_buffer_cap(self, monkeypatch):
-        # above CHUNK_CELL_BUDGET / 2 cells a chunk holds one replica; the
-        # recording _parallel runs no task, so nothing large is allocated
-        chunks = []
-
-        def record(total, workers, task, chunk):
-            chunks.append(chunk)
-
-        monkeypatch.setattr(cli, "_parallel", record)
-        ncells = 30_000_000
-        _mc_pairings(np.ones((1, 1)), ncells, 1.0, 8, seed=0, stream_base=0,
-                     workers=1)
-        assert chunks and chunks[0] * ncells <= CHUNK_CELL_BUDGET
+    def test_mc_chunk_stays_under_buffer_cap(self):
+        # a chunk buffer holds at most CHUNK_CELL_BUDGET cells when one
+        # sheet fits under the budget, and exactly one sheet otherwise
+        for ncells in (1, 688_128, CHUNK_CELL_BUDGET // 2 + 1,
+                       CHUNK_CELL_BUDGET, CHUNK_CELL_BUDGET + 1, 30_000_000,
+                       MAX_SHEET_CELLS):
+            for lo, hi in _mc_chunks(300, ncells):
+                if ncells <= CHUNK_CELL_BUDGET:
+                    assert (hi - lo) * ncells <= CHUNK_CELL_BUDGET
+                else:
+                    assert hi - lo == 1
 
     def test_degraded_resolution_fails_honestly(self, tmp_path, capsys):
         # at n = 512 the identity-suite refinement targets are unattainable
@@ -252,6 +251,39 @@ class TestDefaultLattices:
         assert self.lattices(monkeypatch, suite_spde, "weakform_geometry",
                              "WeakformPlan", pick=lambda out: out[2]) \
             == self.SPDE
+
+
+class TestMcEngine:
+    @pytest.mark.parametrize("R,ncells", [
+        (300, 672 * 1024), (300, 1440 * 1024), (1000, 392 * 512),
+        (5, 1), (128, 1), (129, 1), (300, 30_000_000)])
+    def test_chunks_of_equal_size(self, R, ncells):
+        # ceil(R / cap) chunks, in order, whose sizes differ by at most 1
+        cap = max(1, min(CHUNK_REPLICAS, CHUNK_CELL_BUDGET // ncells))
+        chunks = _mc_chunks(R, ncells)
+        assert len(chunks) == -(-R // cap)
+        assert chunks[0][0] == 0 and chunks[-1][1] == R
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        sizes = [hi - lo for lo, hi in chunks]
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
+
+    def test_replicas_drawn_in_place(self):
+        # every replica is drawn straight into its row of the chunk buffer:
+        # the engine holds W in float32 and one buffer of R sheets, and no
+        # per-replica sheet besides
+        ncells, R = 1 << 20, 4
+        assert _mc_chunks(R, ncells) == [(0, R)]
+        W = np.ones((1, ncells))
+        tracemalloc.start()
+        try:
+            X = _mc_pairings(W, ncells, 1.0, R, seed=0, stream_base=0,
+                             workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (R, 1)
+        sheet = 4 * ncells
+        assert peak < (1 + R) * sheet + sheet // 2
 
 
 class TestDriftProbeWeights:

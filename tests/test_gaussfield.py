@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
@@ -32,7 +33,8 @@ from heatsheet.gaussfield import (SheetSample, SpaceBump, TensorTestFunction,
                                   drift_field_weights, drift_integral_weights,
                                   exp_tail_u, exp_tail_v, gram_cholesky,
                                   pair_u_weights, pair_v_weights,
-                                  point_weights, sheet_rng,
+                                  point_weights, sheet_rng, _bracket,
+                                  weakform_geometry,
                                   weakform_residual_reference)
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
@@ -490,6 +492,32 @@ def plan_sheet(plan, seed, stream=0):
     return sheet_sample(plan.lattice, seed=seed, stream=stream)
 
 
+def omega_by_distance_loop(f, **kw):
+    """The plan weights by one pass per x node: Ohat[c] += conj(Khat[q])
+    Bhat[i] over the distances q = Q0 + 2i - c, then one inverse transform
+    in time.  The oracle for WeakformPlan's FFT correlation."""
+    x, dx, lat = weakform_geometry(f, **kw)
+    g = f.tgrid
+    nt, nx, ny = g.n, x.size, lat.ny
+    A = _bracket(f, x)
+    Q0 = int(round((f.x_support[0] - lat.y_min) / lat.dy))
+    qmin = Q0 - (ny - 1)
+    dist = lat.dy * (np.arange(qmin, Q0 + 2 * (nx - 1) + 1) + 0.5)
+    um = (np.arange(2 * nt) + 0.5) * lat.ds
+    Ktab = np.exp(-dist[:, None] ** 2 / (4.0 * um[None, :])) \
+        / np.sqrt(4.0 * np.pi * um[None, :])
+    NF = 4 * nt
+    Khat = np.fft.rfft(Ktab, n=NF, axis=1)
+    Bt = np.zeros((nx, NF))
+    Bt[:, 0:2 * nt:2] = A * dx * g.dt
+    Bhat = np.fft.rfft(Bt, axis=1)
+    Ohat = np.zeros((ny, NF // 2 + 1), dtype=complex)
+    crange = np.arange(ny)
+    for i in range(nx):
+        Ohat += np.conj(Khat[Q0 + 2 * i - crange - qmin]) * Bhat[i][None, :]
+    return np.fft.irfft(Ohat, n=NF, axis=1)[:, :lat.ns]
+
+
 class TestWeakform:
     def test_tensor_validation(self):
         with pytest.raises(ValueError):
@@ -515,6 +543,35 @@ class TestWeakform:
         fast = weakform_residual(s, f, plan)
         slow = weakform_residual_reference(s, f, x_res=8)
         assert abs(fast - slow) <= 1e-11
+
+    @pytest.mark.parametrize("terms,kw", [(1, dict(x_res=8, ypad=4.0)),
+                                          (2, dict(x_res=8, ypad=4.0)),
+                                          (1, {})])
+    def test_omega_matches_distance_loop(self, terms, kw):
+        # one FFT correlation along the distance axis sums the same terms
+        # as the loop; only the rounding differs
+        f = small_tensor(terms=terms)
+        omega = WeakformPlan(f, **kw).omega
+        ref = omega_by_distance_loop(f, **kw)
+        assert omega.shape == ref.shape and omega.flags.c_contiguous
+        assert np.max(np.abs(omega - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_plan_memory(self):
+        # the transforms run in place: the plan peaks at its two complex
+        # tables, 2 nt + 1 time frequencies by next_fast_len(ny + 2 nx - 2)
+        # distances each (the loop held about twice that)
+        g = TimeGrid(8.0, 256)  # f2 of verify-spde --n 256
+        f = TensorTestFunction(((SpaceBump(0.0, 1.0), bump(2.0, 1.0, grid=g)),))
+        x, _, lat = weakform_geometry(f)
+        table = 16 * (2 * 256 + 1) * next_fast_len(lat.ny + 2 * x.size - 2)
+        tracemalloc.start()
+        try:
+            plan = WeakformPlan(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.omega.size == lat.cells
+        assert peak < 2.25 * table
 
     def test_geometry_mismatch_rejected(self):
         f = small_tensor()
