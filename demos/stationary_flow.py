@@ -36,7 +36,7 @@ def main() -> int:
     plan = SpectralPlan(SymGrid(grid))
     obs = [TestFunction(center=c, radius=0.4, grid=grid)
            for c in (1.5, 4.0, 5.8)]
-    cfg = EvolveConfig(dz=dz, Z=Z, observables=tuple(obs), seed=SEED)
+    cfg = EvolveConfig(dz=dz, Z=Z, observables=tuple(obs))
     basis = stationary_basis(grid)
     sampler = StationarySampler(basis, grid)
     G1 = cov_u_gram(obs)
@@ -72,8 +72,7 @@ def main() -> int:
     w = smooth_window(grid, 1.0, T_MAX - 1.0)
     state = FieldState(u=w * np.sin(4.0 * grid.nodes),
                        v=np.zeros(grid.n), z=0.0, grid=grid)
-    quiet = EvolveConfig(dz=dz / 2, Z=1.0, observables=(), seed=0,
-                         noise=False)
+    quiet = EvolveConfig(dz=dz / 2, Z=1.0, observables=(), noise=False)
     res = evolve(state, quiet, plan)
     e = res.energy
     print(f"\nnoiseless energy track from a windowed tone over one unit: "

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -118,12 +118,9 @@ class RunConfig:
             raise ConfigError("n must be a power of two")
         if not (0 <= self.seed < U64):
             raise ConfigError("seed must fit in 64 bits")
-        if self.t_max is not None and self.t_max <= 0:
-            raise ConfigError("tmax must be positive")
-        if self.dz is not None and self.dz <= 0:
-            raise ConfigError("dz must be positive")
-        if self.Z is not None and self.Z <= 0:
-            raise ConfigError("Z must be positive")
+        for name, v in (("tmax", self.t_max), ("dz", self.dz), ("Z", self.Z)):
+            if v is not None and v <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.replicas is not None and self.replicas < 2:
             raise ConfigError("replicas must be at least 2")
         if not self.nus or any(v <= 0 for v in self.nus):
@@ -166,6 +163,8 @@ def _parallel(total: int, workers: int, task, chunk: int = CHUNK_REPLICAS):
 # error is dt-independent, so pad=2 floors the refinement study; pad=4
 # pushes the floor below the dt-part at desk resolutions
 OPS_PAD = 4
+OPS_MARGIN = 0.5   # factorization error is read on (margin, t_max - margin)
+OPS_T_CUT = 4.0    # eigenfunctions are compared on t <= min(t_cut, t_max)
 
 
 def _ops_bump(grid: TimeGrid) -> TestFunction:
@@ -173,9 +172,20 @@ def _ops_bump(grid: TimeGrid) -> TestFunction:
                 t_max=grid.t_max, n=grid.n)
 
 
-def _interior(grid: TimeGrid, margin: float = 0.5) -> np.ndarray:
+def _interior(grid: TimeGrid) -> np.ndarray:
     t = grid.nodes
-    return (t > margin) & (t < grid.t_max - margin)
+    return (t > OPS_MARGIN) & (t < grid.t_max - OPS_MARGIN)
+
+
+def _check_ops_grid(grid: TimeGrid):
+    """Both comparison masks must hold a node: the middle node t_max/2 - dt/2
+    must clear the margin and the first node dt/2 must not pass t_cut."""
+    if not (_interior(grid).any()
+            and grid.nodes[0] <= min(OPS_T_CUT, grid.t_max)):
+        lo = 2.0 * OPS_MARGIN * grid.n / (grid.n - 1)
+        raise ConfigError(
+            f"tmax must lie in ({lo:g}, {2.0 * OPS_T_CUT * grid.n:g}] at "
+            f"n={grid.n} for verify-ops, got {grid.t_max:g}")
 
 
 def _a2_factorization_err(grid: TimeGrid) -> float:
@@ -191,29 +201,34 @@ def _a2_factorization_err(grid: TimeGrid) -> float:
 def _a1a2_err(grid: TimeGrid) -> float:
     h = _ops_bump(grid)
     plan = SpectralPlan(SymGrid(grid), pad=OPS_PAD)
-    r = a1_a2_residual(h, plan=plan)
-    return float(np.max(np.abs(r)) / np.max(np.abs(h.deriv_values)))
+    return float(a1_a2_residual(h, plan=plan)
+                 / np.max(np.abs(h.deriv_values)))
+
+
+def _refinement_reports(label: str, what: str, tol: float, err_of,
+                        grid: TimeGrid, seed: int, gdesc: dict) -> list:
+    """The error err_of(grid) against tol, then the quotient err(dt/2) /
+    err(dt), which must drop below 1/REFINE_GAIN."""
+    fine = TimeGrid(grid.t_max, 2 * grid.n)
+    err, err_f = err_of(grid), err_of(fine)
+    return [residual_report(f"{label}, {what}", err, tol, seed=seed,
+                            grid=gdesc),
+            residual_report(f"{label}, refinement quotient",
+                            err_f / max(err, 1e-300), 1.0 / REFINE_GAIN,
+                            seed=seed, grid={**gdesc, "fine_n": fine.n,
+                                             "fine_error": err_f})]
 
 
 def suite_ops(cfg: RunConfig) -> list:
     seed = suite_seed(cfg, OPS_TAG)
     grid = TimeGrid(cfg.t_max or OPS_T_MAX, cfg.n or OPS_N)
-    fine = TimeGrid(grid.t_max, 2 * grid.n)
+    _check_ops_grid(grid)
     gdesc = {"t_max": grid.t_max, "n": grid.n}
-    reports = []
 
-    # factorization of the second operator through the quarter-order one;
-    # halving dt must shrink the error by REFINE_GAIN, i.e. the quotient
-    # err(dt/2)/err(dt) must drop below 1/REFINE_GAIN
-    err = _a2_factorization_err(grid)
-    reports.append(residual_report(
-        "quarter-order factorization, interior max error",
-        err, 1e-2, seed=seed, grid=gdesc))
-    err_f = _a2_factorization_err(fine)
-    reports.append(residual_report(
-        "quarter-order factorization, refinement quotient",
-        err_f / max(err, 1e-300), 1.0 / REFINE_GAIN, seed=seed,
-        grid={**gdesc, "fine_n": fine.n, "fine_error": err_f}))
+    # factorization of the second operator through the quarter-order one
+    reports = _refinement_reports(
+        "quarter-order factorization", "interior max error", 1e-2,
+        _a2_factorization_err, grid, seed, gdesc)
 
     # inversion: convolving the image against the halfroot kernel returns h
     h = _ops_bump(grid)
@@ -224,17 +239,11 @@ def suite_ops(cfg: RunConfig) -> list:
         "halfroot inversion, max error", inv_err, 1e-2, seed=seed, grid=gdesc))
 
     # composition identity with first-order refinement
-    err3 = _a1a2_err(grid)
-    reports.append(residual_report(
-        "composition identity, residual", err3, 2e-2, seed=seed, grid=gdesc))
-    err3_f = _a1a2_err(fine)
-    reports.append(residual_report(
-        "composition identity, refinement quotient",
-        err3_f / max(err3, 1e-300), 1.0 / REFINE_GAIN, seed=seed,
-        grid={**gdesc, "fine_n": fine.n, "fine_error": err3_f}))
+    reports += _refinement_reports("composition identity", "residual", 2e-2,
+                                   _a1a2_err, grid, seed, gdesc)
 
     # exponential eigenfunctions of the first operator
-    tcut = min(4.0, grid.t_max)
+    tcut = min(OPS_T_CUT, grid.t_max)
     mask = grid.nodes <= tcut
     for nu in cfg.nus:
         f = np.exp(-nu * grid.nodes)
@@ -317,8 +326,7 @@ def _cov_se(S: np.ndarray, R: int) -> np.ndarray:
 def suite_cov(cfg: RunConfig) -> list:
     seed = suite_seed(cfg, COV_TAG)
     t_max = cfg.t_max or OPS_T_MAX
-    n = cfg.n or OPS_N
-    grid = TimeGrid(t_max, n)
+    grid = TimeGrid(t_max, cfg.n or OPS_N)
     R_point = cfg.replicas or COV_POINT_REPLICAS
     R_gram = min(cfg.replicas or COV_GRAM_REPLICAS, COV_GRAM_REPLICAS)
     # both sheets must fit before any weights are built
@@ -341,8 +349,6 @@ def suite_cov(cfg: RunConfig) -> list:
 
     # Gram comparison of field and derivative pairings at x = 0
     hs = cov_observables(grid)
-    G1 = cov_u_gram(hs)
-    G2 = cov_v_gram(hs)
     yn, sn = gram.y_nodes, gram.s_nodes
     rows = [pair_u_weights(yn, sn, 0.0, h, t_max) for h in hs]
     rows += [pair_v_weights(yn, sn, 0.0, h, t_max) for h in hs]
@@ -354,18 +360,13 @@ def suite_cov(cfg: RunConfig) -> list:
     se = _cov_se(S, R_gram)
     gdesc = {"dy": gram.dy, "ds": gram.ds, "ny": gram.ny, "ns": gram.ns,
              "t_max": t_max}
-    reports.append(matrix_compare(
-        S[:m, :m], G1, se[:m, :m],
-        name="field pairing Gram (8x8)",
-        seed=seed, replicas=R_gram, grid=gdesc))
-    reports.append(matrix_compare(
-        S[m:, m:], G2, se[m:, m:],
-        name="derivative pairing Gram (8x8)",
-        seed=seed, replicas=R_gram, grid=gdesc))
-    reports.append(matrix_compare(
-        S[:m, m:], np.zeros((m, m)), se[:m, m:],
-        name="field/derivative cross-covariance vs 0",
-        seed=seed, replicas=R_gram, grid=gdesc))
+    for name, block, target in (
+            ("field pairing Gram (8x8)", np.s_[:m, :m], cov_u_gram(hs)),
+            ("derivative pairing Gram (8x8)", np.s_[m:, m:], cov_v_gram(hs)),
+            ("field/derivative cross-covariance vs 0", np.s_[:m, m:],
+             np.zeros((m, m)))):
+        reports.append(matrix_compare(S[block], target, se[block], name=name,
+                                      seed=seed, replicas=R_gram, grid=gdesc))
     return reports
 
 
@@ -414,7 +415,7 @@ def suite_drift(cfg: RunConfig) -> list:
 
     def field_rms(nw):
         wf = _probe_weights(lat, yvals, lambda yn, sn, y: drift_field_weights(
-            yn, sn, y, nu, t_max, nw=nw, nv=nw))
+            yn, sn, y, nu, t_max, nw=nw))
         num = den = 0.0
         for w, b in zip(wf, integral):
             num += (float(np.sum(w * sheet.increments)) - b) ** 2
@@ -457,6 +458,17 @@ def suite_drift(cfg: RunConfig) -> list:
 # ----------------------------------------------------------------------
 # verify-spde
 
+def _moment_tests(data: np.ndarray, var_target: float, what: str, which: str,
+                  **kw) -> list:
+    """z-tests of the sample mean against 0 and the sample variance against
+    var_target, named '<what> mean, <which>' and '<what> variance, <which>'."""
+    (mean, se_m), (var, se_v) = mean_se(data), var_se(data)
+    return [z_test(mean, se_m, 0.0, name=f"{what} mean, {which}",
+                   replicas=data.size, **kw),
+            z_test(var, se_v, var_target, name=f"{what} variance, {which}",
+                   replicas=data.size, **kw)]
+
+
 def spde_test_functions(grid: TimeGrid) -> list:
     ft = bump(2.0, 1.0, t_max=grid.t_max, n=grid.n, grid=grid)
     return [TensorTestFunction(terms=((SpaceBump(0.0, 2.5), ft),)),
@@ -483,14 +495,8 @@ def suite_spde(cfg: RunConfig) -> list:
         tgt = f.l2sq()
         gdesc = {"t_max": t_max, "n": n, "x_radius": f.terms[0][0].radius,
                  "dy": lat.dy, "ds": lat.ds, "nx": plan.nx, "dx": plan.dx}
-        mean, se_mean = mean_se(eta)
-        reports.append(z_test(
-            mean, se_mean, 0.0, name=f"weak-form residual mean, f{fi + 1}",
-            seed=seed, replicas=R, grid=gdesc))
-        var, se_var = var_se(eta)
-        reports.append(z_test(
-            var, se_var, tgt, name=f"weak-form residual variance, f{fi + 1}",
-            seed=seed, replicas=R, grid=gdesc))
+        reports += _moment_tests(eta, tgt, "weak-form residual",
+                                 f"f{fi + 1}", seed=seed, grid=gdesc)
         reports.append(residual_report(
             f"weak-form discrete variance bias, f{fi + 1}",
             abs(plan.variance_discrete() / tgt - 1.0), 2e-2,
@@ -516,7 +522,7 @@ def suite_evolve(cfg: RunConfig):
     R = cfg.replicas or EVOLVE_REPLICAS
 
     obs = evolve_observables(grid)
-    ecfg = EvolveConfig(dz=dz, Z=Z, observables=tuple(obs), seed=seed)
+    ecfg = EvolveConfig(dz=dz, Z=Z, observables=tuple(obs))
     ecfg.check_stability(grid)
 
     basis = stationary_basis(grid)
@@ -553,17 +559,10 @@ def suite_evolve(cfg: RunConfig):
         lab = f"h{i + 1} (center {h.center:g})"
         for name, data, tgt_var in (("u", UZ[:, i], G1[i, i]),
                                     ("v", VZ[:, i], G2[i, i])):
-            mean, se_m = mean_se(data)
-            reports.append(z_test(
-                mean, se_m, 0.0,
-                name=f"terminal {name}-pairing mean, {lab}",
-                seed=seed, replicas=R, grid=gdesc))
-            var, se_v = var_se(data)
-            reports.append(z_test(
-                var, se_v, float(tgt_var),
-                name=f"terminal {name}-pairing variance, {lab}",
-                seed=seed, replicas=R, grid=gdesc))
-    return reports, sample.get("result"), grid, seed
+            reports += _moment_tests(data, float(tgt_var),
+                                     f"terminal {name}-pairing", lab,
+                                     seed=seed, grid=gdesc)
+    return reports, sample["result"], grid, seed
 
 
 # ----------------------------------------------------------------------
@@ -573,12 +572,7 @@ def write_report(path: str, suite: str, cfg: RunConfig, reports: list):
     doc = {
         "suite": suite,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config": {
-            "seed": cfg.seed, "t_max": cfg.t_max, "n": cfg.n,
-            "dz": cfg.dz, "Z": cfg.Z, "replicas": cfg.replicas,
-            "nus": list(cfg.nus), "tail_tol": cfg.tail_tol,
-            "workers": cfg.workers,
-        },
+        "config": {k: v for k, v in asdict(cfg).items() if k != "out_dir"},
         "reports": [r.to_dict() for r in reports],
     }
     with open(path, "w") as fh:
@@ -586,60 +580,43 @@ def write_report(path: str, suite: str, cfg: RunConfig, reports: list):
         fh.write("\n")
 
 
-def _finish(suite: str, fname: str, cfg: RunConfig, reports: list) -> int:
+def _finish(suite: str, cfg: RunConfig, reports: list) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_report(os.path.join(cfg.out_dir, fname), suite, cfg, reports)
-    ok = True
+    write_report(os.path.join(cfg.out_dir, f"{suite}_report.json"), suite,
+                 cfg, reports)
     for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.statistic}: estimate {r.estimate:.6g} "
-              f"target {r.target:.6g} ({r.rule})")
-        ok = ok and r.passed
-    return 0 if ok else 1
-
-
-def cmd_verify_ops(cfg: RunConfig) -> int:
-    return _finish("ops", "ops_report.json", cfg, suite_ops(cfg))
-
-
-def cmd_verify_cov(cfg: RunConfig) -> int:
-    return _finish("cov", "cov_report.json", cfg, suite_cov(cfg))
-
-
-def cmd_verify_drift(cfg: RunConfig) -> int:
-    return _finish("drift", "drift_report.json", cfg, suite_drift(cfg))
-
-
-def cmd_verify_spde(cfg: RunConfig) -> int:
-    return _finish("spde", "spde_report.json", cfg, suite_spde(cfg))
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.statistic}: estimate "
+              f"{r.estimate:.6g} target {r.target:.6g} ({r.rule})")
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
     reports, sample, grid, seed = suite_evolve(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    if sample is not None:
-        with open(os.path.join(cfg.out_dir, "trajectory.csv"), "w") as fh:
-            fh.write(sample.to_csv())
-        # final state reuses the binary matrix container: row 0 = u, row 1 = v
-        state = sample.final_state
-        holder = SheetSample(SheetLattice(0.0, 1.0, grid.dt, 2, grid.n),
-                             seed=seed, stream=0,
-                             increments=np.vstack([state.u, state.v]))
-        dump_sheet(holder, os.path.join(cfg.out_dir, "final_state.bin"))
-    return _finish("evolve", "evolve_report.json", cfg, reports)
+    with open(os.path.join(cfg.out_dir, "trajectory.csv"), "w") as fh:
+        fh.write(sample.to_csv())
+    # final state reuses the binary matrix container: row 0 = u, row 1 = v
+    state = sample.final_state
+    holder = SheetSample(SheetLattice(0.0, 1.0, grid.dt, 2, grid.n),
+                         seed=seed, stream=0,
+                         increments=np.vstack([state.u, state.v]))
+    dump_sheet(holder, os.path.join(cfg.out_dir, "final_state.bin"))
+    return _finish("evolve", cfg, reports)
 
 
+# the suites are looked up when a command runs, so a suite replaced on the
+# module (by a test or a tracer) is the one that runs
 COMMANDS = {
-    "verify-ops": cmd_verify_ops,
-    "verify-cov": cmd_verify_cov,
-    "verify-drift": cmd_verify_drift,
-    "verify-spde": cmd_verify_spde,
+    "verify-ops": lambda cfg: _finish("ops", cfg, suite_ops(cfg)),
+    "verify-cov": lambda cfg: _finish("cov", cfg, suite_cov(cfg)),
+    "verify-drift": lambda cfg: _finish("drift", cfg, suite_drift(cfg)),
+    "verify-spde": lambda cfg: _finish("spde", cfg, suite_spde(cfg)),
     "evolve": cmd_evolve,
 }
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value lines; # starts a comment; keys mirror the flags."""
+    """Flat key=value lines; # starts a comment; keys are OPTIONS keys."""
     out = {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
@@ -653,47 +630,39 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-_CONFIG_KEYS = {
-    "seed": int, "tmax": float, "n": int, "dz": float, "Z": float,
-    "replicas": int, "workers": int, "out": str, "tail_tol": float,
-    "nu": str,
+# option key -> (RunConfig field, parser).  Every key is a config-file key;
+# all but FILE_ONLY are also flags (--key).  Defaults live in RunConfig.
+OPTIONS = {
+    "seed": ("seed", int),
+    "tmax": ("t_max", float),
+    "n": ("n", int),
+    "dz": ("dz", float),
+    "Z": ("Z", float),
+    "replicas": ("replicas", int),
+    "workers": ("workers", int),
+    "out": ("out_dir", str),
+    "tail_tol": ("tail_tol", float),
+    "nu": ("nus", lambda text: tuple(float(s) for s in text.split(",") if s)),
 }
+FILE_ONLY = ("tail_tol", "nu")
 
 
 def build_config(args) -> RunConfig:
-    vals = {}
-    if args.config:
-        raw = parse_config_file(args.config)
-        for k, v in raw.items():
-            if k not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key '{k}'")
-            try:
-                vals[k] = _CONFIG_KEYS[k](v)
-            except ValueError:
-                raise ConfigError(f"bad value for config key '{k}': {v!r}")
-    # flags win over the file
-    for k in ("seed", "tmax", "n", "dz", "Z", "replicas", "workers", "out"):
-        v = getattr(args, k)
-        if v is not None:
-            vals[k] = v
-    nus = (1.0, 4.0)
-    if "nu" in vals:
+    raw = parse_config_file(args.config) if args.config else {}
+    given = {}
+    for key, v in raw.items():
+        if key not in OPTIONS:
+            raise ConfigError(f"unknown config key '{key}'")
+        field, parse = OPTIONS[key]
         try:
-            nus = tuple(float(s) for s in str(vals["nu"]).split(",") if s)
+            given[field] = parse(v)
         except ValueError:
-            raise ConfigError(f"bad nu list: {vals['nu']!r}")
-    cfg = RunConfig(
-        seed=vals.get("seed", 0),
-        t_max=vals.get("tmax"),
-        n=vals.get("n"),
-        dz=vals.get("dz"),
-        Z=vals.get("Z"),
-        replicas=vals.get("replicas"),
-        nus=nus,
-        tail_tol=vals.get("tail_tol", 1e-8),
-        out_dir=vals.get("out", "."),
-        workers=vals.get("workers", 1),
-    )
+            raise ConfigError(f"bad value for config key '{key}': {v!r}")
+    # flags win over the file
+    for key, (field, _) in OPTIONS.items():
+        if getattr(args, key, None) is not None:
+            given[field] = getattr(args, key)
+    cfg = RunConfig(**given)
     cfg.validate()
     return cfg
 
@@ -706,14 +675,9 @@ def make_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tmax", type=float, default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--dz", type=float, default=None)
-        sp.add_argument("--Z", type=float, default=None)
-        sp.add_argument("--replicas", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--out", type=str, default=None)
+        for key, (_, parse) in OPTIONS.items():
+            if key not in FILE_ONLY:
+                sp.add_argument(f"--{key}", type=parse, default=None)
     return p
 
 

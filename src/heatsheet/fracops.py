@@ -256,8 +256,7 @@ def op_A1(f: np.ndarray, grid: TimeGrid, tail: tuple) -> np.ndarray:
     return out
 
 
-def a1_a2_residual(h: TestFunction, plan: SpectralPlan | None = None,
-                   tail_power: float = A2_TAIL_POWER) -> float:
+def a1_a2_residual(h: TestFunction, plan: SpectralPlan | None = None) -> float:
     """Max-abs residual of the composition identity
 
         op_A1(op_A2 h) = -h' + frac_laplacian(h^a, 1)
@@ -267,7 +266,7 @@ def a1_a2_residual(h: TestFunction, plan: SpectralPlan | None = None,
     if plan is None:
         plan = SpectralPlan(SymGrid(g))
     a2 = op_A2(h)
-    a1a2 = op_A1(a2, g, tail=("power", tail_power))
+    a1a2 = op_A1(a2, g, tail=("power", A2_TAIL_POWER))
     lhs_minus = frac_laplacian(antisym_extend(h.values), 1.0, plan)[g.n:]
     return float(np.max(np.abs(a1a2 + h.deriv_values - lhs_minus)))
 

@@ -308,14 +308,13 @@ def pair_u_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
 
 
 def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
-                   h, t_hi: float, nv: int = PAIR_V_NODES,
-                   vcut: float = PAIR_V_CUT) -> np.ndarray:
+                   h, t_hi: float, nv: int = PAIR_V_NODES) -> np.ndarray:
     """Per-cell weights int_s^{t_hi} (dg/dx)(y,s;x,t) h(t) dt.
 
     With d = x - y and v = |d| / (2 sqrt(t - s)) the integral becomes
     -sgn(d) (2/sqrt(4 pi)) int e^(-v^2) h(s + d^2/(4 v^2)) dv from
     v_min = |d|/(2 sqrt(t_hi - s)) upward; e^(-v^2) kills everything
-    beyond vcut.  Rows with d = 0 vanish by antisymmetry.
+    beyond PAIR_V_CUT.  Rows with d = 0 vanish by antisymmetry.
     """
     xg, wg = roots_legendre(nv)
     d = x - y_nodes
@@ -326,7 +325,7 @@ def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
         if s >= t_hi:
             continue
         vmin = ad / (2.0 * math.sqrt(t_hi - s))
-        vhi = np.maximum(vcut, vmin)
+        vhi = np.maximum(PAIR_V_CUT, vmin)
         v = vmin[:, None] + (vhi - vmin)[:, None] * 0.5 * (xg[None, :] + 1.0)
         jac = (vhi - vmin)[:, None] * 0.5 * wg[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -393,9 +392,10 @@ def exp_tail_v(d, s, nu: float, T: float):
 
 
 def drift_field_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, y: float,
-                        nu: float, T: float, nw: int = PAIR_U_NODES,
-                        nv: int = PAIR_V_NODES) -> np.ndarray:
-    """Cell weights of U(y, sqrt(nu) e^(-nu .)) + d/dx U(y, e^(-nu .)).
+                        nu: float, T: float,
+                        nw: int = PAIR_U_NODES) -> np.ndarray:
+    """Cell weights of U(y, sqrt(nu) e^(-nu .)) + d/dx U(y, e^(-nu .)), both
+    pairings on nw quadrature nodes.
 
     The exponentials are not compactly supported, so the grid part on
     [0, T] is completed with the analytic erfc tails beyond T.
@@ -404,7 +404,7 @@ def drift_field_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, y: float,
     hv = lambda t: np.exp(-nu * t)
     d = y - y_nodes
     W = pair_u_weights(y_nodes, s_nodes, y, hu, T, nw=nw)
-    W += pair_v_weights(y_nodes, s_nodes, y, hv, T, nv=nv)
+    W += pair_v_weights(y_nodes, s_nodes, y, hv, T, nv=nw)
     W += math.sqrt(nu) * exp_tail_u(d[:, None], s_nodes[None, :], nu, T)
     W += exp_tail_v(d[:, None], s_nodes[None, :], nu, T)
     return W
@@ -430,8 +430,7 @@ def drift_field_form(sheet: SheetSample, y: float, nu: float,
         raise ValueError("nu must be positive")
     lat = sheet.lattice
     _check_coverage(lat, y, lat.s_max, tail_tol)
-    W = drift_field_weights(lat.y_nodes, lat.s_nodes, y, nu, lat.s_max,
-                            nw=nw, nv=nw)
+    W = drift_field_weights(lat.y_nodes, lat.s_nodes, y, nu, lat.s_max, nw=nw)
     return float(np.sum(W * sheet.increments))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import TimeGrid, TestFunction, antisym_extend
 from .fracops import SpectralPlan
-from .gaussfield import cov_u_gram, cov_v_gram, gram_cholesky, sheet_rng
+from .gaussfield import cov_u_gram, cov_v_gram, gram_cholesky
 
 SQRT2 = math.sqrt(2.0)
 
@@ -25,7 +25,7 @@ SQRT2 = math.sqrt(2.0)
 # the shipped rule stays an order of magnitude inside that.
 STABILITY_FACTOR = 0.1
 
-BASIS_PER_UNIT_T = 5    # default stationary basis density
+BASIS_PER_UNIT_T = 5    # stationary basis bumps per unit of t
 BASIS_MARGIN = 0.6      # keep bump supports off both t boundaries
 BASIS_RADIUS = 0.30
 
@@ -209,12 +209,11 @@ def noise_draw(rng: np.random.Generator, grid: TimeGrid, dz: float,
 # ----------------------------------------------------------------------
 # stationary initialization
 
-def stationary_basis(grid: TimeGrid, per_unit: float = BASIS_PER_UNIT_T,
-                     radius: float = BASIS_RADIUS) -> list:
+def stationary_basis(grid: TimeGrid) -> list:
     """Evenly spread bump family used to carry the stationary Gaussian law."""
-    m = int(round(per_unit * grid.t_max))
+    m = int(round(BASIS_PER_UNIT_T * grid.t_max))
     centers = np.linspace(BASIS_MARGIN, grid.t_max - BASIS_MARGIN, m)
-    return [TestFunction(center=float(c), radius=radius, grid=grid)
+    return [TestFunction(center=float(c), radius=BASIS_RADIUS, grid=grid)
             for c in centers]
 
 
@@ -267,13 +266,15 @@ class EvolveConfig:
     dz: float
     Z: float
     observables: tuple
-    seed: int = 0
-    stream: int = 0
     noise: bool = True
 
     def __post_init__(self):
         if self.dz <= 0 or self.Z <= 0:
             raise ValueError("dz and Z must be positive")
+        if self.steps == 0:
+            raise ValueError(
+                f"Z={self.Z:g} is at most dz/2 = {self.dz / 2:g}, "
+                f"so the run would take no step")
         if self.observables:
             g = self.observables[0].grid
             if any(h.grid != g for h in self.observables):
@@ -333,9 +334,10 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
            rng: np.random.Generator | list | None = None) -> EvolveResult:
     """Run the explicit scheme from init to z + Z, recording observables.
 
-    init may be one state or a (B, n) block; a block needs rng to be a
-    sequence of B generators, replica r drawing its noise rows from rng[r]
-    in step order, so each row reproduces that replica's single run.
+    init may be one state with one generator rng, or a (B, n) block with
+    a sequence rng of B generators, replica r drawing its noise rows from
+    rng[r] in step order, so each row reproduces that replica's single run.
+    A noiseless run (cfg.noise False) needs no rng.
 
     The block is stepped in Fourier space: the padded spectrum U of u^a is
     carried across steps (u += v dz gives U += dz V exactly), so a step
@@ -353,11 +355,9 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     single = init.u.ndim == 1
     if single:
         init = FieldState(u=init.u[None], v=init.v[None], z=init.z, grid=grid)
-        rngs = [rng if rng is not None else sheet_rng(cfg.seed, cfg.stream)]
-    else:
-        rngs = list(rng) if rng is not None else []
-        if cfg.noise and len(rngs) != init.u.shape[0]:
-            raise ValueError("a block of states needs one generator per replica")
+    rngs = [] if rng is None else [rng] if single else list(rng)
+    if cfg.noise and len(rngs) != init.u.shape[0]:
+        raise ValueError("a noisy run needs one generator per replica in rng")
     Hobs = np.stack([h.values for h in cfg.observables]) \
         if cfg.observables else np.zeros((0, grid.n))
     dt = grid.dt

@@ -2,6 +2,7 @@
 determinism, and worker-count invariance."""
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,9 +96,24 @@ class TestConfigFile:
 
     def test_bad_value(self, tmp_path):
         p = tmp_path / "run.conf"
-        p.write_text("n=twelve\n")
-        with pytest.raises(ConfigError, match="bad value"):
-            build_config(self.args(["verify-ops", "--config", str(p)]))
+        for line in ("n=twelve", "nu=1,x"):
+            p.write_text(line + "\n")
+            with pytest.raises(ConfigError, match="bad value for config key"):
+                build_config(self.args(["verify-ops", "--config", str(p)]))
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_bare_subcommand_is_run_config_defaults(self, command):
+        # every default lives in RunConfig alone
+        assert build_config(self.args([command])) == RunConfig()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_lists_the_flags(self, command, capsys):
+        # tail_tol and nu are config-file keys only
+        with pytest.raises(SystemExit):
+            self.args([command, "--help"])
+        flags = set(re.findall(r"--\w+", capsys.readouterr().out))
+        assert flags == {"--help", "--config", "--seed", "--tmax", "--n",
+                         "--dz", "--Z", "--replicas", "--workers", "--out"}
 
 
 class TestExitCodes:
@@ -128,6 +144,30 @@ class TestExitCodes:
         rc = run(["evolve", "--dz", "1.0", "--out", str(tmp_path)])
         assert rc == 2
         assert "stability rule" in capsys.readouterr().err
+
+    def test_evolve_zero_steps(self, tmp_path, capsys):
+        # Z below dz/2 = 0.0125 would run no step and pass vacuously
+        rc = run(["evolve", "--Z", "0.001", "--replicas", "4", "--n", "256",
+                  "--out", str(tmp_path)])
+        assert rc == 2
+        assert "so the run would take no step" in capsys.readouterr().err
+        assert not (tmp_path / "evolve_report.json").exists()
+
+    @pytest.mark.parametrize("tmax", ["1", "1e300"])
+    def test_ops_tmax_without_comparison_nodes(self, tmp_path, capsys,
+                                               monkeypatch, tmax):
+        # at tmax 1 no node lies in the interior (0.5, tmax - 0.5); at
+        # 1e300 none lies in the eigenfunction window t <= 4.  Either is
+        # rejected before any operator runs
+        def unreachable(*a, **k):
+            raise AssertionError("operator applied before the tmax check")
+
+        monkeypatch.setattr(cli, "op_A2", unreachable)
+        rc = run(["verify-ops", "--tmax", tmax, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"tmax must lie in (1.00024, 32768] at n=4096 for verify-ops, " \
+            f"got {float(tmax):g}" in err
 
     @pytest.mark.parametrize("argv,conf,msg", [
         (["verify-ops", "--tmax", "nan"], "", "tmax must be finite"),
@@ -309,8 +349,7 @@ class TestDriftProbeWeights:
         yvals = np.array([0.0, 0.5, 1.5, -0.5])
 
         def build(yn, sn, y):
-            return gaussfield.drift_field_weights(yn, sn, y, 1.0, 4.0,
-                                                  nw=8, nv=8)
+            return gaussfield.drift_field_weights(yn, sn, y, 1.0, 4.0, nw=8)
         got = cli._probe_weights(lat, yvals, build)
         for y, w in zip(yvals, got):
             np.testing.assert_array_equal(
@@ -352,6 +391,11 @@ class TestReports:
         a = strip_timestamp(ops_runs[0][1].read_text())
         b = strip_timestamp(ops_runs[1][1].read_text())
         assert a == b
+
+    def test_report_config_echoes_run_config(self, ops_runs):
+        doc = json.loads(ops_runs[0][1].read_text())
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(doc["config"]) == fields - {"out_dir"}
 
     def test_write_report_roundtrip(self, tmp_path):
         from heatsheet.stats import residual_report

@@ -249,6 +249,13 @@ class TestEvolveConfig:
     def test_steps(self):
         assert EvolveConfig(dz=0.0125, Z=1.0, observables=()).steps == 80
 
+    def test_zero_steps_rejected(self):
+        # Z at most dz/2 rounds to no step, which would make every
+        # verdict on the run vacuous
+        with pytest.raises(ValueError, match="no step"):
+            EvolveConfig(dz=0.0125, Z=0.00625, observables=())
+        assert EvolveConfig(dz=0.0125, Z=0.007, observables=()).steps == 1
+
 
 class TestEvolve:
     def test_zero_flow(self, grid, plan):
@@ -262,18 +269,18 @@ class TestEvolve:
 
     def test_deterministic_in_seed(self, grid, plan):
         h = bump(4.0, 1.0, grid=grid)
-        cfg = EvolveConfig(dz=0.0125, Z=0.25, observables=(h,), seed=7)
-        r1 = evolve(zero_state(grid), cfg, plan)
-        r2 = evolve(zero_state(grid), cfg, plan)
+        cfg = EvolveConfig(dz=0.0125, Z=0.25, observables=(h,))
+        r1 = evolve(zero_state(grid), cfg, plan, rng=sheet_rng(7, 0))
+        r2 = evolve(zero_state(grid), cfg, plan, rng=sheet_rng(7, 0))
         np.testing.assert_array_equal(r1.u_obs, r2.u_obs)
         np.testing.assert_array_equal(r1.final_state.v, r2.final_state.v)
 
     def test_telescoping_bookkeeping(self, grid, plan):
         h = bump(4.0, 1.0, grid=grid)
-        cfg = EvolveConfig(dz=0.0125, Z=0.5, observables=(h,), seed=3)
+        cfg = EvolveConfig(dz=0.0125, Z=0.5, observables=(h,))
         init = StationarySampler(stationary_basis(grid), grid).draw(
             sheet_rng(11, 0))
-        res = evolve(init, cfg, plan)
+        res = evolve(init, cfg, plan, rng=sheet_rng(3, 0))
         assert res.bookkeeping_error <= 1e-10
 
     def test_energy_decays_without_noise(self, grid, plan):
@@ -314,8 +321,8 @@ class TestEvolve:
 
     def test_csv_export(self, grid, plan):
         h = bump(4.0, 1.0, grid=grid)
-        cfg = EvolveConfig(dz=0.0125, Z=0.125, observables=(h,), seed=1)
-        res = evolve(zero_state(grid), cfg, plan)
+        cfg = EvolveConfig(dz=0.0125, Z=0.125, observables=(h,))
+        res = evolve(zero_state(grid), cfg, plan, rng=sheet_rng(1, 0))
         text = res.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "z,u_h0,v_h0"
@@ -439,6 +446,12 @@ class TestBatchedEvolve:
         cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=())
         with pytest.raises(ValueError, match="one generator per replica"):
             evolve(init, cfg, plan, rng=rngs[:2])
+
+    def test_noise_needs_a_generator(self, grid, plan):
+        # noise is drawn only from rng; a noisy run without one raises
+        cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=())
+        with pytest.raises(ValueError, match="one generator per replica"):
+            evolve(zero_state(grid), cfg, plan)
 
 
 if __name__ == "__main__":
