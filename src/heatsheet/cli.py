@@ -76,6 +76,9 @@ SPDE_STREAM_STRIDE = 1 << 20   # stream offset between test-function runs
 
 DRIFT_Y_COUNT = 20
 DRIFT_Y_STEP = 1.0 / 8         # lattice-aligned probe locations
+# the drift variance target integrates over all s >= 0; a sheet that ends at
+# s_max misses a share e^(-2 nu s_max) of it, which must stay below this
+DRIFT_TRUNCATION = 1e-3
 
 CHUNK_REPLICAS = 128
 CHUNK_CELL_BUDGET = 16_000_000  # float32 cells per chunk buffer (64 MB)
@@ -291,14 +294,30 @@ def _mc_chunks(R: int, ncells: int) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _support(W: np.ndarray, lat: SheetLattice) -> tuple:
+    """Weights W of shape (rows, ny, ns) on lat, cropped to the rows and
+    columns of lat that hold a nonzero weight: (the cropped W as (rows,
+    cells), the sub-lattice).  The cells left out carry zero weight in every
+    row, so drawing only the sub-lattice leaves the law of W @ sheet exact.
+    A SheetLattice starts at s = 0, so leading columns are kept."""
+    live = np.any(W != 0.0, axis=0)
+    rows = np.flatnonzero(live.any(axis=1))
+    cols = np.flatnonzero(live.any(axis=0))
+    j0, j1, k1 = int(rows[0]), int(rows[-1]) + 1, int(cols[-1]) + 1
+    sub = SheetLattice(lat.y_min + j0 * lat.dy, lat.dy, lat.ds, j1 - j0, k1)
+    return W[:, j0:j1, :k1].reshape(W.shape[0], -1), sub
+
+
 def _mc_pairings(W: np.ndarray, ncells: int, scale: float, R: int,
                  seed: int, stream_base: int, workers: int) -> np.ndarray:
     """Monte Carlo pairings X[r] = W @ sheet_r for per-replica streams.
 
     Drawn in float32 (halves bandwidth; the estimator noise floor is far
     above single precision) straight into the rows of one chunk buffer of
-    at most max(one sheet, CHUNK_CELL_BUDGET) cells per worker.  Replica r
-    reproduces sheet_sample(..., seed=seed, stream=stream_base + r,
+    at most max(one sheet, CHUNK_CELL_BUDGET) cells per worker.  The suites
+    pass W cropped by _support, with its sub-lattice's cells and scale, so
+    only cells of nonzero weight are drawn.  Replica r reproduces
+    sheet_sample(sub-lattice, seed=seed, stream=stream_base + r,
     dtype=float32) cell for cell.
     """
     check_sheet_cells(ncells)
@@ -337,9 +356,9 @@ def suite_cov(cfg: RunConfig) -> list:
     reports = []
 
     # point variance of the field at (0, 1)
-    Wp = point_weights(point.y_nodes, point.s_nodes, 0.0, 1.0).reshape(1, -1)
-    X = _mc_pairings(Wp, point.cells, point.scale, R_point,
-                     seed, 0, cfg.workers)
+    Wp, sub = _support(point_weights(point.y_nodes, point.s_nodes, 0.0,
+                                     1.0)[None], point)
+    X = _mc_pairings(Wp, sub.cells, sub.scale, R_point, seed, 0, cfg.workers)
     var, se = var_se(X[:, 0])
     tgt = cov_u(1.0, 1.0)
     reports.append(z_test(
@@ -350,10 +369,10 @@ def suite_cov(cfg: RunConfig) -> list:
     # Gram comparison of field and derivative pairings at x = 0
     hs = cov_observables(grid)
     yn, sn = gram.y_nodes, gram.s_nodes
-    rows = [pair_u_weights(yn, sn, 0.0, h, t_max) for h in hs]
-    rows += [pair_v_weights(yn, sn, 0.0, h, t_max) for h in hs]
-    W = np.stack([w.ravel() for w in rows])
-    X = _mc_pairings(W, gram.cells, gram.scale, R_gram,
+    W, sub = _support(np.concatenate([
+        pair_u_weights(yn, sn, 0.0, hs, t_max),
+        pair_v_weights(yn, sn, 0.0, hs, t_max)]), gram)
+    X = _mc_pairings(W, sub.cells, sub.scale, R_gram,
                      seed, GRAM_STREAM_BASE, cfg.workers)
     m = len(hs)
     S = np.cov(X.T, ddof=1)
@@ -397,6 +416,15 @@ def suite_drift(cfg: RunConfig) -> list:
     t_max = cfg.t_max or OPS_T_MAX
     nu = cfg.nus[0]
     R = cfg.replicas or DRIFT_REPLICAS
+    s_max = round(t_max / COV_GRAM_DS) * COV_GRAM_DS
+    deficit = math.exp(-2.0 * nu * s_max)
+    if deficit > DRIFT_TRUNCATION:
+        raise ConfigError(
+            f"tmax={t_max:g} is too short for verify-drift at nu={nu:g}: the "
+            f"sheet ends at s={s_max:g}, where the variance target still lacks "
+            f"a share e^(-2 nu s)={deficit:.3g}; the bound "
+            f"{DRIFT_TRUNCATION:g} needs s >= ln(1/{DRIFT_TRUNCATION:g}) / "
+            f"(2 nu) = {math.log(1.0 / DRIFT_TRUNCATION) / (2.0 * nu):.4g}")
     # heat-kernel support and the exponential's reach around every probe
     reach = max(coverage_halfwidth(t_max, cfg.tail_tol),
                 math.log(1.0 / cfg.tail_tol) / math.sqrt(nu))
@@ -435,8 +463,8 @@ def suite_drift(cfg: RunConfig) -> list:
 
     # law: variance of the explicit form matches the closed double integral,
     # on the weights of the first probe, y = 0
-    X = _mc_pairings(wi[0].reshape(1, -1), lat.cells, lat.scale, R, seed, 1,
-                     cfg.workers)
+    W, sub = _support(wi[0][None], lat)
+    X = _mc_pairings(W, sub.cells, sub.scale, R, seed, 1, cfg.workers)
     var, se = var_se(X[:, 0])
     reports.append(z_test(
         var, se, drift_variance_exact(nu), name="drift functional variance",
@@ -489,7 +517,8 @@ def suite_spde(cfg: RunConfig) -> list:
     for fi, f in enumerate(fs):
         plan = WeakformPlan(f)
         lat = plan.lattice
-        X = _mc_pairings(plan.omega.reshape(1, -1), lat.cells, lat.scale, R,
+        W, sub = _support(plan.omega[None], lat)
+        X = _mc_pairings(W, sub.cells, sub.scale, R,
                          seed, fi * SPDE_STREAM_STRIDE, cfg.workers)
         eta = X[:, 0]
         tgt = f.l2sq()
@@ -645,6 +674,7 @@ OPTIONS = {
     "nu": ("nus", lambda text: tuple(float(s) for s in text.split(",") if s)),
 }
 FILE_ONLY = ("tail_tol", "nu")
+EVOLVE_ONLY = ("dz", "Z")  # as flags; a config file may serve every command
 
 
 def build_config(args) -> RunConfig:
@@ -661,6 +691,9 @@ def build_config(args) -> RunConfig:
     # flags win over the file
     for key, (field, _) in OPTIONS.items():
         if getattr(args, key, None) is not None:
+            if key in EVOLVE_ONLY and args.command != "evolve":
+                raise ConfigError(f"--{key} applies only to evolve, not to "
+                                  f"{args.command}")
             given[field] = getattr(args, key)
     cfg = RunConfig(**given)
     cfg.validate()

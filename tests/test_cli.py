@@ -239,6 +239,33 @@ class TestExitCodes:
                 else:
                     assert hi - lo == 1
 
+    def test_drift_tmax_short_of_the_variance_target(self, tmp_path, capsys):
+        # the sheet would end at s = 1/64, missing 97 % of the variance
+        # target: a domain error, not a statistical FAIL
+        rc = run(["verify-drift", "--tmax", "0.01", "--replicas", "200",
+                  "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tmax=0.01 is too short for verify-drift")
+        assert "s >= ln(1/0.001) / (2 nu) = 3.454" in err
+
+    @pytest.mark.parametrize("command", ["verify-ops", "verify-cov",
+                                         "verify-drift", "verify-spde"])
+    @pytest.mark.parametrize("flag", ["--dz", "--Z"])
+    def test_evolve_flags_rejected_elsewhere(self, tmp_path, capsys,
+                                             command, flag):
+        rc = run([command, flag, "5", "--n", "512", "--out", str(tmp_path)])
+        assert rc == 2
+        assert (capsys.readouterr().err
+                == f"error: {flag} applies only to evolve, not to {command}\n")
+
+    def test_evolve_keys_allowed_in_a_shared_config_file(self, tmp_path):
+        p = tmp_path / "run.conf"
+        p.write_text("dz=0.01\nZ=0.5\n")
+        args = make_parser().parse_args(["verify-ops", "--config", str(p)])
+        cfg = build_config(args)
+        assert (cfg.dz, cfg.Z) == (0.01, 0.5)
+
     def test_degraded_resolution_fails_honestly(self, tmp_path, capsys):
         # at n = 512 the identity-suite refinement targets are unattainable
         rc = run(["verify-ops", "--n", "512", "--out", str(tmp_path)])
@@ -324,6 +351,47 @@ class TestMcEngine:
         assert X.shape == (R, 1)
         sheet = 4 * ncells
         assert peak < (1 + R) * sheet + sheet // 2
+
+    def test_cropped_replicas_are_sub_lattice_sheets(self):
+        # W is zero outside rows 10..49 and columns 0..9 (s >= t = 0.15):
+        # the engine draws only that box, replica r is the float32 sheet of
+        # stream stream_base + r on the sub-lattice, and the contraction is
+        # the full W against that sheet embedded in zeros
+        lat = gaussfield.SheetLattice(-4.0, 0.125, 1.0 / 64, 64, 16)
+        W = np.stack([gaussfield.point_weights(lat.y_nodes, lat.s_nodes,
+                                               x, 0.15) for x in (0.0, 0.5)])
+        W[:, :10] = 0.0
+        W[:, 50:] = 0.0
+        Wc, sub = cli._support(W, lat)
+        assert sub == gaussfield.SheetLattice(-4.0 + 10 * 0.125, 0.125,
+                                              1.0 / 64, 40, 10)
+        assert Wc.shape == (2, sub.cells)
+        assert all(type(n) is int for n in (sub.ny, sub.ns, sub.cells))
+        R, base = 5, 17
+        X = _mc_pairings(Wc, sub.cells, sub.scale, R, seed=123,
+                         stream_base=base, workers=2)
+        for r in range(R):
+            s32 = gaussfield.sheet_sample(sub, seed=123, stream=base + r,
+                                          dtype=np.float32)
+            np.testing.assert_allclose(
+                X[r], Wc.astype(np.float32) @ s32.increments.ravel(),
+                rtol=1e-6)
+            full = np.zeros((lat.ny, lat.ns))
+            full[10:50, :10] = s32.increments
+            np.testing.assert_allclose(
+                X[r], np.einsum("ijk,jk->i", W, full), rtol=1e-5)
+
+    def test_cov_builds_each_pairing_table_once(self, monkeypatch):
+        # one call per pairing builder, with all eight observables
+        seen = {"pair_u_weights": [], "pair_v_weights": []}
+        for name in seen:
+            def record(yn, sn, x, hs, *a, _name=name,
+                       _orig=getattr(cli, name), **k):
+                seen[_name].append(len(hs))
+                return _orig(yn, sn, x, hs, *a, **k)
+            monkeypatch.setattr(cli, name, record)
+        suite_cov(RunConfig(replicas=16))
+        assert seen == {"pair_u_weights": [8], "pair_v_weights": [8]}
 
 
 class TestDriftProbeWeights:

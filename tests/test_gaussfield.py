@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 from scipy.stats import ks_2samp
 
 import heatsheet as hs
@@ -165,6 +166,10 @@ class TestSheetSample:
         with pytest.raises(ResourceError):
             SheetLattice(0.0, 1e-4, 1e-4, 10_000, 7_000)
 
+    def test_generator_is_sfc64(self):
+        # every draw site shares this one (seed, stream) generator
+        assert isinstance(sheet_rng(5, 3).bit_generator, np.random.SFC64)
+
     def test_float32_variant_is_deterministic(self):
         lat = SheetLattice(0.0, 0.25, 0.25, 4, 2)
         a = sheet_sample(lat, seed=7, dtype=np.float32)
@@ -244,6 +249,47 @@ def geometry():
     return g, (h1, h2), SheetLattice(-m / 8, 1.0 / 8, 1.0 / 64, 2 * m, 512)
 
 
+def pair_u_weights_one(y_nodes, s_nodes, x, h, t_hi, nw=32):
+    # one test function per build, the kernel table rebuilt for it: the
+    # reference for the batched pair_u_weights
+    xg, wg = roots_legendre(nw)
+    d2 = (x - y_nodes) ** 2
+    out = np.zeros((y_nodes.size, s_nodes.size))
+    for k, s in enumerate(s_nodes):
+        if s >= t_hi:
+            continue
+        wmax = math.sqrt(t_hi - s)
+        w = 0.5 * wmax * (xg + 1.0)
+        ww = 0.5 * wmax * wg
+        hv = np.asarray(h(s + w * w), dtype=float)
+        E = np.exp(-d2[:, None] / (4.0 * w[None, :] ** 2))
+        out[:, k] = (2.0 / SQRT4PI) * (E @ (hv * ww))
+    return out
+
+
+def pair_v_weights_one(y_nodes, s_nodes, x, h, t_hi, nv=32, vcut=6.5):
+    # the reference for the batched pair_v_weights, one function per build
+    xg, wg = roots_legendre(nv)
+    d = x - y_nodes
+    ad = np.abs(d)
+    out = np.zeros((y_nodes.size, s_nodes.size))
+    for k, s in enumerate(s_nodes):
+        if s >= t_hi:
+            continue
+        vmin = ad / (2.0 * math.sqrt(t_hi - s))
+        vhi = np.maximum(vcut, vmin)
+        v = vmin[:, None] + (vhi - vmin)[:, None] * 0.5 * (xg[None, :] + 1.0)
+        jac = (vhi - vmin)[:, None] * 0.5 * wg[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tt = s + ad[:, None] ** 2 / (4.0 * v * v)
+        tt[ad == 0.0, :] = s
+        hv = np.asarray(h(np.minimum(tt, t_hi)), dtype=float)
+        hv[tt > t_hi] = 0.0
+        out[:, k] = -np.sign(d) * (2.0 / SQRT4PI) * np.sum(
+            np.exp(-v * v) * hv * jac, axis=1)
+    return out
+
+
 # [-16, 16] x [0, 3]: coverage_halfwidth(3.0) = 14.9 on both sides of x = 0
 PAIR_LATTICE = SheetLattice(-16.0, 0.25, 1.0 / 32, 128, 96)
 
@@ -261,8 +307,8 @@ class TestPairings:
         yn, sn = lat.y_nodes, lat.s_nodes
         G1 = cov_u_gram([h1, h2])
         G2 = cov_v_gram([h1, h2])
-        wu = [pair_u_weights(yn, sn, 0.0, h, g.t_max) for h in (h1, h2)]
-        wv = [pair_v_weights(yn, sn, 0.0, h, g.t_max) for h in (h1, h2)]
+        wu = pair_u_weights(yn, sn, 0.0, [h1, h2], g.t_max)
+        wv = pair_v_weights(yn, sn, 0.0, [h1, h2], g.t_max)
         fake = sheet_sample(lat, seed=0)
         for i in range(2):
             for j in range(i, 2):
@@ -275,10 +321,27 @@ class TestPairings:
         # x -> u, x -> v are independent at equal x: the weight product is
         # odd in y and cancels exactly on the symmetric lattice
         g, (h1, h2), lat = geometry
-        wu = pair_u_weights(lat.y_nodes, lat.s_nodes, 0.0, h1, g.t_max)
-        wv = pair_v_weights(lat.y_nodes, lat.s_nodes, 0.0, h2, g.t_max)
+        wu = pair_u_weights(lat.y_nodes, lat.s_nodes, 0.0, [h1], g.t_max)[0]
+        wv = pair_v_weights(lat.y_nodes, lat.s_nodes, 0.0, [h2], g.t_max)[0]
         scale = math.sqrt(float(np.sum(wu ** 2)) * float(np.sum(wv ** 2)))
         assert abs(float(np.sum(wu * wv))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("build,oracle", [
+        (pair_u_weights, pair_u_weights_one),
+        (pair_v_weights, pair_v_weights_one)])
+    def test_batched_equals_per_function_builds(self, geometry, build,
+                                                oracle):
+        # one pass over the s-rows serves every test function: each slice
+        # of the stack equals that function built alone
+        g, (h1, h2), lat = geometry
+        yn, sn = lat.y_nodes, lat.s_nodes
+        fns = [h1, h2, bump(5.0, 1.5, grid=g), lambda t: np.exp(-t)]
+        stack = build(yn, sn, 0.0, fns, g.t_max)
+        assert stack.shape == (len(fns), lat.ny, lat.ns)
+        for w, h in zip(stack, fns):
+            alone = oracle(yn, sn, 0.0, h, g.t_max)
+            np.testing.assert_allclose(w, alone, rtol=1e-14,
+                                       atol=1e-14 * np.max(np.abs(alone)))
 
     def test_linearity_in_test_function(self):
         g = TimeGrid(3.0, 128)
@@ -307,7 +370,7 @@ class TestPairings:
         for xi, x in enumerate((0.0, 1.0, 2.0)):
             lat = SheetLattice(x - need, 1.0 / 8, 1.0 / 32,
                                round(2 * need * 8), 96)
-            w = pair_u_weights(lat.y_nodes, lat.s_nodes, x, h, g.t_max)
+            w = pair_u_weights(lat.y_nodes, lat.s_nodes, x, [h], g.t_max)[0]
             vals = np.empty(R)
             for r in range(R):
                 rng = sheet_rng(77, xi * R + r)
