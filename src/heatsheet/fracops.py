@@ -4,9 +4,9 @@ Two operator families live here.  The convolution family (op_A2,
 halfroot_conv, op_A1) integrates singular kernels exactly over each grid
 cell using the kernel antiderivative, never by sampling 1/sqrt at nodes:
 the kernels are integrable but unbounded, and node sampling diverges.  The
-spectral family (frac_laplacian) multiplies by |tau|^beta on a zero-padded
-transform of the antisymmetric extension, which serves as an independent
-oracle for the convolution family.
+spectral family (frac_laplacian) multiplies by |tau|^beta on the sine
+transform of the zero-padded antisymmetric extension, which serves as an
+independent oracle for the convolution family.
 
 Upper limits at infinity are truncated at t_max with analytic tail models;
 callers must state how their function decays beyond the grid.
@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dst, idst
 from scipy.signal import fftconvolve
 from scipy.special import erfc
 
@@ -45,10 +46,15 @@ class ConfigurationError(ValueError):
 
 @dataclass
 class SpectralPlan:
-    """Zero-padded transform workspace for a SymGrid.
+    """Sine-transform workspace for the odd extensions of TimeGrid values.
 
-    pad >= 2 guarantees linear (not circular) convolution semantics for
-    inputs that decay at the grid ends.  Multipliers are cached per beta.
+    An even multiplier applied to an odd sequence is diagonal in the sine
+    basis, so forward takes the half-line values f (..., n) of f^a and
+    returns the DST-II of f zero-padded to padded_len // 2.  Its bin k has
+    the magnitude of bin k + 1 of the complex transform of f^a on the
+    SymGrid zero-padded to padded_len, whose bin 0 vanishes.  pad >= 2
+    guarantees linear (not circular) convolution semantics for inputs that
+    decay at t_max.  Multipliers are cached per beta.
     """
 
     sym: SymGrid
@@ -65,59 +71,50 @@ class SpectralPlan:
 
     @property
     def tau(self) -> np.ndarray:
+        """Angular frequency of each sine bin: 2 pi k / (padded_len dt),
+        k = 1..padded_len/2."""
         if "tau" not in self._cache:
-            self._cache["tau"] = 2.0 * np.pi * np.fft.rfftfreq(
-                self.padded_len, d=self.sym.dt)
+            N = self.padded_len
+            self._cache["tau"] = 2.0 * np.pi * (
+                np.arange(1, N // 2 + 1) * (1.0 / (N * self.sym.dt)))
         return self._cache["tau"]
 
     def multiplier(self, beta: float) -> np.ndarray:
         key = ("mult", float(beta))
         if key not in self._cache:
-            tau = self.tau
-            m = np.zeros_like(tau)
-            nz = tau != 0.0
-            m[nz] = np.abs(tau[nz]) ** beta
-            if beta == 0.0:
-                m[~nz] = 1.0
-            self._cache[key] = m
+            self._cache[key] = self.tau ** beta
         return self._cache[key]
 
-    def forward(self, fa: np.ndarray) -> np.ndarray:
-        """Zero-padded real transform of SymGrid values (..., 2n)."""
-        if fa.shape[-1] != self.sym.n:
-            raise ValueError("input not on the plan's SymGrid")
-        return np.fft.rfft(fa, n=self.padded_len, axis=-1)
+    def forward(self, f: np.ndarray) -> np.ndarray:
+        """Sine spectrum (..., padded_len/2) of half-line values (..., n)."""
+        if f.shape[-1] != self.sym.base.n:
+            raise ValueError("input not on the plan's TimeGrid")
+        return dst(f, type=2, n=self.padded_len // 2, axis=-1)
 
     def inverse(self, spec: np.ndarray) -> np.ndarray:
-        """Inverse of forward, restricted to the SymGrid: (..., 2n)."""
-        return np.fft.irfft(spec, n=self.padded_len, axis=-1)[..., :self.sym.n]
+        """Inverse of forward, restricted to the half line: (..., n)."""
+        return idst(spec, type=2, axis=-1)[..., :self.sym.base.n]
 
 
 def frac_laplacian(fa: np.ndarray, beta: float, plan: SpectralPlan,
                    check_decay: bool = True) -> np.ndarray:
-    """Fractional Laplacian with Fourier multiplier |tau|^beta on a SymGrid.
+    """Fractional Laplacian with Fourier multiplier |tau|^beta, applied to
+    the odd extension f^a and returned on the half line.
 
-    Accepts batched input of shape (..., 2n).  The tau = 0 bin is set to 0
-    for beta > 0 (and to 1 for beta = 0); for beta < -1 the multiplier is
-    genuinely singular and non-mean-free input is rejected.  check_decay=False
-    silences the grid-end warning for callers that own the truncation error
-    (e.g. evolving states that genuinely do not vanish at t_max).
+    fa holds f^a by its half-line values, shape (..., n) for batched input;
+    the output has the same shape.  f^a has zero mean, so the multiplier
+    never meets tau = 0.  check_decay=False silences the warning for input
+    that does not vanish at t_max, for callers that own the truncation
+    error (e.g. evolving states); t = 0 is interior to f^a.
     """
     fa = np.asarray(fa, dtype=float)
-    if check_decay or beta < -1.0:
-        norms = np.max(np.abs(fa), axis=-1, keepdims=True)
     if check_decay:
-        edge = np.maximum(np.abs(fa[..., :1]), np.abs(fa[..., -1:]))
-        if np.any(edge > BOUNDARY_WARN_FACTOR * np.maximum(norms, 1e-300)):
-            warnings.warn("frac_laplacian input does not decay at grid ends; "
+        norms = np.max(np.abs(fa), axis=-1)
+        if np.any(np.abs(fa[..., -1])
+                  > BOUNDARY_WARN_FACTOR * np.maximum(norms, 1e-300)):
+            warnings.warn("frac_laplacian input does not decay at t_max; "
                           "wrap-around error is no longer negligible",
                           RuntimeWarning, stacklevel=2)
-    if beta < -1.0:
-        means = np.abs(fa.sum(axis=-1))
-        if np.any(means > 1e-10 * np.maximum(norms[..., 0], 1e-300)
-                  * plan.sym.n):
-            raise ValueError(
-                "beta < -1 needs mean-free input: multiplier singular at tau=0")
     return plan.inverse(plan.forward(fa) * plan.multiplier(beta))
 
 
@@ -267,6 +264,6 @@ def a1_a2_residual(h: TestFunction, plan: SpectralPlan | None = None) -> float:
         plan = SpectralPlan(SymGrid(g))
     a2 = op_A2(h)
     a1a2 = op_A1(a2, g, tail=("power", A2_TAIL_POWER))
-    lhs_minus = frac_laplacian(antisym_extend(h.values), 1.0, plan)[g.n:]
+    lhs_minus = frac_laplacian(h.values, 1.0, plan)
     return float(np.max(np.abs(a1a2 + h.deriv_values - lhs_minus)))
 

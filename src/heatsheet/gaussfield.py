@@ -286,6 +286,15 @@ def point_weights(y_nodes: np.ndarray, s_nodes: np.ndarray,
     return out
 
 
+def _row_values(h, t: np.ndarray, s: float) -> np.ndarray:
+    """h on the quadrature nodes t of the s-row, which all lie at or after
+    s: a TestFunction whose support ends by s is 0 there and is not
+    evaluated."""
+    if isinstance(h, TestFunction) and h.support[1] <= s:
+        return np.zeros(t.shape)
+    return np.asarray(h(t), dtype=float)
+
+
 def pair_u_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
                    hs, t_hi: float, nw: int = PAIR_U_NODES) -> np.ndarray:
     """Per-cell weights int_s^{t_hi} g(y,s;x,t) h(t) dt of every h in hs,
@@ -305,7 +314,7 @@ def pair_u_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
         wmax = math.sqrt(t_hi - s)
         w = 0.5 * wmax * (xg + 1.0)
         ww = (2.0 / SQRT4PI) * 0.5 * wmax * wg
-        H = np.array([h(s + w * w) for h in hs], dtype=float)
+        H = np.array([_row_values(h, s + w * w, s) for h in hs])
         E = np.exp(-d2[:, None] / (4.0 * w[None, :] ** 2))
         out[:, :, k] = (H * ww) @ E.T
     return out
@@ -321,7 +330,8 @@ def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
     v_min = |d|/(2 sqrt(t_hi - s)) upward; e^(-v^2) kills everything
     beyond PAIR_V_CUT.  Rows with d = 0 vanish by antisymmetry.  The nodes,
     Jacobian and e^(-v^2) of an s-row are built once; only h(t) is
-    evaluated per h.
+    evaluated per h, and a TestFunction only on the s-rows that start
+    before its support ends.
     """
     xg, wg = roots_legendre(nv)
     d = x - y_nodes
@@ -341,7 +351,7 @@ def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
         past = tt > t_hi
         np.minimum(tt, t_hi, out=tt)
         for i, h in enumerate(hs):
-            hv = np.asarray(h(tt), dtype=float)
+            hv = _row_values(h, tt, s)
             hv[past] = 0.0
             out[i, :, k] = pre * np.einsum("ij,ij->i", ej, hv)
     return out
@@ -641,13 +651,11 @@ def _bracket(f: TensorTestFunction, x: np.ndarray) -> np.ndarray:
     """A = dxx f + halflap_t f^a - sqrt(2) dx quarterlap_t f^a on the x
     nodes times the time grid of f; shape (x.size, n)."""
     g = f.tgrid
-    nt = g.n
     plan = SpectralPlan(SymGrid(g))
-    A = np.zeros((x.size, nt))
+    A = np.zeros((x.size, g.n))
     for fx, ft in f.terms:
-        fta = antisym_extend(ft.values)
-        L1 = frac_laplacian(fta, 1.0, plan)[nt:]
-        L12 = frac_laplacian(fta, 0.5, plan)[nt:]
+        L1 = frac_laplacian(ft.values, 1.0, plan)
+        L12 = frac_laplacian(ft.values, 0.5, plan)
         A += fx.deriv2(x)[:, None] * ft.values[None, :]
         A += fx(x)[:, None] * L1[None, :]
         A -= math.sqrt(2.0) * fx.deriv(x)[:, None] * L12[None, :]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TimeGrid, TestFunction, antisym_extend
+from .grid import TimeGrid, TestFunction
 from .fracops import SpectralPlan
 from .gaussfield import cov_u_gram, cov_v_gram, gram_cholesky
 
@@ -127,33 +127,28 @@ def zero_state(grid: TimeGrid) -> FieldState:
     return FieldState(u=np.zeros(grid.n), v=np.zeros(grid.n), z=0.0, grid=grid)
 
 
-def _spectrum(x: np.ndarray, plan: SpectralPlan) -> np.ndarray:
-    """Padded spectrum of the odd extension of grid values (..., n)."""
-    return plan.forward(antisym_extend(x))
-
-
 def _drift_terms(U: np.ndarray, V: np.ndarray, plan: SpectralPlan) -> np.ndarray:
     """dv/dz = -(halflap u^a + sqrt(2) quarterlap v^a) on t > 0, from the
-    padded spectra U, V of u^a, v^a: both terms in one inverse transform."""
+    sine spectra U, V of u, v: both terms in one inverse transform."""
     # evolving states carry sqrt(t)-growth at t_max by design; the domain
     # margin handles the truncation, so no decay check happens here
-    n = plan.sym.base.n
     mixed = U * plan.multiplier(1.0)
     mixed += V * (SQRT2 * plan.multiplier(0.5))
-    return -plan.inverse(mixed)[..., n:]
+    return -plan.inverse(mixed)
 
 
 def _halflap_energy(U: np.ndarray, plan: SpectralPlan) -> np.ndarray:
-    """<u; halflap u^a> dt from the padded spectrum U of u^a (Parseval).
+    """<u; halflap u^a> dt from the sine spectrum U of u (Parseval).
 
-    The padded signal is zero off the SymGrid and u^a halflap u^a is even,
-    so the half-line pairing is half the full circular one."""
+    Sine bin k has the magnitude of bin k + 1 of the complex transform of
+    the padded u^a, whose bin 0 vanishes.  The padded signal is zero off
+    the SymGrid and u^a halflap u^a is even, so the half-line pairing is
+    half the full circular one, in which every bin but the last (Nyquist)
+    bin counts twice."""
     N = plan.padded_len
-    w = np.full(U.shape[-1], 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0   # N even: the last bin is the Nyquist bin
-    power = U.real ** 2 + U.imag ** 2
-    return power @ (w * plan.multiplier(1.0)) * (plan.sym.dt / (2.0 * N))
+    w = 2.0 * plan.multiplier(1.0)
+    w[-1] *= 0.5
+    return (U * U) @ w * (plan.sym.dt / (2.0 * N))
 
 
 def _check_plan(grid: TimeGrid, plan: SpectralPlan):
@@ -164,7 +159,7 @@ def _check_plan(grid: TimeGrid, plan: SpectralPlan):
 def drift(state: FieldState, plan: SpectralPlan):
     """Deterministic rates (du/dz, dv/dz) at the current state."""
     _check_plan(state.grid, plan)
-    dv = _drift_terms(_spectrum(state.u, plan), _spectrum(state.v, plan), plan)
+    dv = _drift_terms(plan.forward(state.u), plan.forward(state.v), plan)
     return state.v.copy(), dv
 
 
@@ -339,11 +334,11 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     rng[r] in step order, so each row reproduces that replica's single run.
     A noiseless run (cfg.noise False) needs no rng.
 
-    The block is stepped in Fourier space: the padded spectrum U of u^a is
+    The block is stepped in the sine basis: the sine spectrum U of u is
     carried across steps (u += v dz gives U += dz V exactly), so a step
-    costs one forward transform (V) and one inverse (the fused drift), and
-    the energy track reads <u; halflap u^a> off U by Parseval.  The
-    u-update is literally u += v dz, so the recorded pairings satisfy
+    costs one real forward transform (V) and one real inverse (the fused
+    drift), and the energy track reads <u; halflap u^a> off U by Parseval.
+    The u-update is literally u += v dz, so the recorded pairings satisfy
     <u_Z; h> - <u_0; h> = sum over steps of <v_z; h> dz to roundoff; the
     realized maximum deviation is stored on the result.
     """
@@ -372,7 +367,7 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     noise = np.zeros((B, grid.n))
 
     state = init
-    U = _spectrum(state.u, plan)
+    U = plan.forward(state.u)
     vsum = np.zeros((B, m))
     for k in range(steps + 1):
         u_obs[:, k] = state.u @ Hobs.T * dt
@@ -381,7 +376,7 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
                         + _halflap_energy(U, plan))
         if k == steps:
             break
-        V = _spectrum(state.v, plan)
+        V = plan.forward(state.v)
         dv = _drift_terms(U, V, plan)
         vsum += v_obs[:, k] * dz
         if cfg.noise:

@@ -45,44 +45,82 @@ def plan(grid):
     return SpectralPlan(SymGrid(grid))
 
 
+def frac_laplacian_rfft(f, beta, grid, pad):
+    """The reference route: |tau|^beta on the complex zero-padded transform
+    of the full odd extension [-f reversed, f, 0...] of length 2 pad n,
+    with the tau = 0 bin set to 0 (1 for beta = 0); positive half out."""
+    n = grid.n
+    N = 2 * pad * n
+    tau = 2.0 * np.pi * np.fft.rfftfreq(N, d=grid.dt)
+    m = np.zeros_like(tau)
+    m[1:] = tau[1:] ** beta
+    if beta == 0.0:
+        m[0] = 1.0
+    spec = np.fft.rfft(antisym_extend(f), n=N, axis=-1) * m
+    return np.fft.irfft(spec, n=N, axis=-1)[..., n:2 * n]
+
+
 class TestSpectralPlan:
     def test_rejects_small_padding(self, grid):
         with pytest.raises(ValueError):
             SpectralPlan(SymGrid(grid), pad=1)
 
     def test_multiplier_zero_bin(self, plan):
-        assert plan.multiplier(0.5)[0] == 0.0
-        assert plan.multiplier(0.0)[0] == 1.0
-        assert plan.multiplier(0.0).max() == 1.0
+        # odd input has no tau = 0 component, so the sine bins start at the
+        # first nonzero frequency and no multiplier needs a zero-bin rule
+        tau, padded = plan.tau, plan.padded_len
+        assert tau.shape == (padded // 2,)
+        assert tau[0] == pytest.approx(2.0 * np.pi / (padded * plan.sym.dt),
+                                       rel=1e-15)
+        assert tau[-1] == pytest.approx(np.pi / plan.sym.dt, rel=1e-15)
+        assert plan.multiplier(0.5)[0] == pytest.approx(math.sqrt(tau[0]),
+                                                        rel=1e-15)
+        assert np.all(plan.multiplier(0.0) == 1.0)
 
-    def test_padded_length(self, grid):
-        assert SpectralPlan(SymGrid(grid), pad=4).padded_len == 4 * 2 * N
+    def test_padded_length(self, grid, h):
+        p = SpectralPlan(SymGrid(grid), pad=4)
+        assert p.padded_len == 4 * 2 * N
+        assert p.forward(h.values).shape == (4 * N,)
+        assert p.inverse(p.forward(h.values)).shape == (N,)
 
 
 class TestFracLaplacian:
     def test_beta_zero_is_identity(self, h, plan):
-        fa = antisym_extend(h.values)
-        out = frac_laplacian(fa, 0.0, plan)
-        assert np.max(np.abs(out - fa)) <= 1e-12
+        out = frac_laplacian(h.values, 0.0, plan)
+        assert np.max(np.abs(out - h.values)) <= 1e-12
+
+    @pytest.mark.parametrize("pad", [2, 4])
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 1.0])
+    def test_matches_rfft_route(self, grid, pad, beta):
+        # the sine transform of the half line is the complex transform of the
+        # zero-padded odd extension without its zero bin, up to roundoff
+        p = SpectralPlan(SymGrid(grid), pad=pad)
+        f1 = bump(2.0, 1.0, grid=grid).values
+        f2 = bump(4.5, 1.5, grid=grid, amplitude=-0.3).values
+        for f in (f1, np.stack([f1, f2, f1 - 2.0 * f2])):
+            ref = frac_laplacian_rfft(f, beta, grid, pad)
+            out = frac_laplacian(f, beta, p)
+            assert out.shape == f.shape
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_windowed_tone_eigenfunction(self, grid, plan):
         # sin(k t) localized by a smooth window: |tau|^beta acts as k^beta
         k = 8.0
         tone = np.sin(k * grid.nodes) * smooth_window(grid, 0.5, 7.5, ramp=1.0)
         interior = (grid.nodes > 2.0) & (grid.nodes < 6.0)
-        half = frac_laplacian(antisym_extend(tone), 0.5, plan)[N:]
+        half = frac_laplacian(tone, 0.5, plan)
         err = np.max(np.abs(half - math.sqrt(k) * tone)[interior])
         assert err <= 1e-2 * math.sqrt(k) * np.max(np.abs(tone))
-        one = frac_laplacian(antisym_extend(tone), 1.0, plan)[N:]
+        one = frac_laplacian(tone, 1.0, plan)
         assert np.max(np.abs(one - k * tone)[interior]) <= 1e-2 * k
 
     def test_linearity(self, grid, plan):
         f1 = bump(2.0, 1.0, grid=grid).values
         f2 = bump(4.5, 1.5, grid=grid).values
         a, b = 0.7, -1.9
-        lhs = frac_laplacian(antisym_extend(a * f1 + b * f2), 0.5, plan)
-        rhs = a * frac_laplacian(antisym_extend(f1), 0.5, plan) \
-            + b * frac_laplacian(antisym_extend(f2), 0.5, plan)
+        lhs = frac_laplacian(a * f1 + b * f2, 0.5, plan)
+        rhs = a * frac_laplacian(f1, 0.5, plan) \
+            + b * frac_laplacian(f2, 0.5, plan)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_quarter_twice_equals_half(self):
@@ -91,36 +129,43 @@ class TestFracLaplacian:
         g = TimeGrid(8.0, 4096)
         p = SpectralPlan(SymGrid(g))
         tone = np.sin(128.0 * g.nodes) * smooth_window(g, 1.0, 7.0, ramp=2.0)
-        fa = antisym_extend(tone)
-        twice = frac_laplacian(frac_laplacian(fa, 0.25, p), 0.25, p)
-        once = frac_laplacian(fa, 0.5, p)
+        twice = frac_laplacian(frac_laplacian(tone, 0.25, p), 0.25, p)
+        once = frac_laplacian(tone, 0.5, p)
         assert np.max(np.abs(twice - once)) <= 1e-10
 
     def test_wrong_length_rejected(self, plan):
         with pytest.raises(ValueError):
-            frac_laplacian(np.zeros(2 * N + 2), 0.5, plan)
+            frac_laplacian(np.zeros(N + 2), 0.5, plan)
+        with pytest.raises(ValueError):
+            frac_laplacian(np.zeros(2 * N), 0.5, plan)
 
     def test_nondecaying_input_warns(self, grid, plan):
         with pytest.warns(RuntimeWarning):
-            frac_laplacian(np.ones(2 * N), 0.5, plan)
+            frac_laplacian(np.ones(N), 0.5, plan)
+        # t = 0 is interior to the odd extension: a value there is no
+        # truncation
+        near_zero = np.zeros(N)
+        near_zero[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frac_laplacian(near_zero, 0.5, plan)
 
     def test_decay_check_can_be_silenced(self, plan):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            frac_laplacian(np.ones(2 * N), 0.5, plan, check_decay=False)
+            frac_laplacian(np.ones(N), 0.5, plan, check_decay=False)
 
-    def test_singular_beta_needs_mean_free(self, h, plan):
-        with pytest.raises(ValueError, match="mean-free"):
-            frac_laplacian(np.abs(antisym_extend(h.values)) + 0.1, -1.5, plan,
-                           check_decay=False)
-        # antisymmetric extensions sum to zero, so they pass
-        frac_laplacian(antisym_extend(h.values), -1.5, plan)
+    def test_singular_beta_on_odd_extension(self, grid, h, plan):
+        # the odd extension has no tau = 0 component, so beta < -1 needs no
+        # mean-free check
+        out = frac_laplacian(h.values, -1.5, plan)
+        ref = frac_laplacian_rfft(h.values, -1.5, grid, plan.pad)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_batched_input(self, h, plan):
-        fa = antisym_extend(h.values)
-        batch = np.stack([fa, 2.0 * fa])
+        batch = np.stack([h.values, 2.0 * h.values])
         out = frac_laplacian(batch, 0.5, plan)
-        assert out.shape == (2, 2 * N)
+        assert out.shape == (2, N)
         np.testing.assert_allclose(out[1], 2.0 * out[0], rtol=1e-13)
 
 
@@ -133,8 +178,7 @@ class TestOpA2:
     def test_matches_scaled_quarter_operator(self, grid, h):
         # the identity behind the factorization: A2 h = sqrt2 (-d_t^2)^(1/4) h^a
         plan4 = SpectralPlan(SymGrid(grid), pad=4)
-        spectral = math.sqrt(2.0) * frac_laplacian(
-            antisym_extend(h.values), 0.5, plan4)[N:]
+        spectral = math.sqrt(2.0) * frac_laplacian(h.values, 0.5, plan4)
         interior = grid.nodes <= 6.0
         err = np.max(np.abs(op_A2(h) - spectral)[interior])
         assert err <= 1e-2 * h.sup_norm

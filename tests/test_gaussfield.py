@@ -342,6 +342,10 @@ class TestPairings:
             alone = oracle(yn, sn, 0.0, h, g.t_max)
             np.testing.assert_allclose(w, alone, rtol=1e-14,
                                        atol=1e-14 * np.max(np.abs(alone)))
+        # a bump is not evaluated on the s-rows past its support; those rows
+        # hold exact zeros, so plain callables give the same bytes
+        plain = [lambda t, h=h: h(t) for h in fns]
+        assert build(yn, sn, 0.0, plain, g.t_max).tobytes() == stack.tobytes()
 
     def test_linearity_in_test_function(self):
         g = TimeGrid(3.0, 128)

@@ -34,3 +34,9 @@ def test_benchmark_trace_targets_resolve():
     assert callable(cli._parallel)
     params = list(inspect.signature(cli._mc_pairings).parameters)
     assert params[:4] == ["W", "ncells", "scale", "R"]
+    # the frac_laplacian hook reads the input as a[0], the plan as a[2] and
+    # counts rows times plan.padded_len
+    params = list(inspect.signature(heatsheet.frac_laplacian).parameters)
+    assert params[:3] == ["fa", "beta", "plan"]
+    assert isinstance(inspect.getattr_static(heatsheet.SpectralPlan,
+                                             "padded_len"), property)
