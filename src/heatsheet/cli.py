@@ -81,7 +81,9 @@ DRIFT_Y_STEP = 1.0 / 8         # lattice-aligned probe locations
 DRIFT_TRUNCATION = 1e-3
 
 CHUNK_REPLICAS = 128
-CHUNK_CELL_BUDGET = 16_000_000  # float32 cells per chunk buffer (64 MB)
+# float32 cells per chunk buffer, 8 MB a worker; 16 M-cell buffers ran no
+# faster on a 2-core Xeon and raised peak memory by their size
+CHUNK_CELL_BUDGET = 2_000_000
 # evolve steps this many replicas as one (B, n) block; at the default grid
 # larger blocks ran slower and raised peak memory (their transform
 # temporaries outgrow the cache and grow with B)
@@ -147,7 +149,7 @@ def _sheet_band(y_last: float, t: float, dy: float, ds: float,
                         round(t / ds))
 
 
-def _parallel(total: int, workers: int, task, chunk: int = CHUNK_REPLICAS):
+def _parallel(total: int, workers: int, task, chunk: int):
     """Run task(lo, hi) over fixed chunks; chunking is independent of the
     worker count, so outputs written by replica index are reproducible."""
     chunks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
@@ -293,31 +295,65 @@ def _mc_chunks(R: int, ncells: int) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _support(W: np.ndarray, lat: SheetLattice) -> tuple:
-    """Weights W of shape (rows, ny, ns) on lat, cropped to the rows and
-    columns of lat that hold a nonzero weight: (the cropped W as (rows,
-    cells), the sub-lattice).  The cells left out carry zero weight in every
-    row, so drawing only the sub-lattice leaves the law of W @ sheet exact.
-    A SheetLattice starts at s = 0, so leading columns are kept."""
-    live = np.any(W != 0.0, axis=0)
-    rows = np.flatnonzero(live.any(axis=1))
-    cols = np.flatnonzero(live.any(axis=0))
-    j0, j1, k1 = int(rows[0]), int(rows[-1]) + 1, int(cols[-1]) + 1
-    sub = SheetLattice(lat.y_min + j0 * lat.dy, lat.dy, lat.ds, j1 - j0, k1)
-    return W[:, j0:j1, :k1].reshape(W.shape[0], -1), sub
+@dataclass(frozen=True)
+class SheetCrop:
+    """Weights cropped to the sheet cells that carry their energy."""
+
+    W: np.ndarray       # (rows, cells): the kept cells in row-major (y, s)
+    keep: np.ndarray    # (ny * ns,) bool: the kept cells of the lattice
+    scale: float        # standard deviation of one cell increment
+    dropped: float      # largest share of a row's ||w||^2 left out
+
+    @property
+    def cells(self) -> int:
+        return self.W.shape[1]
+
+    def grid(self) -> dict:
+        """Report fields: cells drawn per replica, the dropped energy share
+        and, for one row, the exact variance scale^2 ||w_kept||^2 of the
+        statistic it draws."""
+        out = {"cells_drawn": self.cells, "energy_dropped": self.dropped}
+        if self.W.shape[0] == 1:
+            out["discrete_variance"] = self.scale ** 2 * float(
+                self.W[0] @ self.W[0])
+        return out
+
+
+def _support(W: np.ndarray, lat: SheetLattice, tol: float) -> SheetCrop:
+    """Weights W of shape (rows, ny, ns) on lat, cropped by energy.
+
+    Each row drops its smallest cells while their summed energy w^2 stays
+    within tol of the row's own ||w||^2; cells of equal energy go together,
+    so each row's cut is a threshold and zero weights always go.  The crop
+    keeps every cell that some row keeps.  A statistic W @ sheet drawn on
+    the kept cells alone is exactly N(0, scale^2 ||W_kept||^2), within a
+    relative tol of its law on the full lattice, since an integral of w
+    against white noise has variance ||w||^2.
+    """
+    Wf = W.reshape(W.shape[0], lat.cells)
+    keep = np.zeros(lat.cells, dtype=bool)
+    for w in Wf:
+        e = w * w
+        s = np.sort(e)
+        cs = np.cumsum(s)
+        k = int(np.searchsorted(cs, tol * cs[-1], side="right"))
+        if k < s.size:  # back to the start of a group of ties
+            k = int(np.searchsorted(s, s[k]))
+        keep |= e > (s[k - 1] if k else 0.0)
+    dropped = max(float(np.sum(w[~keep] ** 2) / (w @ w)) for w in Wf)
+    return SheetCrop(Wf[:, keep], keep, lat.scale, dropped)
 
 
 def _mc_pairings(W: np.ndarray, ncells: int, scale: float, R: int,
                  seed: int, stream_base: int, workers: int) -> np.ndarray:
     """Monte Carlo pairings X[r] = W @ sheet_r for per-replica streams.
 
-    Drawn in float32 (halves bandwidth; the estimator noise floor is far
-    above single precision) straight into the rows of one chunk buffer of
-    at most max(one sheet, CHUNK_CELL_BUDGET) cells per worker.  The suites
-    pass W cropped by _support, with its sub-lattice's cells and scale, so
-    only cells of nonzero weight are drawn.  Replica r reproduces
-    sheet_sample(sub-lattice, seed=seed, stream=stream_base + r,
-    dtype=float32) cell for cell.
+    W holds ncells columns, the cells kept by _support, and replica r draws
+    one float32 normal per column from stream stream_base + r: its k-th
+    normal, times scale, is the increment of the k-th kept cell.  Float32
+    halves bandwidth; the estimator noise floor is far above single
+    precision.  The normals go straight into the rows of one chunk buffer
+    of at most max(one sheet, CHUNK_CELL_BUDGET) cells per worker.
     """
     check_sheet_cells(ncells)
     X = np.zeros((R, W.shape[0]))
@@ -355,29 +391,31 @@ def suite_cov(cfg: RunConfig) -> list:
     reports = []
 
     # point variance of the field at (0, 1)
-    Wp, sub = _support(point_weights(point.y_nodes, point.s_nodes, 0.0,
-                                     1.0)[None], point)
-    X = _mc_pairings(Wp, sub.cells, sub.scale, R_point, seed, 0, cfg.workers)
+    crop = _support(point_weights(point.y_nodes, point.s_nodes, 0.0,
+                                  1.0)[None], point, cfg.tail_tol)
+    X = _mc_pairings(crop.W, crop.cells, crop.scale, R_point, seed, 0,
+                     cfg.workers)
     var, se = var_se(X[:, 0])
     tgt = cov_u(1.0, 1.0)
     reports.append(z_test(
         var, se, tgt, name="field variance at (0,1)", seed=seed,
         replicas=R_point, grid={"dy": point.dy, "ds": point.ds,
-                                "ny": point.ny, "ns": point.ns}))
+                                "ny": point.ny, "ns": point.ns,
+                                **crop.grid()}))
 
     # Gram comparison of field and derivative pairings at x = 0
     hs = cov_observables(grid)
     yn, sn = gram.y_nodes, gram.s_nodes
-    W, sub = _support(np.concatenate([
+    crop = _support(np.concatenate([
         pair_u_weights(yn, sn, 0.0, hs, t_max),
-        pair_v_weights(yn, sn, 0.0, hs, t_max)]), gram)
-    X = _mc_pairings(W, sub.cells, sub.scale, R_gram,
+        pair_v_weights(yn, sn, 0.0, hs, t_max)]), gram, cfg.tail_tol)
+    X = _mc_pairings(crop.W, crop.cells, crop.scale, R_gram,
                      seed, GRAM_STREAM_BASE, cfg.workers)
     m = len(hs)
     S = np.cov(X.T, ddof=1)
     se = _cov_se(S, R_gram)
     gdesc = {"dy": gram.dy, "ds": gram.ds, "ny": gram.ny, "ns": gram.ns,
-             "t_max": t_max}
+             "t_max": t_max, **crop.grid()}
     for name, block, target in (
             ("field pairing Gram (8x8)", np.s_[:m, :m], cov_u_gram(hs)),
             ("derivative pairing Gram (8x8)", np.s_[m:, m:], cov_v_gram(hs)),
@@ -462,12 +500,12 @@ def suite_drift(cfg: RunConfig) -> list:
 
     # law: variance of the explicit form matches the closed double integral,
     # on the weights of the first probe, y = 0
-    W, sub = _support(wi[0][None], lat)
-    X = _mc_pairings(W, sub.cells, sub.scale, R, seed, 1, cfg.workers)
+    crop = _support(wi[0][None], lat, cfg.tail_tol)
+    X = _mc_pairings(crop.W, crop.cells, crop.scale, R, seed, 1, cfg.workers)
     var, se = var_se(X[:, 0])
     reports.append(z_test(
         var, se, drift_variance_exact(nu), name="drift functional variance",
-        seed=seed, replicas=R, grid=gdesc))
+        seed=seed, replicas=R, grid={**gdesc, **crop.grid()}))
 
     # Laplace-domain identity for the shifted covariance kernel, the
     # continuum statement behind the drift construction
@@ -516,18 +554,19 @@ def suite_spde(cfg: RunConfig) -> list:
     for fi, f in enumerate(fs):
         plan = WeakformPlan(f)
         lat = plan.lattice
-        W, sub = _support(plan.omega[None], lat)
-        X = _mc_pairings(W, sub.cells, sub.scale, R,
-                         seed, fi * SPDE_STREAM_STRIDE, cfg.workers)
-        eta = X[:, 0]
         tgt = f.l2sq()
+        bias = abs(plan.variance_discrete() / tgt - 1.0)
+        crop = _support(plan.omega[None], lat, cfg.tail_tol)
         gdesc = {"t_max": t_max, "n": n, "x_radius": f.terms[0][0].radius,
-                 "dy": lat.dy, "ds": lat.ds, "nx": plan.nx, "dx": plan.dx}
-        reports += _moment_tests(eta, tgt, "weak-form residual",
+                 "dy": lat.dy, "ds": lat.ds, "nx": plan.nx, "dx": plan.dx,
+                 **crop.grid()}
+        del plan  # only the kept weights are held while drawing
+        X = _mc_pairings(crop.W, crop.cells, crop.scale, R,
+                         seed, fi * SPDE_STREAM_STRIDE, cfg.workers)
+        reports += _moment_tests(X[:, 0], tgt, "weak-form residual",
                                  f"f{fi + 1}", seed=seed, grid=gdesc)
         reports.append(residual_report(
-            f"weak-form discrete variance bias, f{fi + 1}",
-            abs(plan.variance_discrete() / tgt - 1.0), 2e-2,
+            f"weak-form discrete variance bias, f{fi + 1}", bias, 2e-2,
             seed=seed, grid=gdesc))
     return reports
 

@@ -2,6 +2,7 @@
 determinism, and worker-count invariance."""
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 
@@ -338,7 +339,7 @@ class TestMcEngine:
         # every replica is drawn straight into its row of the chunk buffer:
         # the engine holds W in float32 and one buffer of R sheets, and no
         # per-replica sheet besides
-        ncells, R = 1 << 20, 4
+        ncells, R = 1 << 18, 4
         assert _mc_chunks(R, ncells) == [(0, R)]
         W = np.ones((1, ncells))
         tracemalloc.start()
@@ -352,34 +353,73 @@ class TestMcEngine:
         sheet = 4 * ncells
         assert peak < (1 + R) * sheet + sheet // 2
 
-    def test_cropped_replicas_are_sub_lattice_sheets(self):
+    def test_energy_crop(self):
+        # a wide row and a narrow, far weaker one, both zero beyond the
+        # tenth s-column:
+        # each row loses at most tol of its own energy, no zero weight is
+        # drawn, and the narrow row's peak, which the wide row alone would
+        # drop, is kept
+        lat = gaussfield.SheetLattice(-8.0, 0.125, 1.0 / 64, 128, 16)
+        y = lat.y_nodes[:, None]
+        s = lat.s_nodes[None, :]
+        W = np.stack([np.exp(-y ** 2 / 2.0 - s),
+                      1e-4 * np.exp(-(y - 4.0) ** 2 / 0.1 - s)])
+        W[:, :, 10:] = 0.0
+        tol = 1e-6
+        crop = cli._support(W, lat, tol)
+        Wf = W.reshape(2, -1)
+        np.testing.assert_array_equal(crop.W, Wf[:, crop.keep])
+        assert crop.cells == int(crop.keep.sum()) < 128 * 10
+        for w in Wf:
+            assert np.sum(w[~crop.keep] ** 2) <= tol * np.sum(w ** 2)
+        assert crop.dropped <= tol
+        assert not crop.keep[np.all(Wf == 0.0, axis=0)].any()
+        peak = int(np.argmax(Wf[1] ** 2))
+        assert crop.keep[peak]
+        assert not cli._support(W[:1], lat, tol).keep[peak]
+
+    def test_energy_crop_cuts_ties_together(self):
+        # equal energies are kept or dropped as a group, so a flat row is
+        # drawn whole even when half its energy may go
+        lat = gaussfield.SheetLattice(0.0, 1.0, 1.0, 4, 4)
+        crop = cli._support(np.ones((1, 4, 4)), lat, 0.5)
+        assert crop.cells == 16 and crop.dropped == 0.0
+
+    def test_cropped_replicas_draw_kept_cells(self):
         # W is zero outside rows 10..49 and columns 0..9 (s >= t = 0.15):
-        # the engine draws only that box, replica r is the float32 sheet of
-        # stream stream_base + r on the sub-lattice, and the contraction is
-        # the full W against that sheet embedded in zeros
+        # replica r pairs the kept weights with the first crop.cells float32
+        # normals of stream stream_base + r, which is the full W against a
+        # sheet that holds those normals in the kept cells, up to the
+        # energy the crop dropped
         lat = gaussfield.SheetLattice(-4.0, 0.125, 1.0 / 64, 64, 16)
         W = np.stack([gaussfield.point_weights(lat.y_nodes, lat.s_nodes,
                                                x, 0.15) for x in (0.0, 0.5)])
         W[:, :10] = 0.0
         W[:, 50:] = 0.0
-        Wc, sub = cli._support(W, lat)
-        assert sub == gaussfield.SheetLattice(-4.0 + 10 * 0.125, 0.125,
-                                              1.0 / 64, 40, 10)
-        assert Wc.shape == (2, sub.cells)
-        assert all(type(n) is int for n in (sub.ny, sub.ns, sub.cells))
+        tol = 1e-6
+        crop = cli._support(W, lat, tol)
+        assert crop.cells < 40 * 10 and type(crop.cells) is int
+        assert crop.scale == lat.scale
+        Wf = W.reshape(2, -1)
+        norms = np.linalg.norm(Wf, axis=1)
         R, base = 5, 17
-        X = _mc_pairings(Wc, sub.cells, sub.scale, R, seed=123,
+        X = _mc_pairings(crop.W, crop.cells, crop.scale, R, seed=123,
                          stream_base=base, workers=2)
+        fill = np.random.default_rng(0)
         for r in range(R):
-            s32 = gaussfield.sheet_sample(sub, seed=123, stream=base + r,
-                                          dtype=np.float32)
-            np.testing.assert_allclose(
-                X[r], Wc.astype(np.float32) @ s32.increments.ravel(),
-                rtol=1e-6)
-            full = np.zeros((lat.ny, lat.ns))
-            full[10:50, :10] = s32.increments
-            np.testing.assert_allclose(
-                X[r], np.einsum("ijk,jk->i", W, full), rtol=1e-5)
+            z = gaussfield.sheet_rng(123, base + r).standard_normal(
+                crop.cells, dtype=np.float32)
+            # float32 rounding, relative to |w| |z| as the sums cancel
+            eps = 1e-5 * lat.scale * norms * np.linalg.norm(z)
+            kept = lat.scale * (crop.W @ z)
+            assert np.all(np.abs(X[r] - kept) <= eps)
+            sheet = fill.standard_normal(lat.cells)
+            sheet[crop.keep] = z
+            # Cauchy-Schwarz on the dropped cells
+            rest = lat.scale * norms * math.sqrt(tol) * np.linalg.norm(
+                sheet[~crop.keep])
+            assert np.all(np.abs(X[r] - lat.scale * (Wf @ sheet))
+                          <= rest + eps)
 
     def test_cov_builds_each_pairing_table_once(self, monkeypatch):
         # one call per pairing builder, with all eight observables
