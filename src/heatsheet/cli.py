@@ -297,63 +297,97 @@ def _mc_chunks(R: int, ncells: int) -> list:
 
 @dataclass(frozen=True)
 class SheetCrop:
-    """Weights cropped to the sheet cells that carry their energy."""
+    """Weights cropped to the Haar coefficients that carry their energy."""
 
-    W: np.ndarray       # (rows, cells): the kept cells in row-major (y, s)
-    keep: np.ndarray    # (ny * ns,) bool: the kept cells of the lattice
+    W: np.ndarray       # (rows, kept): the kept coefficients, in _haar order
+    keep: np.ndarray    # (ny * ns,) bool: the kept coefficients of _haar
     scale: float        # standard deviation of one cell increment
     dropped: float      # largest share of a row's ||w||^2 left out
 
     @property
     def cells(self) -> int:
+        """Normals drawn per replica: one per kept coefficient."""
         return self.W.shape[1]
 
+    def gram(self) -> np.ndarray:
+        """The exact covariance scale^2 W_kept W_kept^T of the statistics."""
+        return self.scale ** 2 * (self.W @ self.W.T)
+
     def grid(self) -> dict:
-        """Report fields: cells drawn per replica, the dropped energy share
-        and, for one row, the exact variance scale^2 ||w_kept||^2 of the
-        statistic it draws."""
+        """Report fields: normals drawn per replica, the dropped energy share
+        and, for one row, the exact variance of the statistic it draws."""
         out = {"cells_drawn": self.cells, "energy_dropped": self.dropped}
         if self.W.shape[0] == 1:
-            out["discrete_variance"] = self.scale ** 2 * float(
-                self.W[0] @ self.W[0])
+            out["discrete_variance"] = float(self.gram()[0, 0])
         return out
 
 
-def _support(W: np.ndarray, lat: SheetLattice, tol: float) -> SheetCrop:
-    """Weights W of shape (rows, ny, ns) on lat, cropped by energy.
+def _haar(w: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-D Haar coefficients of a (ny, ns) array.
 
-    Each row drops its smallest cells while their summed energy w^2 stays
-    within tol of the row's own ||w||^2; cells of equal energy go together,
-    so each row's cut is a threshold and zero weights always go.  The crop
-    keeps every cell that some row keeps.  A statistic W @ sheet drawn on
-    the kept cells alone is exactly N(0, scale^2 ||W_kept||^2), within a
-    relative tol of its law on the full lattice, since an integral of w
-    against white noise has variance ||w||^2.
+    Runs along y, then along s; each axis is halved, pairs (a, b) becoming
+    (a + b, a - b) / sqrt 2 with the sums first, while its length is even,
+    so 1440 = 45 * 2^5 takes 5 levels and leaves 45 coarse sums.  No
+    padding: the transform is an orthogonal matrix on the ny * ns cells.
     """
-    Wf = W.reshape(W.shape[0], lat.cells)
+    c = np.array(w, dtype=float)
+    r = math.sqrt(0.5)
+    for axis in (0, 1):
+        v = np.moveaxis(c, axis, 0)
+        n = v.shape[0]
+        while n % 2 == 0:
+            a, b = v[0:n:2], v[1:n:2]
+            v[:n // 2], v[n // 2:n] = (a + b) * r, (a - b) * r
+            n //= 2
+    return c
+
+
+def _support(W: np.ndarray, lat: SheetLattice, tol: float) -> SheetCrop:
+    """Weights W of shape (rows, ny, ns) on lat, cropped by energy in the
+    lattice's Haar basis.
+
+    Each row drops its smallest Haar coefficients (_haar) while their summed
+    energy c^2 stays within tol of the row's own ||w||^2; coefficients of
+    equal energy go together, so each row's cut is a threshold and zero
+    coefficients always go.  The crop keeps every coefficient that some row
+    keeps.  The Haar transform H is orthonormal, so w . z = (Hw) . (Hz) and
+    the Haar coefficients Hz of a sheet are again i.i.d. normals: a
+    statistic drawn on the kept coefficients alone is exactly
+    N(0, scale^2 ||(HW)_kept||^2), within a relative tol of its law on the
+    full lattice.  Rows are transformed one at a time, twice (once to cut,
+    once to gather), so only one row's coefficients are held at a time.
+    """
+    Wr = W.reshape(W.shape[0], lat.ny, lat.ns)
     keep = np.zeros(lat.cells, dtype=bool)
-    for w in Wf:
-        e = w * w
+    for w in Wr:
+        e = _haar(w).ravel() ** 2
         s = np.sort(e)
         cs = np.cumsum(s)
         k = int(np.searchsorted(cs, tol * cs[-1], side="right"))
         if k < s.size:  # back to the start of a group of ties
             k = int(np.searchsorted(s, s[k]))
         keep |= e > (s[k - 1] if k else 0.0)
-    dropped = max(float(np.sum(w[~keep] ** 2) / (w @ w)) for w in Wf)
-    return SheetCrop(Wf[:, keep], keep, lat.scale, dropped)
+    kept = np.empty((W.shape[0], int(keep.sum())))
+    dropped = 0.0
+    for i, w in enumerate(Wr):
+        c = _haar(w).ravel()
+        kept[i] = c[keep]
+        cd = c[~keep]
+        dropped = max(dropped, float(cd @ cd / (c @ c)))
+    return SheetCrop(kept, keep, lat.scale, dropped)
 
 
 def _mc_pairings(W: np.ndarray, ncells: int, scale: float, R: int,
                  seed: int, stream_base: int, workers: int) -> np.ndarray:
     """Monte Carlo pairings X[r] = W @ sheet_r for per-replica streams.
 
-    W holds ncells columns, the cells kept by _support, and replica r draws
-    one float32 normal per column from stream stream_base + r: its k-th
-    normal, times scale, is the increment of the k-th kept cell.  Float32
-    halves bandwidth; the estimator noise floor is far above single
-    precision.  The normals go straight into the rows of one chunk buffer
-    of at most max(one sheet, CHUNK_CELL_BUDGET) cells per worker.
+    W holds ncells columns, in the suites the Haar coefficients kept by
+    _support, and replica r draws one float32 normal per column from stream
+    stream_base + r: its k-th normal, times scale, is the sheet's k-th kept
+    Haar coefficient.  Float32 halves bandwidth; the estimator noise floor
+    is far above single precision.  The normals go straight into the rows
+    of one chunk buffer of at most max(one sheet, CHUNK_CELL_BUDGET) cells
+    per worker.
     """
     check_sheet_cells(ncells)
     X = np.zeros((R, W.shape[0]))
@@ -416,13 +450,17 @@ def suite_cov(cfg: RunConfig) -> list:
     se = _cov_se(S, R_gram)
     gdesc = {"dy": gram.dy, "ds": gram.ds, "ny": gram.ny, "ns": gram.ns,
              "t_max": t_max, **crop.grid()}
+    # the exact law of the drawn pairings, against the continuum target
+    G = crop.gram()
     for name, block, target in (
             ("field pairing Gram (8x8)", np.s_[:m, :m], cov_u_gram(hs)),
             ("derivative pairing Gram (8x8)", np.s_[m:, m:], cov_v_gram(hs)),
             ("field/derivative cross-covariance vs 0", np.s_[:m, m:],
              np.zeros((m, m)))):
-        reports.append(matrix_compare(S[block], target, se[block], name=name,
-                                      seed=seed, replicas=R_gram, grid=gdesc))
+        gap = float(np.max(np.abs(G[block] - target)))
+        reports.append(matrix_compare(
+            S[block], target, se[block], name=name, seed=seed,
+            replicas=R_gram, grid={**gdesc, "discrete_gap": gap}))
     return reports
 
 

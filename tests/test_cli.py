@@ -321,6 +321,14 @@ class TestDefaultLattices:
             == self.SPDE
 
 
+def haar_matrix(shape) -> np.ndarray:
+    """The matrix of cli._haar on a shape lattice: column j is the image of
+    unit cell j."""
+    n = shape[0] * shape[1]
+    return np.stack([cli._haar(e.reshape(shape)).ravel() for e in np.eye(n)],
+                    axis=1)
+
+
 class TestMcEngine:
     @pytest.mark.parametrize("R,ncells", [
         (300, 672 * 1024), (300, 1440 * 1024), (1000, 392 * 512),
@@ -353,43 +361,65 @@ class TestMcEngine:
         sheet = 4 * ncells
         assert peak < (1 + R) * sheet + sheet // 2
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 16), (12, 40), (6, 5)])
+    def test_haar_is_orthonormal(self, shape):
+        # odd, power-of-two and mixed axis lengths: the transform's matrix is
+        # orthogonal, so it keeps inner products, and each axis is halved
+        # only while even, leaving its odd part as coarse sums, unpadded
+        n = shape[0] * shape[1]
+        H = haar_matrix(shape)
+        np.testing.assert_allclose(H @ H.T, np.eye(n), rtol=0.0, atol=1e-12)
+        u, v = np.random.default_rng(1).standard_normal((2, *shape))
+        assert np.vdot(cli._haar(u), cli._haar(v)) == pytest.approx(
+            np.vdot(u, v), rel=1e-12, abs=1e-12)
+        odd = [m >> ((m & -m).bit_length() - 1) for m in shape]
+        assert np.count_nonzero(cli._haar(np.ones(shape))) == odd[0] * odd[1]
+
     def test_energy_crop(self):
-        # a wide row and a narrow, far weaker one, both zero beyond the
-        # tenth s-column:
-        # each row loses at most tol of its own energy, no zero weight is
-        # drawn, and the narrow row's peak, which the wide row alone would
-        # drop, is kept
+        # a wide row and a narrow, far weaker one whose sign alternates
+        # along y, so its energy sits in the finest y details, both zero
+        # beyond the tenth s-column: each row loses at most tol of its own
+        # energy, counted on its own Haar coefficients, no zero coefficient
+        # is drawn, and the narrow row's largest coefficient, which the
+        # wide row alone would drop, is kept
         lat = gaussfield.SheetLattice(-8.0, 0.125, 1.0 / 64, 128, 16)
         y = lat.y_nodes[:, None]
         s = lat.s_nodes[None, :]
+        sign = (-1.0) ** np.arange(lat.ny)[:, None]
         W = np.stack([np.exp(-y ** 2 / 2.0 - s),
-                      1e-4 * np.exp(-(y - 4.0) ** 2 / 0.1 - s)])
+                      1e-4 * sign * np.exp(-(y - 4.0) ** 2 / 0.1 - s)])
         W[:, :, 10:] = 0.0
         tol = 1e-6
         crop = cli._support(W, lat, tol)
-        Wf = W.reshape(2, -1)
-        np.testing.assert_array_equal(crop.W, Wf[:, crop.keep])
-        assert crop.cells == int(crop.keep.sum()) < 128 * 10
-        for w in Wf:
-            assert np.sum(w[~crop.keep] ** 2) <= tol * np.sum(w ** 2)
+        C = np.stack([cli._haar(w).ravel() for w in W])
+        np.testing.assert_array_equal(crop.W, C[:, crop.keep])
+        nonzero = np.any(C != 0.0, axis=0)
+        assert crop.cells == int(crop.keep.sum()) < int(nonzero.sum())
+        for c in C:
+            assert np.sum(c[~crop.keep] ** 2) <= tol * np.sum(c ** 2)
         assert crop.dropped <= tol
-        assert not crop.keep[np.all(Wf == 0.0, axis=0)].any()
-        peak = int(np.argmax(Wf[1] ** 2))
+        assert not crop.keep[~nonzero].any()
+        peak = int(np.argmax(C[1] ** 2))
         assert crop.keep[peak]
         assert not cli._support(W[:1], lat, tol).keep[peak]
 
     def test_energy_crop_cuts_ties_together(self):
-        # equal energies are kept or dropped as a group, so a flat row is
-        # drawn whole even when half its energy may go
-        lat = gaussfield.SheetLattice(0.0, 1.0, 1.0, 4, 4)
-        crop = cli._support(np.ones((1, 4, 4)), lat, 0.5)
-        assert crop.cells == 16 and crop.dropped == 0.0
+        # equal energies are kept or dropped as a group: a row flat in y and
+        # alternating in s has four equal Haar coefficients, all drawn even
+        # when half its energy may go
+        lat = gaussfield.SheetLattice(0.0, 1.0, 1.0, 4, 8)
+        w = np.tile((-1.0) ** np.arange(8), (4, 1))
+        c = cli._haar(w)
+        assert np.unique(c[c != 0.0]).size == 1 and np.count_nonzero(c) == 4
+        crop = cli._support(w[None], lat, 0.5)
+        assert crop.cells == 4 and crop.dropped == 0.0
 
     def test_cropped_replicas_draw_kept_cells(self):
         # W is zero outside rows 10..49 and columns 0..9 (s >= t = 0.15):
-        # replica r pairs the kept weights with the first crop.cells float32
-        # normals of stream stream_base + r, which is the full W against a
-        # sheet that holds those normals in the kept cells, up to the
+        # replica r pairs the kept Haar coefficients of W with the first
+        # crop.cells float32 normals of stream stream_base + r, which is the
+        # full W against the cell sheet whose Haar coefficients hold those
+        # normals in the kept places and fresh ones elsewhere, up to the
         # energy the crop dropped
         lat = gaussfield.SheetLattice(-4.0, 0.125, 1.0 / 64, 64, 16)
         W = np.stack([gaussfield.point_weights(lat.y_nodes, lat.s_nodes,
@@ -402,6 +432,7 @@ class TestMcEngine:
         assert crop.scale == lat.scale
         Wf = W.reshape(2, -1)
         norms = np.linalg.norm(Wf, axis=1)
+        H = haar_matrix((lat.ny, lat.ns))
         R, base = 5, 17
         X = _mc_pairings(crop.W, crop.cells, crop.scale, R, seed=123,
                          stream_base=base, workers=2)
@@ -413,11 +444,12 @@ class TestMcEngine:
             eps = 1e-5 * lat.scale * norms * np.linalg.norm(z)
             kept = lat.scale * (crop.W @ z)
             assert np.all(np.abs(X[r] - kept) <= eps)
-            sheet = fill.standard_normal(lat.cells)
-            sheet[crop.keep] = z
-            # Cauchy-Schwarz on the dropped cells
+            coef = fill.standard_normal(lat.cells)
+            coef[crop.keep] = z
+            sheet = H.T @ coef  # the inverse transform
+            # Cauchy-Schwarz on the dropped coefficients
             rest = lat.scale * norms * math.sqrt(tol) * np.linalg.norm(
-                sheet[~crop.keep])
+                coef[~crop.keep])
             assert np.all(np.abs(X[r] - lat.scale * (Wf @ sheet))
                           <= rest + eps)
 
