@@ -297,10 +297,11 @@ def _mc_chunks(R: int, ncells: int) -> list:
 
 @dataclass(frozen=True)
 class SheetCrop:
-    """Weights cropped to the Haar coefficients that carry their energy."""
+    """Weights cropped to the Daubechies-4 coefficients that carry their
+    energy."""
 
-    W: np.ndarray       # (rows, kept): the kept coefficients, in _haar order
-    keep: np.ndarray    # (ny * ns,) bool: the kept coefficients of _haar
+    W: np.ndarray       # (rows, kept): the kept coefficients, in _db4 order
+    keep: np.ndarray    # (ny * ns,) bool: the kept coefficients of _db4
     scale: float        # standard deviation of one cell increment
     dropped: float      # largest share of a row's ||w||^2 left out
 
@@ -322,69 +323,80 @@ class SheetCrop:
         return out
 
 
-def _haar(w: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D Haar coefficients of a (ny, ns) array.
+# orthonormal Daubechies-4 filters (four vanishing moments, 8 taps): the
+# scaling filter h and the wavelet filter g_k = (-1)^k h_(7-k)
+DB4_H = np.array([0.2303778133088964, 0.7148465705529154, 0.6308807679298587,
+                  -0.0279837694168599, -0.1870348117190931, 0.0308413818355607,
+                  0.0328830116668852, -0.0105974017850690])
+DB4_HG = np.stack([DB4_H, (-1.0) ** np.arange(8) * DB4_H[::-1]])
 
-    Runs along y, then along s; each axis is halved, pairs (a, b) becoming
-    (a + b, a - b) / sqrt 2 with the sums first, while its length is even,
-    so 1440 = 45 * 2^5 takes 5 levels and leaves 45 coarse sums.  No
-    padding: the transform is an orthogonal matrix on the ny * ns cells.
+
+def _db4(w: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-D Daubechies-4 coefficients of a (ny, ns) float64
+    array, written over it; returns w.
+
+    Runs along y, then along s; each axis is halved while its length n is
+    even, x becoming the n/2 coarse sums sum_k h_k x_(2i+k mod n) followed
+    by the n/2 details sum_k g_k x_(2i+k mod n), so 1440 = 45 * 2^5 takes 5
+    levels and leaves 45 coarse sums.  The filters wrap periodically, with
+    no padding; periodized they stay orthonormal at every even length,
+    short ones included, so the transform is an orthogonal matrix on the
+    ny * ns cells.
     """
-    c = np.array(w, dtype=float)
-    r = math.sqrt(0.5)
-    for axis in (0, 1):
-        v = np.moveaxis(c, axis, 0)
+    for v in (w, w.T):
         n = v.shape[0]
         while n % 2 == 0:
-            a, b = v[0:n:2], v[1:n:2]
-            v[:n // 2], v[n // 2:n] = (a + b) * r, (a - b) * r
+            ext = v[np.arange(n + 6) % n]  # x_(j mod n) for j < n + 6
+            win = np.lib.stride_tricks.sliding_window_view(ext, 8, axis=0)
+            out = DB4_HG @ np.moveaxis(win[::2], -1, 1)  # (n/2, 2, ...)
+            v[:n // 2], v[n // 2:n] = out[:, 0], out[:, 1]
             n //= 2
-    return c
+    return w
 
 
 def _support(W: np.ndarray, lat: SheetLattice, tol: float) -> SheetCrop:
     """Weights W of shape (rows, ny, ns) on lat, cropped by energy in the
-    lattice's Haar basis.
+    lattice's Daubechies-4 basis.
 
-    Each row drops its smallest Haar coefficients (_haar) while their summed
-    energy c^2 stays within tol of the row's own ||w||^2; coefficients of
-    equal energy go together, so each row's cut is a threshold and zero
-    coefficients always go.  The crop keeps every coefficient that some row
-    keeps.  The Haar transform H is orthonormal, so w . z = (Hw) . (Hz) and
-    the Haar coefficients Hz of a sheet are again i.i.d. normals: a
-    statistic drawn on the kept coefficients alone is exactly
-    N(0, scale^2 ||(HW)_kept||^2), within a relative tol of its law on the
-    full lattice.  Rows are transformed one at a time, twice (once to cut,
-    once to gather), so only one row's coefficients are held at a time.
+    Each row drops its smallest Daubechies-4 coefficients (_db4) while their
+    summed energy c^2 stays within tol of the row's own ||w||^2;
+    coefficients of equal energy go together, so each row's cut is a
+    threshold and zero coefficients always go.  The crop keeps every
+    coefficient that some row keeps.  The transform D is orthonormal, so
+    w . z = (Dw) . (Dz) and the coefficients Dz of a sheet are again i.i.d.
+    normals: a statistic drawn on the kept coefficients alone is exactly
+    N(0, scale^2 ||(DW)_kept||^2), within a relative tol of its law on the
+    full lattice.  Each row is transformed once, in place: a float64
+    C-contiguous W is overwritten by its coefficients, so callers hand
+    over weights they no longer need.
     """
-    Wr = W.reshape(W.shape[0], lat.ny, lat.ns)
+    C = np.asarray(W, dtype=float).reshape(W.shape[0], -1)
     keep = np.zeros(lat.cells, dtype=bool)
-    for w in Wr:
-        e = _haar(w).ravel() ** 2
+    for c in C:
+        _db4(c.reshape(lat.ny, lat.ns))
+        e = c ** 2
         s = np.sort(e)
         cs = np.cumsum(s)
         k = int(np.searchsorted(cs, tol * cs[-1], side="right"))
         if k < s.size:  # back to the start of a group of ties
             k = int(np.searchsorted(s, s[k]))
         keep |= e > (s[k - 1] if k else 0.0)
-    kept = np.empty((W.shape[0], int(keep.sum())))
+    drop = ~keep
     dropped = 0.0
-    for i, w in enumerate(Wr):
-        c = _haar(w).ravel()
-        kept[i] = c[keep]
-        cd = c[~keep]
+    for c in C:
+        cd = c[drop]
         dropped = max(dropped, float(cd @ cd / (c @ c)))
-    return SheetCrop(kept, keep, lat.scale, dropped)
+    return SheetCrop(C[:, keep], keep, lat.scale, dropped)
 
 
 def _mc_pairings(W: np.ndarray, ncells: int, scale: float, R: int,
                  seed: int, stream_base: int, workers: int) -> np.ndarray:
     """Monte Carlo pairings X[r] = W @ sheet_r for per-replica streams.
 
-    W holds ncells columns, in the suites the Haar coefficients kept by
-    _support, and replica r draws one float32 normal per column from stream
-    stream_base + r: its k-th normal, times scale, is the sheet's k-th kept
-    Haar coefficient.  Float32 halves bandwidth; the estimator noise floor
+    W holds ncells columns, in the suites the Daubechies-4 coefficients kept
+    by _support, and replica r draws one float32 normal per column from
+    stream stream_base + r: its k-th normal, times scale, is the sheet's
+    k-th kept coefficient.  Float32 halves bandwidth; the estimator noise floor
     is far above single precision.  The normals go straight into the rows
     of one chunk buffer of at most max(one sheet, CHUNK_CELL_BUDGET) cells
     per worker.
@@ -537,7 +549,7 @@ def suite_drift(cfg: RunConfig) -> list:
               "coarse_rms": rms_coarse}))
 
     # law: variance of the explicit form matches the closed double integral,
-    # on the weights of the first probe, y = 0
+    # on the weights of the first probe, y = 0, which the crop overwrites
     crop = _support(wi[0][None], lat, cfg.tail_tol)
     X = _mc_pairings(crop.W, crop.cells, crop.scale, R, seed, 1, cfg.workers)
     var, se = var_se(X[:, 0])
@@ -594,6 +606,7 @@ def suite_spde(cfg: RunConfig) -> list:
         lat = plan.lattice
         tgt = f.l2sq()
         bias = abs(plan.variance_discrete() / tgt - 1.0)
+        # the crop overwrites omega by its coefficients
         crop = _support(plan.omega[None], lat, cfg.tail_tol)
         gdesc = {"t_max": t_max, "n": n, "x_radius": f.terms[0][0].radius,
                  "dy": lat.dy, "ds": lat.ds, "nx": plan.nx, "dx": plan.dx,

@@ -121,13 +121,18 @@ def matrix_compare(emp: np.ndarray, analytic: np.ndarray, se: np.ndarray,
                    frac_required: float = 0.95, replicas: int = 0,
                    seed: int = 0, grid: dict | None = None) -> VerificationReport:
     """Entrywise comparison: pass iff >= 95% of entries lie within k*se of the
-    target and no entry strays beyond 2k*se."""
+    target and no entry strays beyond 2k*se.  As in z_test, an entry with
+    se = 0 has z = 0 on an exact match and z = inf otherwise."""
     emp = np.asarray(emp, dtype=float)
     analytic = np.asarray(analytic, dtype=float)
     se = np.asarray(se, dtype=float)
     if not (emp.shape == analytic.shape == se.shape):
         raise ValueError("matrix_compare: shape mismatch")
-    z = np.abs(emp - analytic) / np.where(se > 0, se, np.inf)
+    if np.any(se < 0.0):
+        raise ValueError("se must be nonnegative")
+    diff = np.abs(emp - analytic)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(diff == 0.0, 0.0, diff / se)
     frac = float(np.mean(z <= k))
     worst = float(z.max())
     ok = frac >= frac_required and worst <= 2.0 * k

@@ -6,8 +6,9 @@ reports (verdict, pinned tolerance, and where stated a wall-clock budget).
 Criterion 12 reruns every suite twice through the command-line entry point
 at reduced replica counts and demands byte-identical reports.
 
-Every test emits a single "criterion NN PASS/FAIL" line so a captured log
-reads as a checklist.
+Every criterion test emits a single "criterion NN PASS/FAIL" line so a
+captured log reads as a checklist.  One more test reads the draw records
+that every Monte Carlo report of the cov, drift and spde suites carries.
 """
 import json
 import math
@@ -218,6 +219,21 @@ def test_criterion_11_window_integral_properties(ops_suite):
     ok = exact_zero and 0.0 < sup <= 1.0 and lap_err <= 1e-4
     verdict(11, ok, f"value at 0 exact, sup t^1.5 l = {sup:.3g} on "
                     f"[10, 1000], Laplace error {lap_err:.3g} (tol 1e-4)")
+
+
+def test_mc_reports_record_their_draws(cov_suite, drift_suite, spde_suite):
+    # each Monte Carlo statistic drew at least one normal per replica and
+    # left out at most the default tail_tol of a weight row's energy; a
+    # z-tested statistic draws one weight row and records the exact
+    # variance of what it drew
+    mc = [r for r in cov_suite[0] + drift_suite + spde_suite if r.replicas]
+    # cov point and three Grams, drift variance, spde f1 and f2 moments
+    assert len(mc) == 4 + 1 + 4
+    for r in mc:
+        assert r.grid["cells_drawn"] >= 1, r.statistic
+        assert r.grid["energy_dropped"] <= 1e-8, r.statistic
+        if r.rule.startswith("|z|"):
+            assert r.grid["discrete_variance"] > 0.0, r.statistic
 
 
 # reduced-size rerun pairs: (suite name, extra argv).  Sizes keep the full

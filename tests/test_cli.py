@@ -321,12 +321,12 @@ class TestDefaultLattices:
             == self.SPDE
 
 
-def haar_matrix(shape) -> np.ndarray:
-    """The matrix of cli._haar on a shape lattice: column j is the image of
+def db4_matrix(shape) -> np.ndarray:
+    """The matrix of cli._db4 on a shape lattice: column j is the image of
     unit cell j."""
     n = shape[0] * shape[1]
-    return np.stack([cli._haar(e.reshape(shape)).ravel() for e in np.eye(n)],
-                    axis=1)
+    return np.stack([cli._db4(e.reshape(shape).copy()).ravel()
+                     for e in np.eye(n)], axis=1)
 
 
 class TestMcEngine:
@@ -363,25 +363,42 @@ class TestMcEngine:
 
     @pytest.mark.parametrize("shape", [(1, 1), (7, 16), (12, 40), (6, 5)])
     def test_haar_is_orthonormal(self, shape):
-        # odd, power-of-two and mixed axis lengths: the transform's matrix is
-        # orthogonal, so it keeps inner products, and each axis is halved
-        # only while even, leaving its odd part as coarse sums, unpadded
+        # odd, power-of-two and mixed axis lengths, some shorter than the
+        # filters: the Daubechies-4 transform's matrix is orthogonal, so it
+        # keeps inner products, and each axis is halved only while even,
+        # leaving its odd part as coarse sums, unpadded: a constant array
+        # keeps only those, each sqrt 2 per level, and its details are
+        # roundoff
         n = shape[0] * shape[1]
-        H = haar_matrix(shape)
-        np.testing.assert_allclose(H @ H.T, np.eye(n), rtol=0.0, atol=1e-12)
+        D = db4_matrix(shape)
+        np.testing.assert_allclose(D @ D.T, np.eye(n), rtol=0.0, atol=1e-12)
         u, v = np.random.default_rng(1).standard_normal((2, *shape))
-        assert np.vdot(cli._haar(u), cli._haar(v)) == pytest.approx(
-            np.vdot(u, v), rel=1e-12, abs=1e-12)
+        assert np.vdot(cli._db4(u.copy()), cli._db4(v.copy())) == \
+            pytest.approx(np.vdot(u, v), rel=1e-12, abs=1e-12)
         odd = [m >> ((m & -m).bit_length() - 1) for m in shape]
-        assert np.count_nonzero(cli._haar(np.ones(shape))) == odd[0] * odd[1]
+        c = cli._db4(np.ones(shape))
+        coarse = np.zeros(shape, dtype=bool)
+        coarse[:odd[0], :odd[1]] = True
+        np.testing.assert_allclose(c[coarse], math.sqrt(n / (odd[0] * odd[1])),
+                                   rtol=1e-12)
+        assert np.all(np.abs(c[~coarse]) <= 1e-12)
+
+    @pytest.mark.parametrize("n", [392, 411, 512, 672, 1024, 1440])
+    def test_db4_is_orthonormal_at_suite_lengths(self, n):
+        # every axis length of the default sheets (TestDefaultLattices): the
+        # 1-D transform is orthogonal, and the same matrix along y and s
+        D = db4_matrix((n, 1))
+        np.testing.assert_allclose(D @ D.T, np.eye(n), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(db4_matrix((1, n)), D)
 
     def test_energy_crop(self):
         # a wide row and a narrow, far weaker one whose sign alternates
         # along y, so its energy sits in the finest y details, both zero
-        # beyond the tenth s-column: each row loses at most tol of its own
-        # energy, counted on its own Haar coefficients, no zero coefficient
-        # is drawn, and the narrow row's largest coefficient, which the
-        # wide row alone would drop, is kept
+        # beyond the tenth s-column: the crop overwrites W by its
+        # coefficients, each row loses at most tol of its own energy, counted
+        # on its own Daubechies-4 coefficients, no zero coefficient is
+        # drawn, and the narrow row's largest coefficient, which the wide row
+        # alone would drop, is kept
         lat = gaussfield.SheetLattice(-8.0, 0.125, 1.0 / 64, 128, 16)
         y = lat.y_nodes[:, None]
         s = lat.s_nodes[None, :]
@@ -390,8 +407,10 @@ class TestMcEngine:
                       1e-4 * sign * np.exp(-(y - 4.0) ** 2 / 0.1 - s)])
         W[:, :, 10:] = 0.0
         tol = 1e-6
-        crop = cli._support(W, lat, tol)
-        C = np.stack([cli._haar(w).ravel() for w in W])
+        Wc = W.copy()
+        crop = cli._support(Wc, lat, tol)
+        C = np.stack([cli._db4(w.copy()).ravel() for w in W])
+        np.testing.assert_array_equal(Wc.reshape(2, -1), C)
         np.testing.assert_array_equal(crop.W, C[:, crop.keep])
         nonzero = np.any(C != 0.0, axis=0)
         assert crop.cells == int(crop.keep.sum()) < int(nonzero.sum())
@@ -401,38 +420,43 @@ class TestMcEngine:
         assert not crop.keep[~nonzero].any()
         peak = int(np.argmax(C[1] ** 2))
         assert crop.keep[peak]
-        assert not cli._support(W[:1], lat, tol).keep[peak]
+        assert not cli._support(W[:1].copy(), lat, tol).keep[peak]
 
     def test_energy_crop_cuts_ties_together(self):
         # equal energies are kept or dropped as a group: a row flat in y and
-        # alternating in s has four equal Haar coefficients, all drawn even
-        # when half its energy may go
+        # alternating in s has four equal Daubechies-4 details, bit for bit,
+        # and roundoff elsewhere; all four are drawn even when half its
+        # energy may go
         lat = gaussfield.SheetLattice(0.0, 1.0, 1.0, 4, 8)
         w = np.tile((-1.0) ** np.arange(8), (4, 1))
-        c = cli._haar(w)
-        assert np.unique(c[c != 0.0]).size == 1 and np.count_nonzero(c) == 4
+        c = cli._db4(w.copy())
+        big = np.abs(c) > 1e-12
+        assert np.count_nonzero(big) == 4 and np.unique(c[big]).size == 1
         crop = cli._support(w[None], lat, 0.5)
-        assert crop.cells == 4 and crop.dropped == 0.0
+        assert crop.cells == 4 and crop.keep[big.ravel()].all()
+        assert crop.dropped <= 1e-30
 
     def test_cropped_replicas_draw_kept_cells(self):
         # W is zero outside rows 10..49 and columns 0..9 (s >= t = 0.15):
-        # replica r pairs the kept Haar coefficients of W with the first
-        # crop.cells float32 normals of stream stream_base + r, which is the
-        # full W against the cell sheet whose Haar coefficients hold those
+        # replica r pairs the kept Daubechies-4 coefficients of W with the
+        # first crop.cells float32 normals of stream stream_base + r, which
+        # is the full W against the cell sheet whose coefficients hold those
         # normals in the kept places and fresh ones elsewhere, up to the
-        # energy the crop dropped
+        # energy the crop dropped; the kernel's singular last columns keep
+        # more coefficients than the 400 cells of that box, but under half
+        # the lattice
         lat = gaussfield.SheetLattice(-4.0, 0.125, 1.0 / 64, 64, 16)
         W = np.stack([gaussfield.point_weights(lat.y_nodes, lat.s_nodes,
                                                x, 0.15) for x in (0.0, 0.5)])
         W[:, :10] = 0.0
         W[:, 50:] = 0.0
         tol = 1e-6
-        crop = cli._support(W, lat, tol)
-        assert crop.cells < 40 * 10 and type(crop.cells) is int
+        crop = cli._support(W.copy(), lat, tol)  # the crop consumes its input
+        assert crop.cells < lat.cells // 2 and type(crop.cells) is int
         assert crop.scale == lat.scale
         Wf = W.reshape(2, -1)
         norms = np.linalg.norm(Wf, axis=1)
-        H = haar_matrix((lat.ny, lat.ns))
+        D = db4_matrix((lat.ny, lat.ns))
         R, base = 5, 17
         X = _mc_pairings(crop.W, crop.cells, crop.scale, R, seed=123,
                          stream_base=base, workers=2)
@@ -446,7 +470,7 @@ class TestMcEngine:
             assert np.all(np.abs(X[r] - kept) <= eps)
             coef = fill.standard_normal(lat.cells)
             coef[crop.keep] = z
-            sheet = H.T @ coef  # the inverse transform
+            sheet = D.T @ coef  # the inverse transform
             # Cauchy-Schwarz on the dropped coefficients
             rest = lat.scale * norms * math.sqrt(tol) * np.linalg.norm(
                 coef[~crop.keep])

@@ -132,6 +132,30 @@ class TestMatrixCompare:
             matrix_compare(np.zeros((2, 2)), np.zeros((3, 3)),
                            np.ones((2, 2)), name="gram")
 
+    def test_zero_se_exact_entry_passes(self):
+        g = np.eye(4)
+        se = np.full((4, 4), 0.1)
+        se[0, 1] = 0.0
+        rep = matrix_compare(g, g, se, name="gram")
+        assert rep.passed and rep.estimate == 1.0 and rep.se == 0.0
+
+    def test_zero_se_mismatch_is_infinite(self):
+        # as in z_test: an entry with se 0 that misses its target, however
+        # narrowly, has z = inf, so it is outside k se and over the 2k cap
+        emp = np.eye(4)
+        ana = emp.copy()
+        se = np.full((4, 4), 0.1)
+        se[2, 3] = 0.0
+        emp[2, 3] = 1e-12
+        rep = matrix_compare(emp, ana, se, k=4, name="gram")
+        assert not rep.passed
+        assert math.isinf(rep.se)
+        assert rep.estimate == pytest.approx(15.0 / 16.0)
+
+    def test_negative_se_rejected(self):
+        with pytest.raises(ValueError):
+            matrix_compare(np.eye(2), np.eye(2), np.full((2, 2), -0.1))
+
 
 class TestReportRecords:
     def test_json_roundtrip_and_pass_key(self):
