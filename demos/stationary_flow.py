@@ -18,7 +18,7 @@ import numpy as np
 
 from heatsheet import (EvolveConfig, SpectralPlan, StationarySampler, SymGrid,
                        TestFunction, TimeGrid, evolve, smooth_window,
-                       stability_limit, stationary_basis, zero_state)
+                       stability_limit, stationary_basis)
 from heatsheet.gaussfield import cov_u_gram, cov_v_gram, sheet_rng
 from heatsheet.sde import FieldState
 

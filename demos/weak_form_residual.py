@@ -16,7 +16,7 @@ import numpy as np
 
 from heatsheet import (SpaceBump, TensorTestFunction, TimeGrid, WeakformPlan,
                        bump, mean_se, sheet_rng, sheet_sample, var_se,
-                       weakform_residual, weakform_residual_reference)
+                       weakform_residual_reference)
 
 SEED = 11
 REPLICAS = 800
@@ -33,7 +33,7 @@ def main() -> int:
     # same x tabulation on both paths, so the comparison is exact reordering
     plan0 = WeakformPlan(f0, x_res=8)
     sheet = sheet_sample(plan0.lattice, seed=SEED, stream=0)
-    fast = weakform_residual(sheet, f0, plan=plan0)
+    fast = plan0.residual(sheet)
     slow = weakform_residual_reference(sheet, f0, x_res=8)
     print("reordering check on one sheet (small grid):")
     print(f"  single-pass plan      {fast:+.12f}")

@@ -19,8 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, idst
-from scipy.signal import fftconvolve
+from scipy.fft import dst, idst, irfft, next_fast_len, rfft
 from scipy.special import erfc
 
 from .grid import TimeGrid, SymGrid, TestFunction, antisym_extend
@@ -96,26 +95,31 @@ class SpectralPlan:
         return idst(spec, type=2, axis=-1)[..., :self.sym.base.n]
 
 
-def frac_laplacian(fa: np.ndarray, beta: float, plan: SpectralPlan,
-                   check_decay: bool = True) -> np.ndarray:
+def frac_laplacian(fa: np.ndarray, beta: float,
+                   plan: SpectralPlan) -> np.ndarray:
     """Fractional Laplacian with Fourier multiplier |tau|^beta, applied to
     the odd extension f^a and returned on the half line.
 
     fa holds f^a by its half-line values, shape (..., n) for batched input;
     the output has the same shape.  f^a has zero mean, so the multiplier
-    never meets tau = 0.  check_decay=False silences the warning for input
-    that does not vanish at t_max, for callers that own the truncation
-    error (e.g. evolving states); t = 0 is interior to f^a.
+    never meets tau = 0.  Input that does not vanish at t_max draws a
+    warning; t = 0 is interior to f^a.
     """
     fa = np.asarray(fa, dtype=float)
-    if check_decay:
-        norms = np.max(np.abs(fa), axis=-1)
-        if np.any(np.abs(fa[..., -1])
-                  > BOUNDARY_WARN_FACTOR * np.maximum(norms, 1e-300)):
-            warnings.warn("frac_laplacian input does not decay at t_max; "
-                          "wrap-around error is no longer negligible",
-                          RuntimeWarning, stacklevel=2)
+    norms = np.max(np.abs(fa), axis=-1)
+    if np.any(np.abs(fa[..., -1])
+              > BOUNDARY_WARN_FACTOR * np.maximum(norms, 1e-300)):
+        warnings.warn("frac_laplacian input does not decay at t_max; "
+                      "wrap-around error is no longer negligible",
+                      RuntimeWarning, stacklevel=2)
     return plan.inverse(plan.forward(fa) * plan.multiplier(beta))
+
+
+def _fftconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1-D arrays by real FFTs."""
+    n = a.size + b.size - 1
+    L = next_fast_len(n, real=True)
+    return irfft(rfft(a, L) * rfft(b, L), L)[:n]
 
 
 def cell_conv(fs: np.ndarray, dt: float, antideriv) -> np.ndarray:
@@ -128,7 +132,7 @@ def cell_conv(fs: np.ndarray, dt: float, antideriv) -> np.ndarray:
     n = fs.shape[-1] // 2
     k = np.arange(-(2 * n - 1), 2 * n)
     w = antideriv(k * dt + 0.5 * dt) - antideriv(k * dt - 0.5 * dt)
-    return fftconvolve(fs, w)[2 * n - 1: 4 * n - 1][n:]
+    return _fftconv(fs, w)[2 * n - 1: 4 * n - 1][n:]
 
 
 def op_A2(h: TestFunction) -> np.ndarray:
@@ -225,7 +229,7 @@ def op_A1(f: np.ndarray, grid: TimeGrid, tail: tuple) -> np.ndarray:
     slopes = np.diff(f) / dt
     k = np.arange(n)
     seg = (2.0 / SQRTPI) * (np.sqrt((k + 1) * dt) - np.sqrt(k * dt))
-    corr = fftconvolve(-slopes, seg[::-1])
+    corr = _fftconv(-slopes, seg[::-1])
     out = np.zeros(n)
     out[: n - 1] = corr[n - 1: 2 * n - 2]
 

@@ -5,10 +5,10 @@ them against each other:
 
 * analytically, through closed-form covariance kernels for the field and
   its spatial derivative (cov_u, cov_v_* below), and
-* pathwise, as stochastic integrals of heat kernels against a sampled
-  sheet of independent Gaussian cell increments (greenrep_eval, pair_u,
-  pair_v), plus the boundary-drift functionals and the weak-form residual
-  built from the same machinery.
+* pathwise, as cell weights of heat-kernel integrals (point_weights,
+  pair_u_weights, pair_v_weights) contracted against a sampled sheet of
+  independent Gaussian cell increments, plus the boundary-drift
+  functionals and the weak-form residual built from the same machinery.
 
 Weights against a sheet are always precomputable arrays, so replicas
 reduce to dot products; everything downstream of a (seed, stream) pair is
@@ -29,7 +29,6 @@ from scipy.special import erfc, roots_legendre
 from .grid import TimeGrid, SymGrid, TestFunction, antisym_extend, bump_profile
 from .fracops import SpectralPlan, cell_conv, frac_laplacian
 from .kernels import laplace_g
-from .stats import VerificationReport
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
 
@@ -357,33 +356,6 @@ def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
     return out
 
 
-def greenrep_eval(sheet: SheetSample, x: float, t: float,
-                  tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """Riemann-Ito evaluation of the field at (x, t): sum g * dB over cells."""
-    lat = sheet.lattice
-    _check_coverage(lat, x, t, tail_tol)
-    w = point_weights(lat.y_nodes, lat.s_nodes, x, t)
-    return float(np.sum(w * sheet.increments))
-
-
-def pair_u(sheet: SheetSample, x: float, h: TestFunction,
-           tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """The field observable U(x, h) as a sheet integral."""
-    lat = sheet.lattice
-    _check_coverage(lat, x, h.support[1], tail_tol)
-    w = pair_u_weights(lat.y_nodes, lat.s_nodes, x, [h], h.grid.t_max)
-    return float(np.sum(w[0] * sheet.increments))
-
-
-def pair_v(sheet: SheetSample, x: float, h: TestFunction,
-           tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """The derivative observable (d/dx U)(x, h) as a sheet integral."""
-    lat = sheet.lattice
-    _check_coverage(lat, x, h.support[1], tail_tol)
-    w = pair_v_weights(lat.y_nodes, lat.s_nodes, x, [h], h.grid.t_max)
-    return float(np.sum(w[0] * sheet.increments))
-
-
 # ----------------------------------------------------------------------
 # boundary-drift functionals
 
@@ -535,20 +507,6 @@ def cameron_martin_target(nu: float, nu2: float, y_gap: float) -> float:
     """Closed form g_hat(nu2) g_hat(nu) / ((sqrt(nu2)+sqrt(nu)) (nu2+nu))."""
     return laplace_g(y_gap, nu) * laplace_g(y_gap, nu2) \
         / ((math.sqrt(nu) + math.sqrt(nu2)) * (nu + nu2))
-
-
-def verify_cameron_martin_laplace(nu: float, nu2: float, y_gap: float = 0.0,
-                                  level: int = 2, tol: float = 1e-4,
-                                  seed: int = 0) -> VerificationReport:
-    """Relative-error report of quadrature vs the closed Laplace form."""
-    from .stats import residual_report
-    val = cameron_martin_laplace(nu, nu2, y_gap, level)
-    tgt = cameron_martin_target(nu, nu2, y_gap)
-    rel = abs(val / tgt - 1.0)
-    return residual_report(
-        f"laplace covariance identity nu={nu:g} nu2={nu2:g} gap={y_gap:g}",
-        rel, tol, seed=seed,
-        grid={"level": level, "value": val, "closed_form": tgt})
 
 
 # ----------------------------------------------------------------------
@@ -733,14 +691,6 @@ class WeakformPlan:
     def variance_discrete(self) -> float:
         lat = self.lattice
         return float(np.sum(self.omega ** 2) * lat.dy * lat.ds)
-
-
-def weakform_residual(sheet: SheetSample, f: TensorTestFunction,
-                      plan: WeakformPlan | None = None) -> float:
-    """eta(f) on one sheet.  Builds (or reuses) the reordered-weight plan."""
-    if plan is None:
-        plan = WeakformPlan(f)
-    return plan.residual(sheet)
 
 
 def weakform_residual_reference(sheet: SheetSample, f: TensorTestFunction,

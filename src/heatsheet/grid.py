@@ -80,15 +80,6 @@ def antisym_extend(f: np.ndarray) -> np.ndarray:
     return np.concatenate([-f[..., ::-1], f], axis=-1)
 
 
-def pair(f: np.ndarray, g: np.ndarray, grid: TimeGrid) -> float:
-    """Discrete L2([0, inf)) pairing <f; g> = sum f(t_k) g(t_k) dt."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape[-1] != grid.n or g.shape[-1] != grid.n:
-        raise ValueError("pair: values not on the given grid")
-    return float(np.sum(f * g, axis=-1) * grid.dt)
-
-
 def bump_profile(x, center: float, radius: float, amplitude: float = 1.0,
                  order: int = 0) -> np.ndarray:
     """The bump a exp(-1 / (1 - u^2)), u = (x - c)/r, inside |u| < 1 and 0

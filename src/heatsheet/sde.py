@@ -110,22 +110,6 @@ class FieldState:
     def finite(self) -> bool:
         return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
 
-    def boundary_ratio(self) -> float:
-        """|u(t_0)| / (sqrt(dt) ||u||_rms) of a single state: small when u
-        vanishes toward t=0.
-
-        A diagnostic only; the continuum field is pinned at t = 0 but the
-        grid dynamics merely keep the first cell O(sqrt(dt)).
-        """
-        rms = float(np.sqrt(np.mean(self.u ** 2)))
-        if rms == 0.0:
-            return 0.0
-        return abs(float(self.u[0])) / (math.sqrt(self.grid.dt) * rms)
-
-
-def zero_state(grid: TimeGrid) -> FieldState:
-    return FieldState(u=np.zeros(grid.n), v=np.zeros(grid.n), z=0.0, grid=grid)
-
 
 def _drift_terms(U: np.ndarray, V: np.ndarray, plan: SpectralPlan) -> np.ndarray:
     """dv/dz = -(halflap u^a + sqrt(2) quarterlap v^a) on t > 0, from the
@@ -154,24 +138,6 @@ def _halflap_energy(U: np.ndarray, plan: SpectralPlan) -> np.ndarray:
 def _check_plan(grid: TimeGrid, plan: SpectralPlan):
     if plan.sym.base != grid:
         raise ValueError("state and plan grids differ")
-
-
-def drift(state: FieldState, plan: SpectralPlan):
-    """Deterministic rates (du/dz, dv/dz) at the current state."""
-    _check_plan(state.grid, plan)
-    dv = _drift_terms(plan.forward(state.u), plan.forward(state.v), plan)
-    return state.v.copy(), dv
-
-
-def euler_step(state: FieldState, dz: float, noise: np.ndarray,
-               plan: SpectralPlan) -> FieldState:
-    """One explicit step: u += v dz; v += dv dz - noise; z += dz.
-
-    noise carries the Brownian increment for this step (entries i.i.d.
-    N(0, dz/dt) for white-in-t forcing); pass zeros for the mean flow.
-    """
-    du, dv = drift(state, plan)
-    return _advance(state, dz, du, dv, noise)
 
 
 def _advance(state: FieldState, dz: float, du: np.ndarray, dv: np.ndarray,

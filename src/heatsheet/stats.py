@@ -1,7 +1,7 @@
 """Monte Carlo estimators, hypothesis tests, and the VerificationReport record.
 
 Every report is recomputable: the pass flag follows mechanically from the
-stored numbers and the stored rule string, and `recompute_pass` re-derives it.
+stored numbers and the stored rule string.
 The suites reduce replica arrays with plain numpy reductions after every
 replica is stored by index, so results do not depend on how replicas were
 chunked across workers.
@@ -9,7 +9,6 @@ chunked across workers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional
@@ -42,29 +41,6 @@ class VerificationReport:
         d = asdict(self)
         d["pass"] = d.pop("passed")
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def recompute_pass(report: VerificationReport) -> bool:
-    """Re-derive the pass flag from the stored numbers and rule."""
-    rule = report.rule
-    if rule.startswith("|z| <="):
-        k = float(rule.split("<=")[1])
-        if report.se == 0.0:
-            return report.estimate == report.target
-        z = (report.estimate - report.target) / report.se
-        return abs(z) <= k
-    if rule == "estimate <= target":
-        return report.estimate <= report.target
-    if rule.startswith("frac_within >="):
-        # matrix comparisons store the within-k fraction as the estimate and
-        # the worst |z| in se; target holds the required fraction
-        need = float(rule.split(">=")[1].split(",")[0])
-        kmax = float(rule.split("max|z| <=")[1])
-        return report.estimate >= need and report.se <= kmax
-    raise ValueError(f"unknown rule: {rule!r}")
 
 
 def mean_se(samples) -> tuple[float, float]:

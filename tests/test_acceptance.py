@@ -17,8 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from heatsheet import (LnuSpec, cov_u, l_nu, l_nu_laplace,
-                       verify_cameron_martin_laplace)
+from heatsheet import (LnuSpec, cameron_martin_laplace,
+                       cameron_martin_target, cov_u, l_nu, l_nu_laplace)
 from heatsheet.cli import RunConfig, main, suite_cov, suite_drift, \
     suite_evolve, suite_ops, suite_spde
 
@@ -161,15 +161,17 @@ def test_criterion_08_laplace_covariance_identity(drift_suite):
             for a in CM_NUS for b in CM_NUS]
     assert all(r.target == 1e-4 for r in reps)
     worst = max(r.estimate for r in reps)
-    # independent of the suite run: the self-refining verifier, timed
+    # independent of the suite run: the level-2 quadrature against the
+    # closed form, timed
     t0 = time.perf_counter()
-    checks = [verify_cameron_martin_laplace(a, b)
-              for a in CM_NUS for b in CM_NUS]
+    rels = [abs(cameron_martin_laplace(a, b, 0.0)
+                / cameron_martin_target(a, b, 0.0) - 1.0)
+            for a in CM_NUS for b in CM_NUS]
     wall = time.perf_counter() - t0
-    ok = (all(r.passed for r in reps) and all(c.passed for c in checks)
+    ok = (all(r.passed for r in reps) and max(rels) <= 1e-4
           and wall < CM_WALL_BUDGET)
     verdict(8, ok, f"worst relative error {worst:.3g} (tol 1e-4) over "
-                   f"{{1,2}}x{{1,2}}, verifier wall {wall:.2f}s")
+                   f"{{1,2}}x{{1,2}}, quadrature wall {wall:.2f}s")
 
 
 def test_criterion_09_weakform_residual_law(spde_suite):

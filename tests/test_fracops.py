@@ -150,11 +150,6 @@ class TestFracLaplacian:
             warnings.simplefilter("error")
             frac_laplacian(near_zero, 0.5, plan)
 
-    def test_decay_check_can_be_silenced(self, plan):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            frac_laplacian(np.ones(N), 0.5, plan, check_decay=False)
-
     def test_singular_beta_on_odd_extension(self, grid, h, plan):
         # the odd extension has no tau = 0 component, so beta < -1 needs no
         # mean-free check

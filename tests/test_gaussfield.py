@@ -25,12 +25,11 @@ from heatsheet import (CoverageError, ResourceError, SheetLattice, TimeGrid,
                        bump, cameron_martin_laplace, cameron_martin_target,
                        cov_u, cov_u_cross, cov_u_gram, cov_v_gram,
                        drift_field_form, drift_integral_form,
-                       drift_variance_exact, dump_sheet,
-                       greenrep_eval, load_sheet, pair_u, pair_v,
-                       sheet_sample, verify_cameron_martin_laplace,
-                       weakform_residual)
+                       drift_variance_exact, dump_sheet, load_sheet,
+                       residual_report, sheet_sample)
 from heatsheet.gaussfield import (SheetSample, SpaceBump, TensorTestFunction,
-                                  WeakformPlan, coverage_halfwidth,
+                                  WeakformPlan, _check_coverage,
+                                  coverage_halfwidth,
                                   drift_field_weights, drift_integral_weights,
                                   exp_tail_u, exp_tail_v, gram_cholesky,
                                   pair_u_weights, pair_v_weights,
@@ -50,6 +49,11 @@ G2_REF = {(0, 0): 0.017545756218388796, (0, 1): 0.0005848369585408474}
 
 def zeroed(sheet):
     return dataclasses.replace(sheet, increments=np.zeros_like(sheet.increments))
+
+
+def contract(w, sheet):
+    # a sheet pairing: cell weights summed against the increments
+    return float(np.sum(w * sheet.increments))
 
 
 def qf_cross(w1, w2, sheet):
@@ -197,17 +201,23 @@ class TestMcPairingsBuffer:
 class TestGreenrep:
     def test_zero_sheet_gives_zero(self):
         s = zeroed(sheet_sample(SheetLattice(-5.0, 0.25, 0.25, 40, 2), seed=0))
-        assert greenrep_eval(s, 0.0, 0.25) == 0.0
+        lat = s.lattice
+        assert contract(point_weights(lat.y_nodes, lat.s_nodes, 0.0, 0.25),
+                        s) == 0.0
 
     def test_coverage_errors_name_the_side(self):
-        s = sheet_sample(SheetLattice(-5.0, 0.25, 0.25, 40, 2), seed=0)
+        lat = SheetLattice(-5.0, 0.25, 0.25, 40, 2)
+        _check_coverage(lat, 0.0, 0.25)
         with pytest.raises(CoverageError, match="y_min side"):
-            greenrep_eval(s, -4.0, 0.25)
+            _check_coverage(lat, -4.0, 0.25)
         with pytest.raises(CoverageError, match="y_max side"):
-            greenrep_eval(s, 4.0, 0.25)
-        wide = sheet_sample(SheetLattice(-10.0, 0.5, 0.25, 40, 2), seed=0)
+            _check_coverage(lat, 4.0, 0.25)
+        wide = SheetLattice(-10.0, 0.5, 0.25, 40, 2)
         with pytest.raises(CoverageError, match="does not reach"):
-            greenrep_eval(wide, 0.0, 0.75)
+            _check_coverage(wide, 0.0, 0.75)
+        # drift_field_form checks its sheet the same way before it pairs
+        with pytest.raises(CoverageError, match="y_max side"):
+            drift_field_form(sheet_sample(lat, seed=0), 4.0, 1.0)
 
     def test_point_variance_quadrature(self):
         # deterministic check: the cell quadratic form converges to the
@@ -299,8 +309,9 @@ class TestPairings:
         g = TimeGrid(2.0, 64)
         h = bump(1.0, 0.5, grid=g)
         s = zeroed(sheet_sample(PAIR_LATTICE, seed=0))
-        assert pair_u(s, 0.0, h) == 0.0
-        assert pair_v(s, 0.0, h) == 0.0
+        yn, sn = PAIR_LATTICE.y_nodes, PAIR_LATTICE.s_nodes
+        assert contract(pair_u_weights(yn, sn, 0.0, [h], g.t_max)[0], s) == 0.0
+        assert contract(pair_v_weights(yn, sn, 0.0, [h], g.t_max)[0], s) == 0.0
 
     def test_quadratic_form_matches_gram(self, geometry):
         g, (h1, h2), lat = geometry
@@ -350,9 +361,12 @@ class TestPairings:
     def test_linearity_in_test_function(self):
         g = TimeGrid(3.0, 128)
         s = sheet_sample(PAIR_LATTICE, seed=4)
-        a = pair_u(s, 0.0, bump(1.5, 0.6, grid=g))
-        b = pair_u(s, 0.0, bump(1.5, 0.6, grid=g, amplitude=-2.5))
-        assert b == pytest.approx(-2.5 * a, rel=1e-12)
+        wa, wb = pair_u_weights(
+            PAIR_LATTICE.y_nodes, PAIR_LATTICE.s_nodes, 0.0,
+            [bump(1.5, 0.6, grid=g), bump(1.5, 0.6, grid=g, amplitude=-2.5)],
+            g.t_max)
+        assert contract(wb, s) == pytest.approx(-2.5 * contract(wa, s),
+                                                rel=1e-12)
 
     def test_linearity_in_sheet(self):
         g = TimeGrid(3.0, 128)
@@ -360,8 +374,10 @@ class TestPairings:
         s1 = sheet_sample(PAIR_LATTICE, seed=4)
         s2 = sheet_sample(PAIR_LATTICE, seed=5)
         both = dataclasses.replace(s1, increments=s1.increments + s2.increments)
-        assert pair_v(both, 0.0, h) == pytest.approx(
-            pair_v(s1, 0.0, h) + pair_v(s2, 0.0, h), rel=1e-10)
+        w = pair_v_weights(PAIR_LATTICE.y_nodes, PAIR_LATTICE.s_nodes, 0.0,
+                           [h], g.t_max)[0]
+        assert contract(w, both) == pytest.approx(
+            contract(w, s1) + contract(w, s2), rel=1e-10)
 
     def test_distribution_invariant_in_x(self):
         # stationarity of x -> U(x, h): independent replica blocks at
@@ -534,10 +550,13 @@ class TestCameronMartin:
         assert errs[3] <= 1e-12
 
     def test_report(self):
-        rep = verify_cameron_martin_laplace(1.0, 2.0, 0.5)
+        # the relative-error report suite_drift builds at gap 0, here at a
+        # positive gap, passes its 1e-4 bound at the default level
+        val = cameron_martin_laplace(1.0, 2.0, 0.5)
+        rel = abs(val / cameron_martin_target(1.0, 2.0, 0.5) - 1.0)
+        rep = residual_report("laplace covariance identity nu=1 nu2=2",
+                              rel, 1e-4)
         assert rep.passed
-        assert hs.recompute_pass(rep)
-        assert "laplace covariance identity" in rep.statistic
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -607,7 +626,7 @@ class TestWeakform:
         f = small_tensor(terms=terms)
         plan = WeakformPlan(f, x_res=8, ypad=4.0)
         s = plan_sheet(plan, seed)
-        fast = weakform_residual(s, f, plan)
+        fast = plan.residual(s)
         slow = weakform_residual_reference(s, f, x_res=8)
         assert abs(fast - slow) <= 1e-11
 

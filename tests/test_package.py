@@ -1,5 +1,7 @@
-"""The package namespace: every exported name resolves, none twice; and
-the benchmark tracer's wrap targets still exist."""
+"""The package namespace: every exported name resolves, none twice, and has
+a caller outside the tests; and the benchmark tracer's wrap targets still
+exist."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -7,8 +9,8 @@ import pathlib
 
 import heatsheet
 
-TRACING = (pathlib.Path(__file__).resolve().parent.parent
-           / "perfbench" / "tracing.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_star_import_and_unique_exports():
@@ -40,3 +42,26 @@ def test_benchmark_trace_targets_resolve():
     assert params[:3] == ["fa", "beta", "plan"]
     assert isinstance(inspect.getattr_static(heatsheet.SpectralPlan,
                                              "padded_len"), property)
+
+
+# exported for use outside the package, with no caller inside it: the
+# reader of the final_state.bin that `heatsheet evolve` writes
+EXPORT_ALLOW = {"load_sheet"}
+
+
+def test_every_export_has_a_caller():
+    # every public name must be used by the library, a demo or the
+    # benchmark; a name that only the tests reach is dead weight.  Its own
+    # def and the import statements that carry it do not count.
+    files = [p for p in sorted((ROOT / "src" / "heatsheet").glob("*.py"))
+             if p.name != "__init__.py"]
+    files += sorted((ROOT / "demos").glob("*.py"))
+    files += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Name, ast.Attribute)) \
+                    and isinstance(node.ctx, ast.Load):
+                used.add(node.id if isinstance(node, ast.Name) else node.attr)
+    unused = sorted(set(heatsheet.__all__) - used - EXPORT_ALLOW)
+    assert not unused, f"exported but only tests reach: {unused}"

@@ -7,10 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatsheet import (matrix_compare, mean_se, recompute_pass,
-                       residual_report, var_se, z_test)
+from heatsheet import (matrix_compare, mean_se, residual_report, var_se,
+                       z_test)
 
 finite = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
+
+
+def recompute_pass(report) -> bool:
+    """Oracle: re-derive a report's pass flag from its stored numbers and
+    its rule string alone."""
+    rule = report.rule
+    if rule.startswith("|z| <="):
+        k = float(rule.split("<=")[1])
+        if report.se == 0.0:
+            return report.estimate == report.target
+        z = (report.estimate - report.target) / report.se
+        return abs(z) <= k
+    if rule == "estimate <= target":
+        return report.estimate <= report.target
+    if rule.startswith("frac_within >="):
+        # matrix comparisons store the within-k fraction as the estimate and
+        # the worst |z| in se; target holds the required fraction
+        need = float(rule.split(">=")[1].split(",")[0])
+        kmax = float(rule.split("max|z| <=")[1])
+        return report.estimate >= need and report.se <= kmax
+    raise ValueError(f"unknown rule: {rule!r}")
 
 
 class TestMeanSe:
@@ -160,7 +181,8 @@ class TestMatrixCompare:
 class TestReportRecords:
     def test_json_roundtrip_and_pass_key(self):
         rep = z_test(1.1, 0.1, 1.0, k=4, name="demo statistic")
-        d = json.loads(rep.to_json())
+        # serialized as the suites write their reports
+        d = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
         assert d["statistic"] == "demo statistic"
         assert d["pass"] is True
         assert "passed" not in d
@@ -174,6 +196,13 @@ class TestReportRecords:
 
     def test_recompute_matches_z_rule(self):
         rep = z_test(1.2, 0.1, 1.0, k=4)
+        assert recompute_pass(rep) == rep.passed
+
+    @pytest.mark.parametrize("outlier", [0.0, 0.5, 1.2])
+    def test_recompute_matches_matrix_rule(self, outlier):
+        emp = np.zeros((8, 8))
+        emp[0, 0] = outlier  # 0, 5 and 12 se with k = 4
+        rep = matrix_compare(emp, np.zeros((8, 8)), np.full((8, 8), 0.1), k=4)
         assert recompute_pass(rep) == rep.passed
 
     @settings(max_examples=60)
