@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from heatsheet import (SpectralPlan, SymGrid, TimeGrid, bump, frac_laplacian,
+from heatsheet import (SpectralPlan, TestFunction, TimeGrid, frac_laplacian,
                        halfroot_conv, op_A2)
 from heatsheet.fracops import A2_TAIL_POWER, a1_a2_residual
 
@@ -32,22 +32,22 @@ def interior(grid: TimeGrid) -> np.ndarray:
 
 
 def factorization_err(grid: TimeGrid) -> float:
-    h = bump(2.0, 1.0, t_max=grid.t_max, n=grid.n)
-    plan = SpectralPlan(SymGrid(grid), pad=PAD)
+    h = TestFunction(2.0, 1.0, grid)
+    plan = SpectralPlan(grid, pad=PAD)
     lhs = op_A2(h)
     rhs = math.sqrt(2.0) * frac_laplacian(h.values, 0.5, plan)
     return float(np.max(np.abs(lhs - rhs)[interior(grid)]) / h.sup_norm)
 
 
 def inversion_err(grid: TimeGrid) -> float:
-    h = bump(2.0, 1.0, t_max=grid.t_max, n=grid.n)
+    h = TestFunction(2.0, 1.0, grid)
     back = halfroot_conv(op_A2(h), grid, tail=("power", A2_TAIL_POWER))
     return float(np.max(np.abs(back - h.values)) / h.sup_norm)
 
 
 def composition_err(grid: TimeGrid) -> float:
-    h = bump(2.0, 1.0, t_max=grid.t_max, n=grid.n)
-    plan = SpectralPlan(SymGrid(grid), pad=PAD)
+    h = TestFunction(2.0, 1.0, grid)
+    plan = SpectralPlan(grid, pad=PAD)
     r = a1_a2_residual(h, plan=plan)
     return float(np.max(np.abs(r)) / np.max(np.abs(h.deriv_values)))
 
@@ -60,7 +60,7 @@ def main() -> int:
     checks = (("factorization through quarter order", factorization_err, True),
               ("inversion against halfroot kernel  ", inversion_err, False),
               ("composition vs derivative identity ", composition_err, True))
-    print(f"bump(center=2, radius=1) on [0, {T_MAX:g}], "
+    print(f"bump (center 2, radius 1) on [0, {T_MAX:g}], "
           f"n = {coarse.n} then {fine.n}\n")
     print("identity                              err(dt)    err(dt/2)  quotient")
     ok = True

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from heatsheet import (EvolveConfig, SpectralPlan, StationarySampler, SymGrid,
+from heatsheet import (EvolveConfig, SpectralPlan, StationarySampler,
                        TestFunction, TimeGrid, evolve, smooth_window,
                        stability_limit, stationary_basis)
 from heatsheet.gaussfield import cov_u_gram, cov_v_gram, sheet_rng
@@ -33,7 +33,7 @@ def main() -> int:
     grid = TimeGrid(T_MAX, N)
     dz = stability_limit(grid)
     steps = int(round(Z / dz))
-    plan = SpectralPlan(SymGrid(grid))
+    plan = SpectralPlan(grid)
     obs = [TestFunction(center=c, radius=0.4, grid=grid)
            for c in (1.5, 4.0, 5.8)]
     cfg = EvolveConfig(dz=dz, Z=Z, observables=tuple(obs))

@@ -14,8 +14,8 @@ two-stage tabulation on one sheet, then runs a small ensemble.
 """
 import numpy as np
 
-from heatsheet import (SpaceBump, TensorTestFunction, TimeGrid, WeakformPlan,
-                       bump, mean_se, sheet_rng, sheet_sample, var_se,
+from heatsheet import (TensorTestFunction, TestFunction, TimeGrid,
+                       WeakformPlan, mean_se, sheet_rng, sheet_sample, var_se,
                        weakform_residual_reference)
 
 SEED = 11
@@ -23,8 +23,7 @@ REPLICAS = 800
 
 
 def make_f(grid: TimeGrid, x_radius: float) -> TensorTestFunction:
-    return TensorTestFunction(
-        terms=((SpaceBump(0.0, x_radius), bump(2.0, 1.0, grid=grid)),))
+    return TensorTestFunction(0.0, x_radius, TestFunction(2.0, 1.0, grid))
 
 
 def main() -> int:

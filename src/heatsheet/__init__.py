@@ -7,8 +7,8 @@ a weak-form residual, and a spatial SDE are all cross-checked against
 independent oracles.  See the README for the map of checks.
 """
 
-from .grid import TimeGrid, SymGrid, TestFunction, bump, antisym_extend
-from .kernels import laplace_g, LnuSpec, l_nu, l_nu_laplace
+from .grid import TimeGrid, TestFunction, antisym_extend
+from .kernels import laplace_g, l_nu, l_nu_laplace
 from .fracops import (SpectralPlan, frac_laplacian, op_A1, op_A2,
                       halfroot_conv, a1_a2_residual, ConfigurationError)
 from .gaussfield import (cov_u, cov_u_cross, cov_u_apply, cov_v_apply,
@@ -16,7 +16,7 @@ from .gaussfield import (cov_u, cov_u_cross, cov_u_apply, cov_v_apply,
                          sheet_sample, sheet_rng, drift_field_form,
                          drift_integral_form, drift_variance_exact,
                          cameron_martin_laplace, cameron_martin_target,
-                         SpaceBump, TensorTestFunction, WeakformPlan,
+                         TensorTestFunction, WeakformPlan,
                          weakform_residual_reference, dump_sheet, load_sheet,
                          coverage_halfwidth, CoverageError, ResourceError)
 from .sde import (FieldState, EvolveConfig, EvolveResult, noise_draw,
@@ -28,17 +28,16 @@ from .stats import (VerificationReport, mean_se, var_se, z_test,
 __version__ = "0.1.0"
 
 __all__ = [
-    "TimeGrid", "SymGrid", "TestFunction", "bump", "antisym_extend",
-    "laplace_g", "LnuSpec", "l_nu", "l_nu_laplace",
+    "TimeGrid", "TestFunction", "antisym_extend",
+    "laplace_g", "l_nu", "l_nu_laplace",
     "SpectralPlan", "frac_laplacian", "op_A1", "op_A2", "halfroot_conv",
     "a1_a2_residual", "ConfigurationError",
     "cov_u", "cov_u_cross", "cov_u_apply", "cov_v_apply", "cov_u_gram",
     "cov_v_gram", "SheetLattice", "SheetSample", "sheet_sample", "sheet_rng",
     "drift_field_form", "drift_integral_form", "drift_variance_exact",
-    "cameron_martin_laplace", "cameron_martin_target", "SpaceBump",
-    "TensorTestFunction", "WeakformPlan", "weakform_residual_reference",
-    "dump_sheet", "load_sheet", "coverage_halfwidth", "CoverageError",
-    "ResourceError",
+    "cameron_martin_laplace", "cameron_martin_target", "TensorTestFunction",
+    "WeakformPlan", "weakform_residual_reference", "dump_sheet", "load_sheet",
+    "coverage_halfwidth", "CoverageError", "ResourceError",
     "FieldState", "EvolveConfig", "EvolveResult", "noise_draw",
     "stationary_basis", "StationarySampler", "evolve", "smooth_window",
     "stability_limit", "spectral_radius", "InstabilityError",

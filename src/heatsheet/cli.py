@@ -29,18 +29,19 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import TimeGrid, SymGrid, TestFunction, bump
-from .kernels import LnuSpec, l_nu, l_nu_laplace
+from .grid import TimeGrid, TestFunction
+from .kernels import l_nu, l_nu_laplace
 from .fracops import (SpectralPlan, frac_laplacian, op_A1, op_A2,
                       halfroot_conv, a1_a2_residual, A2_TAIL_POWER)
-from .gaussfield import (SQRT4PI, cov_u, cov_u_gram, cov_v_gram,
-                         coverage_halfwidth, sheet_rng, sheet_sample,
-                         point_weights, pair_u_weights, pair_v_weights,
-                         drift_field_weights, drift_integral_weights,
-                         drift_variance_exact, cameron_martin_laplace,
-                         cameron_martin_target, SpaceBump, TensorTestFunction,
-                         WeakformPlan, SheetLattice, SheetSample, dump_sheet,
-                         check_sheet_cells, weakform_geometry, ResourceError)
+from .gaussfield import (SQRT4PI, DEFAULT_TAIL_TOL, cov_u, cov_u_gram,
+                         cov_v_gram, coverage_halfwidth, sheet_rng,
+                         sheet_sample, point_weights, pair_u_weights,
+                         pair_v_weights, drift_field_weights,
+                         drift_integral_weights, drift_variance_exact,
+                         cameron_martin_laplace, cameron_martin_target,
+                         TensorTestFunction, WeakformPlan, SheetLattice,
+                         SheetSample, dump_sheet, check_sheet_cells,
+                         weakform_geometry, ResourceError)
 from .sde import (EvolveConfig, FieldState, StationarySampler,
                   stationary_basis, evolve, stability_limit)
 from .stats import mean_se, var_se, z_test, residual_report, matrix_compare
@@ -108,7 +109,7 @@ class RunConfig:
     Z: float | None = None
     replicas: int | None = None
     nus: tuple = (1.0, 4.0)
-    tail_tol: float = 1e-8
+    tail_tol: float = DEFAULT_TAIL_TOL
     out_dir: str = "."
     workers: int = 1
 
@@ -149,16 +150,16 @@ def _sheet_band(y_last: float, t: float, dy: float, ds: float,
                         round(t / ds))
 
 
-def _parallel(total: int, workers: int, task, chunk: int):
-    """Run task(lo, hi) over fixed chunks; chunking is independent of the
-    worker count, so outputs written by replica index are reproducible."""
-    chunks = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+def _parallel(ranges: list, workers: int, task):
+    """Run task(lo, hi) over the ranges (lo, hi); callers fix the ranges
+    independently of the worker count, so outputs written by replica index
+    are reproducible."""
     if workers <= 1:
-        for c in chunks:
-            task(*c)
+        for lo, hi in ranges:
+            task(lo, hi)
     else:
         with cf.ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(lambda c: task(*c), chunks))
+            list(ex.map(lambda c: task(*c), ranges))
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +174,7 @@ OPS_T_CUT = 4.0    # eigenfunctions are compared on t <= min(t_cut, t_max)
 
 
 def _ops_bump(grid: TimeGrid) -> TestFunction:
-    return bump(0.25 * grid.t_max, 0.125 * grid.t_max,
-                t_max=grid.t_max, n=grid.n)
+    return TestFunction(0.25 * grid.t_max, 0.125 * grid.t_max, grid)
 
 
 def _interior(grid: TimeGrid) -> np.ndarray:
@@ -195,7 +195,7 @@ def _check_ops_grid(grid: TimeGrid):
 
 def _a2_factorization_err(grid: TimeGrid) -> float:
     h = _ops_bump(grid)
-    plan = SpectralPlan(SymGrid(grid), pad=OPS_PAD)
+    plan = SpectralPlan(grid, pad=OPS_PAD)
     lhs = op_A2(h)
     rhs = math.sqrt(2.0) * frac_laplacian(h.values, 0.5, plan)
     m = _interior(grid)
@@ -204,7 +204,7 @@ def _a2_factorization_err(grid: TimeGrid) -> float:
 
 def _a1a2_err(grid: TimeGrid) -> float:
     h = _ops_bump(grid)
-    plan = SpectralPlan(SymGrid(grid), pad=OPS_PAD)
+    plan = SpectralPlan(grid, pad=OPS_PAD)
     return float(a1_a2_residual(h, plan=plan)
                  / np.max(np.abs(h.deriv_values)))
 
@@ -259,17 +259,16 @@ def suite_ops(cfg: RunConfig) -> list:
             seed=seed, grid={**gdesc, "t_cut": tcut}))
 
     # window integral l: pinned at 0, bounded normalized tail, Laplace value
-    spec = LnuSpec(nu=1.0)
     reports.append(residual_report(
-        "window integral at t=0", abs(l_nu(spec, 0.0)), 0.0,
+        "window integral at t=0", abs(l_nu(1.0, 0.0)), 0.0,
         seed=seed, grid={}))
     ts = np.geomspace(10.0, 1000.0, 25)
-    sup = max(abs(t ** 1.5 * l_nu(spec, t)) for t in ts)
+    sup = max(abs(t ** 1.5 * l_nu(1.0, t)) for t in ts)
     reports.append(residual_report(
         "window integral normalized tail bound", sup, 1.0,
         seed=seed, grid={"t_lo": 10.0, "t_hi": 1000.0,
                          "limit": 1.0 / SQRT4PI}))
-    lap = l_nu_laplace(spec, 1.0)
+    lap = l_nu_laplace(1.0, 1.0)
     reports.append(residual_report(
         "window integral laplace value", abs(lap - 0.25), 1e-4,
         seed=seed, grid={"value": lap}))
@@ -404,17 +403,15 @@ def _mc_pairings(W: np.ndarray, ncells: int, scale: float, R: int,
     check_sheet_cells(ncells)
     X = np.zeros((R, W.shape[0]))
     W32 = W.astype(np.float32)
-    chunks = _mc_chunks(R, ncells)
 
-    def task(k, _):
-        lo, hi = chunks[k]
+    def task(lo, hi):
         buf = np.empty((hi - lo, ncells), dtype=np.float32)
         for r in range(lo, hi):
             sheet_rng(seed, stream_base + r).standard_normal(
                 dtype=np.float32, out=buf[r - lo])
         X[lo:hi] = (buf @ W32.T).astype(np.float64) * scale
 
-    _parallel(len(chunks), workers, task, chunk=1)  # task(chunk index, _)
+    _parallel(_mc_chunks(R, ncells), workers, task)
     return X
 
 
@@ -585,9 +582,8 @@ def _moment_tests(data: np.ndarray, var_target: float, what: str, which: str,
 
 
 def spde_test_functions(grid: TimeGrid) -> list:
-    ft = bump(2.0, 1.0, t_max=grid.t_max, n=grid.n, grid=grid)
-    return [TensorTestFunction(terms=((SpaceBump(0.0, 2.5), ft),)),
-            TensorTestFunction(terms=((SpaceBump(0.0, 1.0), ft),))]
+    ft = TestFunction(2.0, 1.0, grid)
+    return [TensorTestFunction(0.0, 2.5, ft), TensorTestFunction(0.0, 1.0, ft)]
 
 
 def suite_spde(cfg: RunConfig) -> list:
@@ -608,7 +604,7 @@ def suite_spde(cfg: RunConfig) -> list:
         bias = abs(plan.variance_discrete() / tgt - 1.0)
         # the crop overwrites omega by its coefficients
         crop = _support(plan.omega[None], lat, cfg.tail_tol)
-        gdesc = {"t_max": t_max, "n": n, "x_radius": f.terms[0][0].radius,
+        gdesc = {"t_max": t_max, "n": n, "x_radius": f.x_radius,
                  "dy": lat.dy, "ds": lat.ds, "nx": plan.nx, "dx": plan.dx,
                  **crop.grid()}
         del plan  # only the kept weights are held while drawing
@@ -640,16 +636,23 @@ def suite_evolve(cfg: RunConfig):
     R = cfg.replicas or EVOLVE_REPLICAS
 
     obs = evolve_observables(grid)
+    m = len(obs)
     ecfg = EvolveConfig(dz=dz, Z=Z, observables=tuple(obs))
     ecfg.check_stability(grid)
+    # a block's records, (steps + 1) rows of 2m pairings and an energy each,
+    # must fit before anything is drawn; the step count is taken as the
+    # float Z / dz, so that an infinite one fails here too
+    steps = Z / dz
+    check_sheet_cells(min(R, EVOLVE_BATCH) * (steps + 1.0) * (2 * m + 1),
+                      f"the records of Z={Z:g} / dz={dz:g} = {steps:.6g} "
+                      f"steps")
 
     basis = stationary_basis(grid)
     sampler = StationarySampler(basis, grid)
-    plan = SpectralPlan(SymGrid(grid))
+    plan = SpectralPlan(grid)
     G1 = cov_u_gram(obs)
     G2 = cov_v_gram(obs)
 
-    m = len(obs)
     UZ = np.zeros((R, m))
     VZ = np.zeros((R, m))
     book = np.zeros(R)
@@ -667,7 +670,8 @@ def suite_evolve(cfg: RunConfig):
         if lo == 0:
             sample["result"] = res.row(0)
 
-    _parallel(R, cfg.workers, task, chunk=EVOLVE_BATCH)
+    _parallel([(lo, min(lo + EVOLVE_BATCH, R))
+               for lo in range(0, R, EVOLVE_BATCH)], cfg.workers, task)
 
     gdesc = {"t_max": t_max, "n": n, "dz": dz, "Z": Z, "basis": len(basis)}
     reports = [residual_report(

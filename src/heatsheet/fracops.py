@@ -22,7 +22,7 @@ import numpy as np
 from scipy.fft import dst, idst, irfft, next_fast_len, rfft
 from scipy.special import erfc
 
-from .grid import TimeGrid, SymGrid, TestFunction, antisym_extend
+from .grid import TimeGrid, TestFunction, antisym_extend
 
 SQRTPI = np.sqrt(np.pi)
 SQRT4PI = np.sqrt(4.0 * np.pi)
@@ -50,13 +50,14 @@ class SpectralPlan:
     An even multiplier applied to an odd sequence is diagonal in the sine
     basis, so forward takes the half-line values f (..., n) of f^a and
     returns the DST-II of f zero-padded to padded_len // 2.  Its bin k has
-    the magnitude of bin k + 1 of the complex transform of f^a on the
-    SymGrid zero-padded to padded_len, whose bin 0 vanishes.  pad >= 2
-    guarantees linear (not circular) convolution semantics for inputs that
-    decay at t_max.  Multipliers are cached per beta.
+    the magnitude of bin k + 1 of the complex transform of the 2n values of
+    f^a on [-t_max, t_max] zero-padded to padded_len = pad 2n, whose bin 0
+    vanishes.  pad >= 2 guarantees linear (not circular) convolution
+    semantics for inputs that decay at t_max.  Multipliers are cached per
+    beta.
     """
 
-    sym: SymGrid
+    grid: TimeGrid
     pad: int = 2
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -66,7 +67,7 @@ class SpectralPlan:
 
     @property
     def padded_len(self) -> int:
-        return self.pad * self.sym.n
+        return self.pad * 2 * self.grid.n
 
     @property
     def tau(self) -> np.ndarray:
@@ -75,7 +76,7 @@ class SpectralPlan:
         if "tau" not in self._cache:
             N = self.padded_len
             self._cache["tau"] = 2.0 * np.pi * (
-                np.arange(1, N // 2 + 1) * (1.0 / (N * self.sym.dt)))
+                np.arange(1, N // 2 + 1) * (1.0 / (N * self.grid.dt)))
         return self._cache["tau"]
 
     def multiplier(self, beta: float) -> np.ndarray:
@@ -86,13 +87,13 @@ class SpectralPlan:
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         """Sine spectrum (..., padded_len/2) of half-line values (..., n)."""
-        if f.shape[-1] != self.sym.base.n:
+        if f.shape[-1] != self.grid.n:
             raise ValueError("input not on the plan's TimeGrid")
         return dst(f, type=2, n=self.padded_len // 2, axis=-1)
 
     def inverse(self, spec: np.ndarray) -> np.ndarray:
         """Inverse of forward, restricted to the half line: (..., n)."""
-        return idst(spec, type=2, axis=-1)[..., :self.sym.base.n]
+        return idst(spec, type=2, axis=-1)[..., :self.grid.n]
 
 
 def frac_laplacian(fa: np.ndarray, beta: float,
@@ -123,8 +124,9 @@ def _fftconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cell_conv(fs: np.ndarray, dt: float, antideriv) -> np.ndarray:
-    """Convolve SymGrid values fs (length 2n) with a singular kernel given by
-    its antiderivative, and return the positive half (length n).
+    """Convolve the 2n values fs of an extension over [-t_max, t_max] with a
+    singular kernel given by its antiderivative, and return the positive
+    half (length n).
 
     The kernel is integrated exactly over the cell at each lag k dt,
     k = -(2n-1)..(2n-1), so it is never sampled at its singularity.
@@ -213,7 +215,6 @@ def op_A1(f: np.ndarray, grid: TimeGrid, tail: tuple) -> np.ndarray:
 
       ("exp", nu)   f(t) ~ f(T) e^(-nu (t-T)),  closed erfc form
       ("power", p)  f(t) ~ f(T) (t/T)^(-p),     Gauss-Legendre on (T, inf)
-      ("zero",)     f constant beyond T, contributing nothing
 
     A tail model is required; the integral genuinely runs to infinity.
     """
@@ -223,7 +224,7 @@ def op_A1(f: np.ndarray, grid: TimeGrid, tail: tuple) -> np.ndarray:
         raise ValueError("op_A1: values not on the given grid")
     if tail is None or not isinstance(tail, tuple) or len(tail) == 0:
         raise ConfigurationError(
-            "op_A1 needs a tail decay model ('exp', nu), ('power', p) or ('zero',)")
+            "op_A1 needs a tail decay model ('exp', nu) or ('power', p)")
     dt = grid.dt
     t = grid.nodes
     slopes = np.diff(f) / dt
@@ -236,9 +237,7 @@ def op_A1(f: np.ndarray, grid: TimeGrid, tail: tuple) -> np.ndarray:
     kind = tail[0]
     T = t[-1]
     fT = f[-1]
-    if kind == "zero":
-        pass
-    elif kind == "exp":
+    if kind == "exp":
         nu = float(tail[1])
         if nu <= 0:
             raise ConfigurationError("exp tail needs nu > 0")
@@ -265,7 +264,7 @@ def a1_a2_residual(h: TestFunction, plan: SpectralPlan | None = None) -> float:
     restricted to [0, t_max]."""
     g = h.grid
     if plan is None:
-        plan = SpectralPlan(SymGrid(g))
+        plan = SpectralPlan(g)
     a2 = op_A2(h)
     a1a2 = op_A1(a2, g, tail=("power", A2_TAIL_POWER))
     lhs_minus = frac_laplacian(h.values, 1.0, plan)

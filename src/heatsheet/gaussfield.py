@@ -26,7 +26,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.special import erfc, roots_legendre
 
-from .grid import TimeGrid, SymGrid, TestFunction, antisym_extend, bump_profile
+from .grid import TimeGrid, TestFunction, antisym_extend, bump_profile
 from .fracops import SpectralPlan, cell_conv, frac_laplacian
 from .kernels import laplace_g
 
@@ -36,9 +36,10 @@ DEFAULT_TAIL_TOL = 1e-8
 GRAM_JITTER = 1e-12
 MAX_SHEET_CELLS = 60_000_000
 
-# Gauss-Legendre node counts for the per-cell time integrals of pairing
-# weights; 32 puts the quadrature residual far below every discretization
-# effect at the default grids.
+# Gauss-Legendre node counts: the w-integral of cov_u_cross, and the
+# per-cell time integrals of pairing weights, where 32 puts the quadrature
+# residual far below every discretization effect at the default grids.
+CROSS_NODES = 200
 PAIR_U_NODES = 32
 PAIR_V_NODES = 32
 PAIR_V_CUT = 6.5  # e^(-v^2) support cut for the derivative-kernel integral
@@ -67,7 +68,7 @@ def cov_u(t: float, t2: float) -> float:
     return (math.sqrt(t + t2) - math.sqrt(abs(t - t2))) / SQRT4PI
 
 
-def cov_u_cross(dx: float, t: float, t2: float, nq: int = 200) -> float:
+def cov_u_cross(dx: float, t: float, t2: float) -> float:
     """Two-location field covariance.
 
     Equals (1/(2 sqrt(4 pi))) int_{|t-t2|}^{t+t2} r^(-1/2) e^(-dx^2/(4r)) dr,
@@ -81,7 +82,7 @@ def cov_u_cross(dx: float, t: float, t2: float, nq: int = 200) -> float:
     hi = math.sqrt(t + t2)
     if hi <= lo:
         return 0.0
-    xg, wg = roots_legendre(nq)
+    xg, wg = roots_legendre(CROSS_NODES)
     w = lo + (hi - lo) * 0.5 * (xg + 1.0)
     ww = (hi - lo) * 0.5 * wg
     if dx == 0.0:
@@ -513,77 +514,49 @@ def cameron_martin_target(nu: float, nu2: float, y_gap: float) -> float:
 # weak-form residual
 
 @dataclass(frozen=True)
-class SpaceBump:
-    """The grid.bump_profile on the x axis."""
-
-    center: float
-    radius: float
-    amplitude: float = 1.0
-
-    def __call__(self, x):
-        return bump_profile(x, self.center, self.radius, self.amplitude)
-
-    def deriv(self, x):
-        return bump_profile(x, self.center, self.radius, self.amplitude, 1)
-
-    def deriv2(self, x):
-        return bump_profile(x, self.center, self.radius, self.amplitude, 2)
-
-
-@dataclass(frozen=True)
 class TensorTestFunction:
-    """Space-time test function f(x,t) = sum_i fx_i(x) ft_i(t), each factor a
-    smooth bump; the canonical two-variable element of the weak formulation."""
+    """Space-time test function f(x,t) = fx(x) ft(t): fx the bump_profile of
+    center x_center and radius x_radius on the x axis, ft a time bump; the
+    canonical two-variable element of the weak formulation."""
 
-    terms: tuple  # tuple of (SpaceBump, TestFunction)
+    x_center: float
+    x_radius: float
+    ft: TestFunction
 
     def __post_init__(self):
-        if not self.terms:
-            raise ValueError("need at least one tensor term")
-        g = self.terms[0][1].grid
-        if any(ft.grid != g for _, ft in self.terms):
-            raise ValueError("time factors not on one grid")
-
-    @property
-    def tgrid(self) -> TimeGrid:
-        return self.terms[0][1].grid
+        if not self.x_radius > 0.0:
+            raise ValueError("x_radius must be positive")
 
     @property
     def x_support(self) -> tuple[float, float]:
-        lo = min(fx.center - fx.radius for fx, _ in self.terms)
-        hi = max(fx.center + fx.radius for fx, _ in self.terms)
-        return lo, hi
+        return self.x_center - self.x_radius, self.x_center + self.x_radius
 
     def l2sq(self) -> float:
-        """||f||^2 over the quadrant, from 1-D factor quadratures."""
-        nq = 400
-        xg, wg = roots_legendre(nq)
-        total = 0.0
-        for fx1, ft1 in self.terms:
-            for fx2, ft2 in self.terms:
-                lo = min(fx1.center - fx1.radius, fx2.center - fx2.radius)
-                hi = max(fx1.center + fx1.radius, fx2.center + fx2.radius)
-                x = lo + (hi - lo) * 0.5 * (xg + 1.0)
-                ipx = float(np.sum(fx1(x) * fx2(x) * wg) * 0.5 * (hi - lo))
-                tlo = min(ft1.support[0], ft2.support[0])
-                thi = max(ft1.support[1], ft2.support[1])
-                t = tlo + (thi - tlo) * 0.5 * (xg + 1.0)
-                ipt = float(np.sum(ft1(t) * ft2(t) * wg) * 0.5 * (thi - tlo))
-                total += ipx * ipt
-        return total
+        """||f||^2 over the quadrant: the product of the two factors' 1-D
+        quadratures."""
+        xg, wg = roots_legendre(400)
+        lo, hi = self.x_support
+        x = lo + (hi - lo) * 0.5 * (xg + 1.0)
+        fx = bump_profile(x, self.x_center, self.x_radius)
+        ipx = float(np.sum(fx * fx * wg) * 0.5 * (hi - lo))
+        tlo, thi = self.ft.support
+        t = tlo + (thi - tlo) * 0.5 * (xg + 1.0)
+        ft = self.ft(t)
+        ipt = float(np.sum(ft * ft * wg) * 0.5 * (thi - tlo))
+        return ipx * ipt
 
 
 def _x_nodes(f: TensorTestFunction, x_res: int) -> tuple:
     """Cell-centered x tabulation over the support of f, x_res cells per
-    radius of the narrowest space bump; returns (nodes, dx)."""
+    radius of its space bump; returns (nodes, dx)."""
     xlo, xhi = f.x_support
-    dx = min(fx.radius for fx, _ in f.terms) / x_res
+    dx = f.x_radius / x_res
     nx = int(math.ceil((xhi - xlo) / dx - 1e-9))
     return xlo + (np.arange(nx) + 0.5) * dx, dx
 
 
-def weakform_geometry(f: TensorTestFunction, x_res: int = WEAKFORM_X_RES,
-                      ypad: float = WEAKFORM_YPAD) -> tuple:
+def weakform_geometry(f: TensorTestFunction,
+                      x_res: int = WEAKFORM_X_RES) -> tuple:
     """The WeakformPlan of f before it is built: (x nodes, dx, lattice).
 
     Raises ResourceError, before anything is built, when the sheet or the
@@ -593,14 +566,14 @@ def weakform_geometry(f: TensorTestFunction, x_res: int = WEAKFORM_X_RES,
     """
     x, dx = _x_nodes(f, x_res)
     nx = x.size
-    nt = f.tgrid.n
+    g = f.ft.grid
     # half-offset lattice dy = dx / 2, ds = dt / 2; the pad is snapped to
     # whole cells so every distance x_i - y_c lands exactly on dy (q + 1/2)
     dy = dx / 2.0
-    pad_cells = int(math.ceil(ypad / dy))
-    lat = SheetLattice(f.x_support[0] - pad_cells * dy, dy, f.tgrid.dt / 2.0,
-                       2 * nx + 2 * pad_cells, 2 * nt)
-    check_sheet_cells(2 * (2 * nt + 1) * next_fast_len(lat.ny + 2 * nx - 2),
+    pad_cells = int(math.ceil(WEAKFORM_YPAD / dy))
+    lat = SheetLattice(f.x_support[0] - pad_cells * dy, dy, g.dt / 2.0,
+                       2 * nx + 2 * pad_cells, 2 * g.n)
+    check_sheet_cells(2 * (2 * g.n + 1) * next_fast_len(lat.ny + 2 * nx - 2),
                       "kernel table")
     return x, dx, lat
 
@@ -608,15 +581,14 @@ def weakform_geometry(f: TensorTestFunction, x_res: int = WEAKFORM_X_RES,
 def _bracket(f: TensorTestFunction, x: np.ndarray) -> np.ndarray:
     """A = dxx f + halflap_t f^a - sqrt(2) dx quarterlap_t f^a on the x
     nodes times the time grid of f; shape (x.size, n)."""
-    g = f.tgrid
-    plan = SpectralPlan(SymGrid(g))
-    A = np.zeros((x.size, g.n))
-    for fx, ft in f.terms:
-        L1 = frac_laplacian(ft.values, 1.0, plan)
-        L12 = frac_laplacian(ft.values, 0.5, plan)
-        A += fx.deriv2(x)[:, None] * ft.values[None, :]
-        A += fx(x)[:, None] * L1[None, :]
-        A -= math.sqrt(2.0) * fx.deriv(x)[:, None] * L12[None, :]
+    ft = f.ft
+    plan = SpectralPlan(ft.grid)
+    L1 = frac_laplacian(ft.values, 1.0, plan)
+    L12 = frac_laplacian(ft.values, 0.5, plan)
+    fx = lambda order: bump_profile(x, f.x_center, f.x_radius, order)[:, None]
+    A = fx(2) * ft.values[None, :]
+    A += fx(0) * L1[None, :]
+    A -= math.sqrt(2.0) * fx(1) * L12[None, :]
     return A
 
 
@@ -636,7 +608,6 @@ class WeakformPlan:
 
     f: TensorTestFunction
     x_res: int = WEAKFORM_X_RES
-    ypad: float = WEAKFORM_YPAD
     omega: np.ndarray = field(init=False, repr=False)
     lattice: SheetLattice = field(init=False)
     nx: int = field(init=False)
@@ -644,10 +615,9 @@ class WeakformPlan:
 
     def __post_init__(self):
         f = self.f
-        g = f.tgrid
-        nt = g.n
-        dt = g.dt
-        x, dx, lat = weakform_geometry(f, self.x_res, self.ypad)
+        nt = f.ft.grid.n
+        dt = f.ft.grid.dt
+        x, dx, lat = weakform_geometry(f, self.x_res)
         nx = x.size
         dy, ds, ny, ns = lat.dy, lat.ds, lat.ny, lat.ns
         A = _bracket(f, x)
@@ -700,7 +670,7 @@ def weakform_residual_reference(sheet: SheetSample, f: TensorTestFunction,
     Quadratically more work than the plan path; kept as the oracle that the
     reordering is exact.  Use small grids.
     """
-    g = f.tgrid
+    g = f.ft.grid
     dt = g.dt
     t = g.nodes
     x, dx = _x_nodes(f, x_res)

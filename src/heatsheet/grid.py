@@ -1,5 +1,5 @@
 """Discretization primitives: cell-centered time grids, the antisymmetric
-mirror grid, and a small library of smooth compactly supported test functions.
+extension of grid values, and the smooth compactly supported bump.
 
 All downstream operators evaluate singular kernels at cell centers only, so
 the grids deliberately place no node at t = 0.
@@ -10,9 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-DEFAULT_T_MAX = 8.0
-DEFAULT_N = 4096
 
 
 def _is_pow2(n: int) -> bool:
@@ -46,43 +43,19 @@ class TimeGrid:
         return (np.arange(self.n) + 0.5) * self.dt
 
 
-@dataclass(frozen=True)
-class SymGrid:
-    """Mirror of a TimeGrid over [-t_max, t_max]; 2n cell-centered nodes.
-
-    The node set is symmetric under t -> -t, with no node at the origin.
-    """
-
-    base: TimeGrid
-
-    @property
-    def n(self) -> int:
-        return 2 * self.base.n
-
-    @property
-    def dt(self) -> float:
-        return self.base.dt
-
-    @property
-    def nodes(self) -> np.ndarray:
-        pos = self.base.nodes
-        return np.concatenate([-pos[::-1], pos])
-
-
 def antisym_extend(f: np.ndarray) -> np.ndarray:
     """Odd reflection of grid values: returns f^a with f^a(-t) = -f(t).
 
-    The (virtual) origin value is 0 by antisymmetry; it is not a node of
-    either grid.  Restricting the result back to the positive half recovers
-    f exactly.
+    The (virtual) origin value is 0 by antisymmetry; it is not a node.
+    Restricting the result back to the positive half recovers f exactly.
     """
     f = np.asarray(f)
     return np.concatenate([-f[..., ::-1], f], axis=-1)
 
 
-def bump_profile(x, center: float, radius: float, amplitude: float = 1.0,
+def bump_profile(x, center: float, radius: float,
                  order: int = 0) -> np.ndarray:
-    """The bump a exp(-1 / (1 - u^2)), u = (x - c)/r, inside |u| < 1 and 0
+    """The bump exp(-1 / (1 - u^2)), u = (x - c)/r, inside |u| < 1 and 0
     outside (order 0), or its first or second derivative in x (order 1, 2).
 
     With phi the bump and mu = -2u / (1 - u^2)^2 the log-derivative in u,
@@ -95,7 +68,7 @@ def bump_profile(x, center: float, radius: float, amplitude: float = 1.0,
     inside = np.abs(u) < 1.0
     ui = u[inside]
     one = 1.0 - ui * ui
-    phi = amplitude * np.exp(-1.0 / one)
+    phi = np.exp(-1.0 / one)
     if order == 0:
         out[inside] = phi
     elif order == 1:
@@ -117,7 +90,6 @@ class TestFunction:
     center: float
     radius: float
     grid: TimeGrid
-    amplitude: float = 1.0
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -131,13 +103,13 @@ class TestFunction:
         return (self.center - self.radius, self.center + self.radius)
 
     def __call__(self, t) -> np.ndarray:
-        return bump_profile(t, self.center, self.radius, self.amplitude)
+        return bump_profile(t, self.center, self.radius)
 
     def deriv(self, t) -> np.ndarray:
-        return bump_profile(t, self.center, self.radius, self.amplitude, 1)
+        return bump_profile(t, self.center, self.radius, 1)
 
     def deriv2(self, t) -> np.ndarray:
-        return bump_profile(t, self.center, self.radius, self.amplitude, 2)
+        return bump_profile(t, self.center, self.radius, 2)
 
     @property
     def values(self) -> np.ndarray:
@@ -154,14 +126,5 @@ class TestFunction:
 
     @property
     def sup_norm(self) -> float:
-        # exact peak value: h(c) = a / e
-        return abs(self.amplitude) / np.e
-
-
-def bump(center: float, radius: float, t_max: float = DEFAULT_T_MAX,
-         n: int = DEFAULT_N, amplitude: float = 1.0,
-         grid: TimeGrid | None = None) -> TestFunction:
-    """Construct the canonical smooth bump test function on a TimeGrid."""
-    if grid is None:
-        grid = TimeGrid(t_max, n)
-    return TestFunction(center, radius, grid, amplitude)
+        # exact peak value: h(c) = 1 / e
+        return 1.0 / np.e

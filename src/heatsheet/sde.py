@@ -126,17 +126,17 @@ def _halflap_energy(U: np.ndarray, plan: SpectralPlan) -> np.ndarray:
 
     Sine bin k has the magnitude of bin k + 1 of the complex transform of
     the padded u^a, whose bin 0 vanishes.  The padded signal is zero off
-    the SymGrid and u^a halflap u^a is even, so the half-line pairing is
+    [-t_max, t_max] and u^a halflap u^a is even, so the half-line pairing is
     half the full circular one, in which every bin but the last (Nyquist)
     bin counts twice."""
     N = plan.padded_len
     w = 2.0 * plan.multiplier(1.0)
     w[-1] *= 0.5
-    return (U * U) @ w * (plan.sym.dt / (2.0 * N))
+    return (U * U) @ w * (plan.grid.dt / (2.0 * N))
 
 
 def _check_plan(grid: TimeGrid, plan: SpectralPlan):
-    if plan.sym.base != grid:
+    if plan.grid != grid:
         raise ValueError("state and plan grids differ")
 
 
@@ -211,11 +211,12 @@ class StationarySampler:
         self.G1 = G1
         self.G2 = G2
 
-    def draw(self, rng: np.random.Generator, z: float = 0.0) -> FieldState:
+    def draw(self, rng: np.random.Generator) -> FieldState:
+        """One state at z = 0."""
         m = len(self.basis)
         cu = self.L1 @ rng.standard_normal(m)
         cv = self.L2 @ rng.standard_normal(m)
-        return FieldState(u=cu @ self.dual, v=cv @ self.dual, z=z,
+        return FieldState(u=cu @ self.dual, v=cv @ self.dual, z=0.0,
                           grid=self.grid)
 
 
@@ -232,7 +233,9 @@ class EvolveConfig:
     def __post_init__(self):
         if self.dz <= 0 or self.Z <= 0:
             raise ValueError("dz and Z must be positive")
-        if self.steps == 0:
+        # round(Z / dz) == 0 exactly when Z / dz <= 1/2; testing the
+        # quotient never rounds an infinite one
+        if self.Z / self.dz <= 0.5:
             raise ValueError(
                 f"Z={self.Z:g} is at most dz/2 = {self.dz / 2:g}, "
                 f"so the run would take no step")

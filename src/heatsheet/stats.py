@@ -15,7 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-DEFAULT_K = 4.0
+# the z-test band |z| <= K, and the share of matrix entries that must lie
+# in it
+K = 4.0
+FRAC_REQUIRED = 0.95
 
 
 @dataclass
@@ -63,10 +66,10 @@ def var_se(samples) -> tuple[float, float]:
     return var, var * math.sqrt(2.0 / (x.size - 1))
 
 
-def z_test(estimate: float, se: float, target: float, k: float = DEFAULT_K,
-           name: str = "", replicas: int = 0, seed: int = 0,
+def z_test(estimate: float, se: float, target: float, name: str = "",
+           replicas: int = 0, seed: int = 0,
            grid: dict | None = None) -> VerificationReport:
-    """Pass iff |estimate - target| <= k * se."""
+    """Pass iff |estimate - target| <= K * se."""
     if se < 0.0:
         raise ValueError("se must be nonnegative")
     if se == 0.0:
@@ -76,10 +79,10 @@ def z_test(estimate: float, se: float, target: float, k: float = DEFAULT_K,
         ok = estimate == target
     else:
         z = (estimate - target) / se
-        ok = abs(z) <= k
+        ok = abs(z) <= K
     return VerificationReport(
         statistic=name, estimate=float(estimate), se=float(se),
-        target=float(target), z=float(z), rule=f"|z| <= {k:g}",
+        target=float(target), z=float(z), rule=f"|z| <= {K:g}",
         passed=bool(ok), replicas=replicas, seed=seed, grid=grid or {})
 
 
@@ -93,11 +96,10 @@ def residual_report(name: str, residual: float, tol: float,
 
 
 def matrix_compare(emp: np.ndarray, analytic: np.ndarray, se: np.ndarray,
-                   k: float = DEFAULT_K, name: str = "",
-                   frac_required: float = 0.95, replicas: int = 0,
-                   seed: int = 0, grid: dict | None = None) -> VerificationReport:
-    """Entrywise comparison: pass iff >= 95% of entries lie within k*se of the
-    target and no entry strays beyond 2k*se.  As in z_test, an entry with
+                   name: str = "", replicas: int = 0, seed: int = 0,
+                   grid: dict | None = None) -> VerificationReport:
+    """Entrywise comparison: pass iff >= 95% of entries lie within K*se of the
+    target and no entry strays beyond 2K*se.  As in z_test, an entry with
     se = 0 has z = 0 on an exact match and z = inf otherwise."""
     emp = np.asarray(emp, dtype=float)
     analytic = np.asarray(analytic, dtype=float)
@@ -109,11 +111,12 @@ def matrix_compare(emp: np.ndarray, analytic: np.ndarray, se: np.ndarray,
     diff = np.abs(emp - analytic)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(diff == 0.0, 0.0, diff / se)
-    frac = float(np.mean(z <= k))
+    frac = float(np.mean(z <= K))
     worst = float(z.max())
-    ok = frac >= frac_required and worst <= 2.0 * k
+    ok = frac >= FRAC_REQUIRED and worst <= 2.0 * K
     return VerificationReport(
-        statistic=name, estimate=frac, se=worst, target=frac_required,
-        z=None, rule=f"frac_within >= {frac_required:g}, max|z| <= {2.0 * k:g}",
+        statistic=name, estimate=frac, se=worst, target=FRAC_REQUIRED,
+        z=None,
+        rule=f"frac_within >= {FRAC_REQUIRED:g}, max|z| <= {2.0 * K:g}",
         passed=bool(ok), replicas=replicas, seed=seed, grid=grid or {})
 

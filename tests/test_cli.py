@@ -154,6 +154,26 @@ class TestExitCodes:
         assert "so the run would take no step" in capsys.readouterr().err
         assert not (tmp_path / "evolve_report.json").exists()
 
+    @pytest.mark.parametrize("steps_flags,named", [
+        (["--Z", "1e300"], "Z=1e+300 / dz=0.05 = 2e+301 steps"),
+        (["--dz", "1e-300"], "Z=1 / dz=1e-300 = 1e+300 steps"),
+        (["--Z", "1e300", "--dz", "1e-10"], "Z=1e+300 / dz=1e-10 = inf steps"),
+    ])
+    def test_evolve_records_over_budget(self, tmp_path, capsys, monkeypatch,
+                                        steps_flags, named):
+        # a step count whose records cannot be held, infinite included, is
+        # a resource failure caught before the stationary basis is built
+        def unreachable(*a, **k):
+            raise AssertionError("basis built before the records check")
+
+        monkeypatch.setattr(cli, "stationary_basis", unreachable)
+        rc = run(["evolve", *steps_flags, "--replicas", "2", "--n", "64",
+                  "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the records of {named} of ")
+        assert "exceeds budget" in err
+
     @pytest.mark.parametrize("tmax", ["1", "1e300"])
     def test_ops_tmax_without_comparison_nodes(self, tmp_path, capsys,
                                                monkeypatch, tmax):

@@ -22,12 +22,12 @@ from scipy.stats import ks_2samp
 
 import heatsheet as hs
 from heatsheet import (CoverageError, ResourceError, SheetLattice, TimeGrid,
-                       bump, cameron_martin_laplace, cameron_martin_target,
+                       cameron_martin_laplace, cameron_martin_target,
                        cov_u, cov_u_cross, cov_u_gram, cov_v_gram,
                        drift_field_form, drift_integral_form,
                        drift_variance_exact, dump_sheet, load_sheet,
                        residual_report, sheet_sample)
-from heatsheet.gaussfield import (SheetSample, SpaceBump, TensorTestFunction,
+from heatsheet.gaussfield import (SheetSample, TensorTestFunction,
                                   WeakformPlan, _check_coverage,
                                   coverage_halfwidth,
                                   drift_field_weights, drift_integral_weights,
@@ -93,7 +93,7 @@ class TestCovUCross:
 @pytest.fixture(scope="module")
 def hs_pair():
     g = TimeGrid(8.0, 1024)
-    return [bump(c, r, grid=g) for c, r in GRAM_BUMPS]
+    return [hs.TestFunction(c, r, g) for c, r in GRAM_BUMPS]
 
 
 class TestGrams:
@@ -123,7 +123,7 @@ class TestGrams:
     def test_validation(self, hs_pair):
         with pytest.raises(ValueError):
             cov_u_gram([])
-        other = bump(2.0, 1.0, grid=TimeGrid(8.0, 512))
+        other = hs.TestFunction(2.0, 1.0, TimeGrid(8.0, 512))
         with pytest.raises(ValueError):
             cov_u_gram([hs_pair[0], other])
 
@@ -253,8 +253,8 @@ class TestGreenrep:
 @pytest.fixture(scope="module")
 def geometry():
     g = TimeGrid(8.0, 512)
-    h1 = bump(2.0, 0.7, grid=g)
-    h2 = bump(3.4, 0.7, grid=g)
+    h1 = hs.TestFunction(2.0, 0.7, g)
+    h2 = hs.TestFunction(3.4, 0.7, g)
     m = math.ceil(coverage_halfwidth(8.0) * 8) + 1
     return g, (h1, h2), SheetLattice(-m / 8, 1.0 / 8, 1.0 / 64, 2 * m, 512)
 
@@ -307,7 +307,7 @@ PAIR_LATTICE = SheetLattice(-16.0, 0.25, 1.0 / 32, 128, 96)
 class TestPairings:
     def test_zero_sheet_gives_zero(self):
         g = TimeGrid(2.0, 64)
-        h = bump(1.0, 0.5, grid=g)
+        h = hs.TestFunction(1.0, 0.5, g)
         s = zeroed(sheet_sample(PAIR_LATTICE, seed=0))
         yn, sn = PAIR_LATTICE.y_nodes, PAIR_LATTICE.s_nodes
         assert contract(pair_u_weights(yn, sn, 0.0, [h], g.t_max)[0], s) == 0.0
@@ -346,7 +346,7 @@ class TestPairings:
         # of the stack equals that function built alone
         g, (h1, h2), lat = geometry
         yn, sn = lat.y_nodes, lat.s_nodes
-        fns = [h1, h2, bump(5.0, 1.5, grid=g), lambda t: np.exp(-t)]
+        fns = [h1, h2, hs.TestFunction(5.0, 1.5, g), lambda t: np.exp(-t)]
         stack = build(yn, sn, 0.0, fns, g.t_max)
         assert stack.shape == (len(fns), lat.ny, lat.ns)
         for w, h in zip(stack, fns):
@@ -360,17 +360,17 @@ class TestPairings:
 
     def test_linearity_in_test_function(self):
         g = TimeGrid(3.0, 128)
+        h = hs.TestFunction(1.5, 0.6, g)
         s = sheet_sample(PAIR_LATTICE, seed=4)
         wa, wb = pair_u_weights(
             PAIR_LATTICE.y_nodes, PAIR_LATTICE.s_nodes, 0.0,
-            [bump(1.5, 0.6, grid=g), bump(1.5, 0.6, grid=g, amplitude=-2.5)],
-            g.t_max)
+            [h, lambda t: -2.5 * h(t)], g.t_max)
         assert contract(wb, s) == pytest.approx(-2.5 * contract(wa, s),
                                                 rel=1e-12)
 
     def test_linearity_in_sheet(self):
         g = TimeGrid(3.0, 128)
-        h = bump(1.5, 0.6, grid=g)
+        h = hs.TestFunction(1.5, 0.6, g)
         s1 = sheet_sample(PAIR_LATTICE, seed=4)
         s2 = sheet_sample(PAIR_LATTICE, seed=5)
         both = dataclasses.replace(s1, increments=s1.increments + s2.increments)
@@ -384,7 +384,7 @@ class TestPairings:
         # x = 0, 1, 2 must be KS-indistinguishable pairwise
         R = 400
         g = TimeGrid(3.0, 256)
-        h = bump(2.0, 0.7, grid=g)
+        h = hs.TestFunction(2.0, 0.7, g)
         need = coverage_halfwidth(h.support[1]) + 1.0
         samples = []
         for xi, x in enumerate((0.0, 1.0, 2.0)):
@@ -565,13 +565,12 @@ class TestCameronMartin:
             cameron_martin_laplace(1.0, 1.0, -0.5)
 
 
-def small_tensor(nt=32, terms=1):
+def small_tensor(nt=32, which=1):
+    # 1: centered on x = 0; 2: off center, narrower in x and in t
     g = TimeGrid(4.0, nt)
-    parts = [(SpaceBump(0.0, 1.0), bump(2.0, 1.0, grid=g))]
-    if terms == 2:
-        parts.append((SpaceBump(0.4, 0.8, amplitude=-0.6),
-                      bump(1.6, 0.9, grid=g)))
-    return TensorTestFunction(tuple(parts))
+    if which == 2:
+        return TensorTestFunction(0.4, 0.8, hs.TestFunction(1.6, 0.9, g))
+    return TensorTestFunction(0.0, 1.0, hs.TestFunction(2.0, 1.0, g))
 
 
 def plan_sheet(plan, seed, stream=0):
@@ -583,7 +582,7 @@ def omega_by_distance_loop(f, **kw):
     Bhat[i] over the distances q = Q0 + 2i - c, then one inverse transform
     in time.  The oracle for WeakformPlan's FFT correlation."""
     x, dx, lat = weakform_geometry(f, **kw)
-    g = f.tgrid
+    g = f.ft.grid
     nt, nx, ny = g.n, x.size, lat.ny
     A = _bracket(f, x)
     Q0 = int(round((f.x_support[0] - lat.y_min) / lat.dy))
@@ -606,37 +605,34 @@ def omega_by_distance_loop(f, **kw):
 
 class TestWeakform:
     def test_tensor_validation(self):
-        with pytest.raises(ValueError):
-            TensorTestFunction(())
-        g1 = TimeGrid(4.0, 32)
-        g2 = TimeGrid(4.0, 64)
-        with pytest.raises(ValueError):
-            TensorTestFunction(((SpaceBump(0.0, 1.0), bump(2.0, 1.0, grid=g1)),
-                                (SpaceBump(0.0, 1.0), bump(2.0, 1.0, grid=g2))))
+        ft = hs.TestFunction(2.0, 1.0, TimeGrid(4.0, 32))
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="x_radius"):
+                TensorTestFunction(0.0, bad, ft)
 
     def test_zero_sheet_gives_zero(self):
         f = small_tensor()
-        plan = WeakformPlan(f, x_res=8, ypad=4.0)
+        plan = WeakformPlan(f, x_res=8)
         assert plan.residual(zeroed(plan_sheet(plan, 0))) == 0.0
 
-    @pytest.mark.parametrize("terms,seed", [(1, 3), (1, 11), (2, 3), (2, 19)])
-    def test_reordering_is_exact(self, terms, seed):
+    @pytest.mark.parametrize("which,seed", [(1, 3), (1, 11), (2, 3), (2, 19)])
+    def test_reordering_is_exact(self, which, seed):
         # the FFT-reordered cell weights and the literal U-tabulation path
         # are the same linear functional of the sheet
-        f = small_tensor(terms=terms)
-        plan = WeakformPlan(f, x_res=8, ypad=4.0)
+        f = small_tensor(which=which)
+        plan = WeakformPlan(f, x_res=8)
         s = plan_sheet(plan, seed)
         fast = plan.residual(s)
         slow = weakform_residual_reference(s, f, x_res=8)
         assert abs(fast - slow) <= 1e-11
 
-    @pytest.mark.parametrize("terms,kw", [(1, dict(x_res=8, ypad=4.0)),
-                                          (2, dict(x_res=8, ypad=4.0)),
+    @pytest.mark.parametrize("which,kw", [(1, dict(x_res=8)),
+                                          (2, dict(x_res=8)),
                                           (1, {})])
-    def test_omega_matches_distance_loop(self, terms, kw):
+    def test_omega_matches_distance_loop(self, which, kw):
         # one FFT correlation along the distance axis sums the same terms
         # as the loop; only the rounding differs
-        f = small_tensor(terms=terms)
+        f = small_tensor(which=which)
         omega = WeakformPlan(f, **kw).omega
         ref = omega_by_distance_loop(f, **kw)
         assert omega.shape == ref.shape and omega.flags.c_contiguous
@@ -647,7 +643,7 @@ class TestWeakform:
         # tables, 2 nt + 1 time frequencies by next_fast_len(ny + 2 nx - 2)
         # distances each (the loop held about twice that)
         g = TimeGrid(8.0, 256)  # f2 of verify-spde --n 256
-        f = TensorTestFunction(((SpaceBump(0.0, 1.0), bump(2.0, 1.0, grid=g)),))
+        f = TensorTestFunction(0.0, 1.0, hs.TestFunction(2.0, 1.0, g))
         x, _, lat = weakform_geometry(f)
         table = 16 * (2 * 256 + 1) * next_fast_len(lat.ny + 2 * x.size - 2)
         tracemalloc.start()
@@ -661,7 +657,7 @@ class TestWeakform:
 
     def test_geometry_mismatch_rejected(self):
         f = small_tensor()
-        plan = WeakformPlan(f, x_res=8, ypad=4.0)
+        plan = WeakformPlan(f, x_res=8)
         lat = plan.lattice
         for bad in (SheetLattice(lat.y_min, lat.dy, lat.ds / 2, lat.ny,
                                  2 * lat.ns),
@@ -672,21 +668,21 @@ class TestWeakform:
 
     def test_plans_compare_by_identity(self):
         f = small_tensor()
-        plan = WeakformPlan(f, x_res=8, ypad=4.0)
+        plan = WeakformPlan(f, x_res=8)
         assert plan == plan
-        assert plan != WeakformPlan(f, x_res=8, ypad=4.0)
+        assert plan != WeakformPlan(f, x_res=8)
 
     def test_discrete_variance_near_l2sq(self):
         # at production resolution, and with room for the operator tails
         # beyond the bump support, the weight variance reproduces ||f||^2
         g = TimeGrid(8.0, 256)
-        f = TensorTestFunction(((SpaceBump(0.0, 1.0), bump(2.0, 1.0, grid=g)),))
+        f = TensorTestFunction(0.0, 1.0, hs.TestFunction(2.0, 1.0, g))
         plan = WeakformPlan(f)
         assert plan.variance_discrete() == pytest.approx(f.l2sq(), rel=1e-2)
 
     def test_monte_carlo_moments(self):
         f = small_tensor()
-        plan = WeakformPlan(f, x_res=8, ypad=4.0)
+        plan = WeakformPlan(f, x_res=8)
         R = 600
         vals = np.array([plan.residual(plan_sheet(plan, 13, stream=r))
                          for r in range(R)])

@@ -1,4 +1,4 @@
-"""Grid containers, the midpoint pairing, antisymmetric extension, bump test
+"""The time grid, the midpoint pairing, antisymmetric extension, bump test
 functions."""
 import math
 
@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import heatsheet as hs
-from heatsheet import TimeGrid, SymGrid, antisym_extend, bump
+from heatsheet import TimeGrid, antisym_extend
+from heatsheet.grid import bump_profile
 
 T_MAX = 8.0
 N = 512
@@ -46,17 +47,6 @@ class TestTimeGrid:
         assert grid != TimeGrid(T_MAX, 2 * N)
 
 
-class TestSymGrid:
-    def test_doubles_node_count(self, grid):
-        sym = SymGrid(grid)
-        assert sym.n == 2 * N
-        assert sym.nodes.shape == (2 * N,)
-
-    def test_nodes_are_odd_symmetric(self, grid):
-        sym = SymGrid(grid)
-        np.testing.assert_allclose(sym.nodes, -sym.nodes[::-1], atol=0)
-
-
 class TestAntisymExtend:
     def test_odd_reflection_layout(self, grid):
         f = rng.standard_normal(N)
@@ -66,13 +56,13 @@ class TestAntisymExtend:
         np.testing.assert_array_equal(fa[:N], -f[::-1])
 
     def test_l2_norm_scales_by_sqrt2(self, grid):
-        f = bump(2.0, 1.0, grid=grid).values
+        f = hs.TestFunction(2.0, 1.0, grid).values
         fa = antisym_extend(f)
         assert math.sqrt(np.sum(fa * fa)) == pytest.approx(
             math.sqrt(2.0) * math.sqrt(np.sum(f * f)), rel=1e-14)
 
     def test_l1_norm_doubles(self, grid):
-        f = bump(2.0, 1.0, grid=grid).values
+        f = hs.TestFunction(2.0, 1.0, grid).values
         assert np.sum(np.abs(antisym_extend(f))) == pytest.approx(
             2.0 * np.sum(np.abs(f)), rel=1e-14)
 
@@ -108,48 +98,42 @@ class TestPair:
 
 class TestBump:
     def test_peak_value_is_amplitude_over_e(self, grid):
-        h = bump(2.0, 1.0, grid=grid, amplitude=3.0)
-        assert h(np.array([2.0]))[0] == pytest.approx(3.0 / math.e, rel=1e-14)
-        assert h.sup_norm == pytest.approx(3.0 / math.e, rel=1e-14)
+        # the amplitude is 1
+        h = hs.TestFunction(2.0, 1.0, grid)
+        assert h(np.array([2.0]))[0] == pytest.approx(1.0 / math.e, rel=1e-14)
+        assert h.sup_norm == pytest.approx(1.0 / math.e, rel=1e-14)
 
     def test_compact_support(self, grid):
-        h = bump(2.0, 1.0, grid=grid)
+        h = hs.TestFunction(2.0, 1.0, grid)
         assert h.support == (1.0, 3.0)
         ts = np.array([0.5, 0.99, 3.01, 7.0])
         np.testing.assert_array_equal(h(ts), 0.0)
 
     def test_derivative_matches_finite_differences(self, grid):
-        h = bump(2.0, 1.0, grid=grid)
+        h = hs.TestFunction(2.0, 1.0, grid)
         ts = np.linspace(1.05, 2.95, 100)
         fd = (h(ts + 1e-6) - h(ts - 1e-6)) / 2e-6
         assert np.max(np.abs(fd - h.deriv(ts))) <= 1e-6 * h.sup_norm
 
     def test_second_derivative_matches_finite_differences(self, grid):
-        h = bump(2.0, 1.0, grid=grid)
+        h = hs.TestFunction(2.0, 1.0, grid)
         ts = np.linspace(1.1, 2.9, 60)
         fd = (h.deriv(ts + 1e-6) - h.deriv(ts - 1e-6)) / 2e-6
         assert np.max(np.abs(fd - h.deriv2(ts))) <= 1e-4
 
     def test_grid_values_are_cached(self, grid):
-        h = bump(2.0, 1.0, grid=grid)
+        h = hs.TestFunction(2.0, 1.0, grid)
         assert h.values is h.values
         assert h.deriv_values is h.deriv_values
         np.testing.assert_array_equal(h.values, h(grid.nodes))
 
-    def test_amplitude_scales_linearly(self, grid):
-        h1 = bump(2.0, 1.0, grid=grid)
-        h3 = bump(2.0, 1.0, grid=grid, amplitude=-2.5)
-        np.testing.assert_allclose(h3.values, -2.5 * h1.values, rtol=1e-14)
-
-    def test_default_grid_construction(self):
-        h = bump(2.0, 1.0)
-        assert h.grid == TimeGrid(8.0, 4096)
-        h2 = bump(2.0, 1.0, t_max=4.0, n=128)
-        assert h2.grid == TimeGrid(4.0, 128)
-
     def test_explicit_testfunction_constructor(self, grid):
         h = hs.TestFunction(center=2.0, radius=1.0, grid=grid)
-        np.testing.assert_array_equal(h.values, bump(2.0, 1.0, grid=grid).values)
+        np.testing.assert_array_equal(h.values,
+                                      bump_profile(grid.nodes, 2.0, 1.0))
+        for order, d in ((1, h.deriv), (2, h.deriv2)):
+            np.testing.assert_array_equal(
+                d(grid.nodes), bump_profile(grid.nodes, 2.0, 1.0, order))
 
 
 if __name__ == "__main__":

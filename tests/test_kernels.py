@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from heatsheet import LnuSpec, l_nu, l_nu_laplace, laplace_g
+from heatsheet import l_nu, l_nu_laplace, laplace_g
 from heatsheet.gaussfield import point_weights
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
@@ -104,45 +104,53 @@ class TestLaplaceG:
 
 class TestLnu:
     def test_zero_at_zero_exactly(self):
-        assert l_nu(LnuSpec(nu=1.0), 0.0) == 0.0
+        assert l_nu(1.0, 0.0) == 0.0
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            l_nu(LnuSpec(nu=1.0), -0.1)
+            l_nu(1.0, -0.1)
 
     def test_spec_requires_positive_nu(self):
-        with pytest.raises(ValueError):
-            LnuSpec(nu=0.0)
+        # the decay rate nu is the whole specification of l_nu
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="nu must be positive"):
+                l_nu(bad, 1.0)
+            with pytest.raises(ValueError, match="nu must be positive"):
+                l_nu_laplace(bad, 1.0)
+        with pytest.raises(ValueError, match="nu_tilde must be positive"):
+            l_nu_laplace(1.0, 0.0)
 
     def test_matches_special_function_closed_form(self):
         # the library's closed form against the singularity-split quadrature
         for nu in (1.0, 2.0):
-            spec = LnuSpec(nu=nu)
             for t in (0.3, 1.0, 2.5, 10.0, 100.0):
-                assert l_nu(spec, t) == pytest.approx(
+                assert l_nu(nu, t) == pytest.approx(
                     l_nu_quad(nu, t), rel=1e-11)
 
     def test_frozen_value(self):
-        assert l_nu(LnuSpec(nu=1.0), 1.0) == pytest.approx(
+        assert l_nu(1.0, 1.0) == pytest.approx(
             0.27372678542851453, rel=1e-12)
 
     def test_three_halves_tail_bounded(self):
         ts = np.geomspace(10.0, 1000.0, 40)
-        spec = LnuSpec(nu=1.0)
-        scaled = np.array([t ** 1.5 * l_nu(spec, t) for t in ts])
+        scaled = np.array([t ** 1.5 * l_nu(1.0, t) for t in ts])
         assert np.all(scaled > 0.25)
         assert np.all(scaled < 0.32)
         # tail constant: t^(3/2) l_1(t) -> 1/(2 sqrt pi) from above
         assert scaled[-1] == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), rel=2e-3)
 
     def test_laplace_value_at_unit_rates(self):
-        val = l_nu_laplace(LnuSpec(nu=1.0), 1.0)
+        val = l_nu_laplace(1.0, 1.0)
         assert val == pytest.approx(0.25, rel=1e-6)
 
-    def test_laplace_closed_form_other_rates(self):
-        # transform algebra gives 1 / ((sqrt(nt) + sqrt(nu)) (nt + nu))
-        val = l_nu_laplace(LnuSpec(nu=2.0), 1.0)
-        assert val == pytest.approx(1.0 / ((1.0 + math.sqrt(2.0)) * 3.0), rel=1e-6)
+    @pytest.mark.parametrize("nt", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 4.0])
+    def test_laplace_closed_form_other_rates(self, nu, nt):
+        # transform algebra gives 1 / ((sqrt(nt) + sqrt(nu)) (nt + nu)); the
+        # fixed Gauss-Legendre rule must hold it to near roundoff
+        val = l_nu_laplace(nu, nt)
+        ref = 1.0 / ((math.sqrt(nt) + math.sqrt(nu)) * (nt + nu))
+        assert val == pytest.approx(ref, rel=1e-12)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 """The package namespace: every exported name resolves, none twice, and has
-a caller outside the tests; and the benchmark tracer's wrap targets still
-exist."""
+a caller outside the tests; the benchmark tracer's wrap targets still
+exist; and importing the command line pulls in no scipy subpackage it does
+not use."""
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import heatsheet
 
@@ -65,3 +69,19 @@ def test_every_export_has_a_caller():
                 used.add(node.id if isinstance(node, ast.Name) else node.attr)
     unused = sorted(set(heatsheet.__all__) - used - EXPORT_ALLOW)
     assert not unused, f"exported but only tests reach: {unused}"
+
+
+# scipy subpackages the library has no use for; each adds import time to
+# every heatsheet command
+UNUSED_SCIPY = ("scipy.integrate", "scipy.signal", "scipy.stats")
+
+
+def test_cli_import_skips_unused_scipy():
+    # a fresh interpreter, so that no test module's imports count
+    code = ("import sys, heatsheet.cli; "
+            f"print(sorted(m for m in {UNUSED_SCIPY!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", f"import heatsheet.cli loads {out.strip()}"

@@ -14,7 +14,7 @@ import pytest
 
 import heatsheet as hs
 from heatsheet import (EvolveConfig, FieldState, InstabilityError, SpectralPlan,
-                       StationarySampler, SymGrid, TimeGrid, bump, evolve,
+                       StationarySampler, TimeGrid, evolve,
                        noise_draw, smooth_window, spectral_radius,
                        stability_limit, stationary_basis)
 from heatsheet.cli import EVOLVE_BATCH, _parallel
@@ -62,7 +62,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def plan(grid):
-    return SpectralPlan(SymGrid(grid))
+    return SpectralPlan(grid)
 
 
 class TestStability:
@@ -162,7 +162,7 @@ class TestDrift:
         assert np.max(np.abs(dv + rate * tone)[interior]) <= 1e-2 * rate
 
     def test_grid_mismatch(self, grid):
-        other = SpectralPlan(SymGrid(TimeGrid(T_MAX, 256)))
+        other = SpectralPlan(TimeGrid(T_MAX, 256))
         cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=(),
                            noise=False)
         with pytest.raises(ValueError, match="grids differ"):
@@ -187,7 +187,7 @@ class TestEulerStep:
 class TestNoiseDraw:
     def test_pairing_variance(self, grid):
         # <dW; h> must carry variance dz ||h||^2
-        h = bump(4.0, 2.0, grid=grid)
+        h = hs.TestFunction(4.0, 2.0, grid)
         dz = 0.0125
         rng = sheet_rng(5, 0)
         R = 10_000
@@ -211,7 +211,7 @@ class TestStationary:
     def test_sampler_validation(self, grid):
         with pytest.raises(ValueError):
             StationarySampler([], grid)
-        other = bump(2.0, 0.3, grid=TimeGrid(T_MAX, 256))
+        other = hs.TestFunction(2.0, 0.3, TimeGrid(T_MAX, 256))
         with pytest.raises(ValueError):
             StationarySampler([other], grid)
 
@@ -267,8 +267,8 @@ class TestEvolveConfig:
             EvolveConfig(dz=0.0, Z=1.0, observables=())
         with pytest.raises(ValueError):
             EvolveConfig(dz=0.01, Z=-1.0, observables=())
-        h1 = bump(2.0, 0.5, grid=grid)
-        h2 = bump(2.0, 0.5, grid=TimeGrid(T_MAX, 256))
+        h1 = hs.TestFunction(2.0, 0.5, grid)
+        h2 = hs.TestFunction(2.0, 0.5, TimeGrid(T_MAX, 256))
         with pytest.raises(ValueError):
             EvolveConfig(dz=0.01, Z=1.0, observables=(h1, h2))
 
@@ -291,7 +291,7 @@ class TestEvolveConfig:
 
 class TestEvolve:
     def test_zero_flow(self, grid, plan):
-        h = bump(4.0, 1.0, grid=grid)
+        h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=0.0125, Z=0.5, observables=(h,), noise=False)
         res = evolve(zero_state(grid), cfg, plan)
         assert float(np.max(np.abs(res.u_obs))) == 0.0
@@ -300,7 +300,7 @@ class TestEvolve:
         assert res.z_nodes.size == cfg.steps + 1
 
     def test_deterministic_in_seed(self, grid, plan):
-        h = bump(4.0, 1.0, grid=grid)
+        h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=0.0125, Z=0.25, observables=(h,))
         r1 = evolve(zero_state(grid), cfg, plan, rng=sheet_rng(7, 0))
         r2 = evolve(zero_state(grid), cfg, plan, rng=sheet_rng(7, 0))
@@ -308,7 +308,7 @@ class TestEvolve:
         np.testing.assert_array_equal(r1.final_state.v, r2.final_state.v)
 
     def test_telescoping_bookkeeping(self, grid, plan):
-        h = bump(4.0, 1.0, grid=grid)
+        h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=0.0125, Z=0.5, observables=(h,))
         init = StationarySampler(stationary_basis(grid), grid).draw(
             sheet_rng(11, 0))
@@ -352,7 +352,7 @@ class TestEvolve:
         assert worst <= 1e-2
 
     def test_csv_export(self, grid, plan):
-        h = bump(4.0, 1.0, grid=grid)
+        h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=0.0125, Z=0.125, observables=(h,))
         res = evolve(zero_state(grid), cfg, plan, rng=sheet_rng(1, 0))
         text = res.to_csv()
@@ -386,7 +386,7 @@ def _oracle(states, cfg, plan, rngs):
 
 def _direct_energy(u, v, plan):
     L1u = lap(u, 1.0, plan)
-    return float(np.dot(v, v) + np.dot(u, L1u)) * plan.sym.dt
+    return float(np.dot(v, v) + np.dot(u, L1u)) * plan.grid.dt
 
 
 class TestBatchedEvolve:
@@ -422,7 +422,7 @@ class TestBatchedEvolve:
         # 37 replicas in blocks of EVOLVE_BATCH: the last block is partial
         R = 37
         assert R % EVOLVE_BATCH
-        h = bump(4.0, 1.0, grid=grid)
+        h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=(h,))
         rows = [None] * R
 
@@ -432,7 +432,8 @@ class TestBatchedEvolve:
             for r in range(lo, hi):
                 rows[r] = res.row(r - lo)
 
-        _parallel(R, 1, task, chunk=EVOLVE_BATCH)
+        _parallel([(lo, min(lo + EVOLVE_BATCH, R))
+                   for lo in range(0, R, EVOLVE_BATCH)], 1, task)
         for r in range(R):
             rng = sheet_rng(self.SEED, r)
             one = evolve(sampler.draw(rng), cfg, plan, rng=rng)

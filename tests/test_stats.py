@@ -86,16 +86,16 @@ class TestVarSe:
 
 class TestZTest:
     def test_exact_match(self):
-        rep = z_test(1.0, 0.1, 1.0, k=4)
+        rep = z_test(1.0, 0.1, 1.0)
         assert rep.passed and rep.z == 0.0
 
     def test_five_sigma_fails(self):
-        rep = z_test(1.5, 0.1, 1.0, k=4)
+        rep = z_test(1.5, 0.1, 1.0)
         assert not rep.passed
         assert rep.z == pytest.approx(5.0)
 
     def test_just_inside_band(self):
-        rep = z_test(1.39, 0.1, 1.0, k=4)
+        rep = z_test(1.39, 0.1, 1.0)
         assert rep.passed
         assert rep.z == pytest.approx(3.9)
 
@@ -124,17 +124,17 @@ class TestMatrixCompare:
         emp = np.eye(4)
         ana = emp.copy()
         se = np.full((4, 4), 0.1)
-        emp[0, 0] += 3 * 4 * 0.1  # 12 se with k = 4
-        rep = matrix_compare(emp, ana, se, k=4, name="gram")
+        emp[0, 0] += 3 * 4 * 0.1  # 12 se with K = 4
+        rep = matrix_compare(emp, ana, se, name="gram")
         assert not rep.passed
 
     def test_max_rule_trips_even_with_good_fraction(self):
-        # one 12 se entry in an 8x8: 63/64 = 0.984 >= 0.95 but the cap 2k = 8
+        # one 12 se entry in an 8x8: 63/64 = 0.984 >= 0.95 but the cap 2K = 8
         # is exceeded
         emp = np.zeros((8, 8))
         se = np.full((8, 8), 1.0)
         emp[3, 4] = 12.0
-        rep = matrix_compare(emp, np.zeros((8, 8)), se, k=4, name="gram")
+        rep = matrix_compare(emp, np.zeros((8, 8)), se, name="gram")
         assert not rep.passed
         assert rep.estimate >= 0.95
 
@@ -144,7 +144,7 @@ class TestMatrixCompare:
         se = np.full((4, 4), 1.0)
         emp[0, 0] = 5.0
         emp[1, 1] = -5.0
-        rep = matrix_compare(emp, np.zeros((4, 4)), se, k=4, name="gram")
+        rep = matrix_compare(emp, np.zeros((4, 4)), se, name="gram")
         assert not rep.passed
         assert rep.estimate == pytest.approx(14.0 / 16.0)
 
@@ -162,13 +162,13 @@ class TestMatrixCompare:
 
     def test_zero_se_mismatch_is_infinite(self):
         # as in z_test: an entry with se 0 that misses its target, however
-        # narrowly, has z = inf, so it is outside k se and over the 2k cap
+        # narrowly, has z = inf, so it is outside K se and over the 2K cap
         emp = np.eye(4)
         ana = emp.copy()
         se = np.full((4, 4), 0.1)
         se[2, 3] = 0.0
         emp[2, 3] = 1e-12
-        rep = matrix_compare(emp, ana, se, k=4, name="gram")
+        rep = matrix_compare(emp, ana, se, name="gram")
         assert not rep.passed
         assert math.isinf(rep.se)
         assert rep.estimate == pytest.approx(15.0 / 16.0)
@@ -180,12 +180,19 @@ class TestMatrixCompare:
 
 class TestReportRecords:
     def test_json_roundtrip_and_pass_key(self):
-        rep = z_test(1.1, 0.1, 1.0, k=4, name="demo statistic")
+        rep = z_test(1.1, 0.1, 1.0, name="demo statistic")
         # serialized as the suites write their reports
         d = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
         assert d["statistic"] == "demo statistic"
         assert d["pass"] is True
         assert "passed" not in d
+
+    def test_z_and_matrix_rules(self):
+        # the rule strings every report carries, with K = 4
+        assert z_test(1.0, 0.1, 1.0).rule == "|z| <= 4"
+        g = np.eye(2)
+        assert matrix_compare(g, g, np.full((2, 2), 0.1)).rule \
+            == "frac_within >= 0.95, max|z| <= 8"
 
     def test_residual_report_rule(self):
         rep = residual_report("resid", 0.005, 0.01)
@@ -195,20 +202,20 @@ class TestReportRecords:
         assert not bad.passed
 
     def test_recompute_matches_z_rule(self):
-        rep = z_test(1.2, 0.1, 1.0, k=4)
+        rep = z_test(1.2, 0.1, 1.0)
         assert recompute_pass(rep) == rep.passed
 
     @pytest.mark.parametrize("outlier", [0.0, 0.5, 1.2])
     def test_recompute_matches_matrix_rule(self, outlier):
         emp = np.zeros((8, 8))
-        emp[0, 0] = outlier  # 0, 5 and 12 se with k = 4
-        rep = matrix_compare(emp, np.zeros((8, 8)), np.full((8, 8), 0.1), k=4)
+        emp[0, 0] = outlier  # 0, 5 and 12 se with K = 4
+        rep = matrix_compare(emp, np.zeros((8, 8)), np.full((8, 8), 0.1))
         assert recompute_pass(rep) == rep.passed
 
     @settings(max_examples=60)
-    @given(finite, st.floats(1e-9, 1e6), finite, st.integers(1, 8))
-    def test_recompute_invariant_z(self, est, se, target, k):
-        rep = z_test(est, se, target, k=k)
+    @given(finite, st.floats(1e-9, 1e6), finite)
+    def test_recompute_invariant_z(self, est, se, target):
+        rep = z_test(est, se, target)
         assert recompute_pass(rep) == rep.passed
 
     @settings(max_examples=60)
