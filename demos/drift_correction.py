@@ -2,7 +2,8 @@
 """Pathwise drift identity and its Laplace-domain closed form.
 
 One white-noise sheet is drawn and the correction drift is evaluated two
-ways at a row of spatial points:
+ways at a row of spatial points, each as a weight array contracted against
+the sheet's cell increments:
 
   field form     pairing of the field and its spatial derivative against
                  exponential windows (no explicit geometry of the point);
@@ -20,8 +21,8 @@ import numpy as np
 from heatsheet import (SheetLattice, cameron_martin_laplace,
                        cameron_martin_target, drift_variance_exact,
                        sheet_sample)
-from heatsheet.gaussfield import (coverage_halfwidth, drift_field_form,
-                                  drift_integral_form)
+from heatsheet.gaussfield import (coverage_halfwidth, drift_field_weights,
+                                  drift_integral_weights)
 
 NU = 1.0
 S_MAX = 20.0
@@ -44,9 +45,11 @@ def main() -> int:
     print("y       field form   integral form   difference")
     a = np.empty(Y_VALUES.size)
     b = np.empty(Y_VALUES.size)
+    yn, sn, dB = lat.y_nodes, lat.s_nodes, sheet.increments
     for i, y in enumerate(Y_VALUES):
-        a[i] = drift_field_form(sheet, float(y), NU)
-        b[i] = drift_integral_form(sheet, float(y), NU)
+        y = float(y)
+        a[i] = np.sum(drift_field_weights(yn, sn, y, NU, lat.s_max) * dB)
+        b[i] = np.sum(drift_integral_weights(yn, sn, y, NU) * dB)
         print(f"{y:<6g}  {a[i]:+.6f}    {b[i]:+.6f}      {a[i] - b[i]:+.2e}")
     rms = float(np.sqrt(np.mean((a - b) ** 2)) / np.sqrt(np.mean(b ** 2)))
     print(f"\nrelative RMS over the row: {rms:.2e} "

@@ -13,12 +13,11 @@ from .fracops import (SpectralPlan, frac_laplacian, op_A1, op_A2,
                       halfroot_conv, a1_a2_residual, ConfigurationError)
 from .gaussfield import (cov_u, cov_u_cross, cov_u_apply, cov_v_apply,
                          cov_u_gram, cov_v_gram, SheetLattice, SheetSample,
-                         sheet_sample, sheet_rng, drift_field_form,
-                         drift_integral_form, drift_variance_exact,
+                         sheet_sample, sheet_rng, drift_variance_exact,
                          cameron_martin_laplace, cameron_martin_target,
                          TensorTestFunction, WeakformPlan,
-                         weakform_residual_reference, dump_sheet, load_sheet,
-                         coverage_halfwidth, CoverageError, ResourceError)
+                         weakform_residual_reference, coverage_halfwidth,
+                         CoverageError, ResourceError)
 from .sde import (FieldState, EvolveConfig, EvolveResult, noise_draw,
                   stationary_basis, StationarySampler, evolve, smooth_window,
                   stability_limit, spectral_radius, InstabilityError)
@@ -34,9 +33,8 @@ __all__ = [
     "a1_a2_residual", "ConfigurationError",
     "cov_u", "cov_u_cross", "cov_u_apply", "cov_v_apply", "cov_u_gram",
     "cov_v_gram", "SheetLattice", "SheetSample", "sheet_sample", "sheet_rng",
-    "drift_field_form", "drift_integral_form", "drift_variance_exact",
-    "cameron_martin_laplace", "cameron_martin_target", "TensorTestFunction",
-    "WeakformPlan", "weakform_residual_reference", "dump_sheet", "load_sheet",
+    "drift_variance_exact", "cameron_martin_laplace", "cameron_martin_target",
+    "TensorTestFunction", "WeakformPlan", "weakform_residual_reference",
     "coverage_halfwidth", "CoverageError", "ResourceError",
     "FieldState", "EvolveConfig", "EvolveResult", "noise_draw",
     "stationary_basis", "StationarySampler", "evolve", "smooth_window",

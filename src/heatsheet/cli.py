@@ -8,8 +8,9 @@ Five subcommands, one per suite:
 * verify-spde   weak-form residual: white-noise law of the paired field
 * evolve        spatial dynamics: stationarity preserved over a horizon
 
-Each writes <suite>_report.json into --out (plus trajectory.csv and
-final_state.bin for evolve) and exits 0 when every report passes, 1 when
+Each writes <suite>_report.json into --out (plus, for evolve, the sample
+replica's trajectory.csv and its final (u, v) as final_state.npy, a float64
+(2, n) array for np.load) and exits 0 when every report passes, 1 when
 any fails, 2 on a configuration error and 3 on a numerical or resource
 failure, exhausted memory included, which yields no verdict.  Replica
 streams are derived as seed XOR suite tag, then one SeedSequence spawn per
@@ -40,8 +41,7 @@ from .gaussfield import (SQRT4PI, DEFAULT_TAIL_TOL, cov_u, cov_u_gram,
                          drift_integral_weights, drift_variance_exact,
                          cameron_martin_laplace, cameron_martin_target,
                          TensorTestFunction, WeakformPlan, SheetLattice,
-                         SheetSample, dump_sheet, check_sheet_cells,
-                         weakform_geometry, ResourceError)
+                         check_sheet_cells, weakform_geometry, ResourceError)
 from .sde import (EvolveConfig, FieldState, StationarySampler,
                   stationary_basis, evolve, stability_limit)
 from .stats import mean_se, var_se, z_test, residual_report, matrix_compare
@@ -639,13 +639,8 @@ def suite_evolve(cfg: RunConfig):
     m = len(obs)
     ecfg = EvolveConfig(dz=dz, Z=Z, observables=tuple(obs))
     ecfg.check_stability(grid)
-    # a block's records, (steps + 1) rows of 2m pairings and an energy each,
-    # must fit before anything is drawn; the step count is taken as the
-    # float Z / dz, so that an infinite one fails here too
-    steps = Z / dz
-    check_sheet_cells(min(R, EVOLVE_BATCH) * (steps + 1.0) * (2 * m + 1),
-                      f"the records of Z={Z:g} / dz={dz:g} = {steps:.6g} "
-                      f"steps")
+    # a block's records must fit before anything is drawn
+    ecfg.check_records(min(R, EVOLVE_BATCH))
 
     basis = stationary_basis(grid)
     sampler = StationarySampler(basis, grid)
@@ -684,7 +679,7 @@ def suite_evolve(cfg: RunConfig):
             reports += _moment_tests(data, float(tgt_var),
                                      f"terminal {name}-pairing", lab,
                                      seed=seed, grid=gdesc)
-    return reports, sample["result"], grid, seed
+    return reports, sample["result"]
 
 
 # ----------------------------------------------------------------------
@@ -713,16 +708,14 @@ def _finish(suite: str, cfg: RunConfig, reports: list) -> int:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    reports, sample, grid, seed = suite_evolve(cfg)
+    reports, sample = suite_evolve(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "trajectory.csv"), "w") as fh:
         fh.write(sample.to_csv())
-    # final state reuses the binary matrix container: row 0 = u, row 1 = v
+    # the sample's final (u, v) as a float64 (2, n) array: row 0 = u, 1 = v
     state = sample.final_state
-    holder = SheetSample(SheetLattice(0.0, 1.0, grid.dt, 2, grid.n),
-                         seed=seed, stream=0,
-                         increments=np.vstack([state.u, state.v]))
-    dump_sheet(holder, os.path.join(cfg.out_dir, "final_state.bin"))
+    np.save(os.path.join(cfg.out_dir, "final_state.npy"),
+            np.vstack([state.u, state.v]))
     return _finish("evolve", cfg, reports)
 
 

@@ -7,19 +7,18 @@ them against each other:
   its spatial derivative (cov_u, cov_v_* below), and
 * pathwise, as cell weights of heat-kernel integrals (point_weights,
   pair_u_weights, pair_v_weights) contracted against a sampled sheet of
-  independent Gaussian cell increments, plus the boundary-drift
-  functionals and the weak-form residual built from the same machinery.
+  independent Gaussian cell increments, plus the boundary-drift functional
+  in its two forms (drift_field_weights, drift_integral_weights) and the
+  weak-form residual (WeakformPlan) built from the same machinery.
 
-Weights against a sheet are always precomputable arrays, so replicas
-reduce to dot products; everything downstream of a (seed, stream) pair is
-deterministic.
+Every sheet statistic is a precomputed weight array w, the isonormal map
+w -> sum w dB, so replicas reduce to dot products; everything downstream
+of a (seed, stream) pair is deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from scipy.fft import next_fast_len
 from scipy.special import erfc, roots_legendre
 
 from .grid import TimeGrid, TestFunction, antisym_extend, bump_profile
-from .fracops import SpectralPlan, cell_conv, frac_laplacian
+from .fracops import SpectralPlan, cell_conv, frac_laplacian, halfroot_conv
 from .kernels import laplace_g
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
@@ -107,10 +106,9 @@ def cov_u_apply(f: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 
 def cov_v_apply(f: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """C2 f: kernel 1/(2 sqrt(4 pi |u|)) against the odd extension."""
-    # antiderivative of |u|^(-1/2)/(2 sqrt(4pi)) is sgn(u) sqrt(|u|)/sqrt(4pi)
-    F = lambda u: np.sign(u) * np.sqrt(np.abs(u)) / SQRT4PI
-    return cell_conv(antisym_extend(np.asarray(f, dtype=float)), grid.dt, F)
+    """C2 f: kernel 1/(2 sqrt(4 pi |u|)) against the odd extension, half of
+    halfroot_conv's (4 pi |u|)^(-1/2)."""
+    return 0.5 * halfroot_conv(f, grid)
 
 
 def _gram(h_list: list[TestFunction], apply_op) -> np.ndarray:
@@ -216,8 +214,6 @@ class SheetSample:
     """
 
     lattice: SheetLattice
-    seed: int
-    stream: int
     increments: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -239,36 +235,17 @@ def sheet_rng(seed: int, stream: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
 
 
-def sheet_sample(lattice: SheetLattice, seed: int, stream: int = 0,
-                 dtype=np.float64) -> SheetSample:
+def sheet_sample(lattice: SheetLattice, seed: int,
+                 stream: int = 0) -> SheetSample:
     """Sample sheet increments; a pure function of (seed, stream)."""
-    rng = sheet_rng(seed, stream)
-    inc = rng.standard_normal((lattice.ny, lattice.ns), dtype=dtype)
-    # in place: a float64 product, stored in the requested dtype
-    inc *= np.float64(lattice.scale)
-    return SheetSample(lattice=lattice, seed=seed, stream=stream,
-                       increments=inc)
+    inc = sheet_rng(seed, stream).standard_normal((lattice.ny, lattice.ns))
+    inc *= lattice.scale
+    return SheetSample(lattice=lattice, increments=inc)
 
 
 def coverage_halfwidth(t_hi: float, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
     """Half-width L = sqrt(4 t ln(1/tol)) of the kernel's effective support."""
     return math.sqrt(4.0 * t_hi * math.log(1.0 / tail_tol))
-
-
-def _check_coverage(lat: SheetLattice, x: float, t_hi: float,
-                    tail_tol: float = DEFAULT_TAIL_TOL):
-    need = coverage_halfwidth(t_hi, tail_tol)
-    if x - lat.y_min < need:
-        raise CoverageError(
-            f"sheet y_min side short: need {need:.2f} below x={x}, "
-            f"have {x - lat.y_min:.2f}")
-    if lat.y_max - x < need:
-        raise CoverageError(
-            f"sheet y_max side short: need {need:.2f} above x={x}, "
-            f"have {lat.y_max - x:.2f}")
-    if lat.s_max < t_hi - 1e-12:
-        raise CoverageError(
-            f"sheet s_max={lat.s_max} does not reach t={t_hi}")
 
 
 # ----------------------------------------------------------------------
@@ -360,28 +337,22 @@ def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
 # ----------------------------------------------------------------------
 # boundary-drift functionals
 
-def exp_tail_u(d, s, nu: float, T: float):
-    """int_T^inf g(d; t - s) e^(-nu t) dt in closed erfc form (d = x - y')."""
+def exp_tails(d, s, nu: float, T: float) -> tuple:
+    """The pair int_T^inf g(d; t - s) e^(-nu t) dt and int_T^inf (dg/dx)(d;
+    t - s) e^(-nu t) dt (d = x - y') in closed erfc form, sharing their two
+    erfc terms; the Gaussian boundary terms of the differentiation cancel
+    exactly, so the second is pure erfc terms too."""
     a = T - s
     ad = np.abs(d)
     sr = math.sqrt(nu)
-    up = sr * np.sqrt(a) + ad / (2.0 * np.sqrt(a))
-    um = sr * np.sqrt(a) - ad / (2.0 * np.sqrt(a))
-    return np.exp(-nu * s) / (4.0 * sr) * (
-        np.exp(sr * ad) * erfc(up) + np.exp(-sr * ad) * erfc(um))
-
-
-def exp_tail_v(d, s, nu: float, T: float):
-    """int_T^inf (dg/dx)(d; t - s) e^(-nu t) dt; the Gaussian boundary terms
-    of the differentiation cancel exactly, leaving pure erfc terms."""
-    a = T - s
-    ad = np.abs(d)
-    sg = np.sign(d)
-    sr = math.sqrt(nu)
-    up = sr * np.sqrt(a) + ad / (2.0 * np.sqrt(a))
-    um = sr * np.sqrt(a) - ad / (2.0 * np.sqrt(a))
-    return np.exp(-nu * s) * sg * 0.25 * (
-        np.exp(sr * ad) * erfc(up) - np.exp(-sr * ad) * erfc(um))
+    ra = np.sqrt(a)
+    up = sr * ra + ad / (2.0 * ra)
+    um = sr * ra - ad / (2.0 * ra)
+    plus = np.exp(sr * ad) * erfc(up)
+    minus = np.exp(-sr * ad) * erfc(um)
+    decay = np.exp(-nu * s)
+    return (decay / (4.0 * sr) * (plus + minus),
+            decay * np.sign(d) * 0.25 * (plus - minus))
 
 
 def drift_field_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, y: float,
@@ -393,13 +364,16 @@ def drift_field_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, y: float,
     The exponentials are not compactly supported, so the grid part on
     [0, T] is completed with the analytic erfc tails beyond T.
     """
+    if nu <= 0:
+        raise ValueError("nu must be positive")
     hu = lambda t: math.sqrt(nu) * np.exp(-nu * t)
     hv = lambda t: np.exp(-nu * t)
     d = y - y_nodes
     W = pair_u_weights(y_nodes, s_nodes, y, [hu], T, nw=nw)[0]
     W += pair_v_weights(y_nodes, s_nodes, y, [hv], T, nv=nw)[0]
-    W += math.sqrt(nu) * exp_tail_u(d[:, None], s_nodes[None, :], nu, T)
-    W += exp_tail_v(d[:, None], s_nodes[None, :], nu, T)
+    tail_u, tail_v = exp_tails(d[:, None], s_nodes[None, :], nu, T)
+    W += math.sqrt(nu) * tail_u
+    W += tail_v
     return W
 
 
@@ -407,39 +381,13 @@ def drift_integral_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, y: float,
                            nu: float) -> np.ndarray:
     """Cell weights of the explicit boundary integral: e^(-nu s') e^(-sqrt(nu)(y'-y))
     over the quadrant y' > y, sampled at cell centers."""
+    if nu <= 0:
+        raise ValueError("nu must be positive")
     d = y_nodes - y
     out = np.exp(-nu * s_nodes)[None, :] * \
         np.exp(-math.sqrt(nu) * np.maximum(d, 0.0))[:, None]
     out[d < 0, :] = 0.0
     return out
-
-
-def drift_field_form(sheet: SheetSample, y: float, nu: float,
-                     tail_tol: float = DEFAULT_TAIL_TOL,
-                     nw: int = PAIR_U_NODES) -> float:
-    """Drift functional via the field pairings (the 'does not depend on the
-    window location' form)."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    lat = sheet.lattice
-    _check_coverage(lat, y, lat.s_max, tail_tol)
-    W = drift_field_weights(lat.y_nodes, lat.s_nodes, y, nu, lat.s_max, nw=nw)
-    return float(np.sum(W * sheet.increments))
-
-
-def drift_integral_form(sheet: SheetSample, y: float, nu: float,
-                        tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """Drift functional as the explicit exponential sheet integral."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    lat = sheet.lattice
-    reach = math.log(1.0 / tail_tol) / math.sqrt(nu)
-    if lat.y_max - y < reach:
-        raise CoverageError(
-            f"sheet y_max side short for the exponential: need {reach:.2f} "
-            f"above y={y}, have {lat.y_max - y:.2f}")
-    W = drift_integral_weights(lat.y_nodes, lat.s_nodes, y, nu)
-    return float(np.sum(W * sheet.increments))
 
 
 def drift_variance_exact(nu: float) -> float:
@@ -682,60 +630,3 @@ def weakform_residual_reference(sheet: SheetSample, f: TensorTestFunction,
             w = point_weights(yn, sn, x[i], t[j])
             eta += float(np.sum(w * sheet.increments)) * A[i, j] * dx * dt
     return eta
-
-
-# ----------------------------------------------------------------------
-# binary sheet dumps
-
-SHEET_MAGIC = b"SHT1"
-SHEET_VERSION = 1
-_HEADER = struct.Struct("<4sI5dQII")  # 64 bytes
-assert _HEADER.size == 64
-
-
-def dump_sheet(sheet: SheetSample, path) -> None:
-    """Binary matrix dump: 64-byte header + row-major float64 increments."""
-    lat = sheet.lattice
-    hdr = _HEADER.pack(SHEET_MAGIC, SHEET_VERSION, lat.dy, lat.ds, lat.y_min,
-                       lat.y_max, lat.s_max, sheet.seed % (1 << 64),
-                       sheet.stream, lat.ns)
-    with open(path, "wb") as fh:
-        fh.write(hdr)
-        fh.write(np.ascontiguousarray(sheet.increments, dtype=np.float64).tobytes())
-
-
-def load_sheet(path) -> SheetSample:
-    """Read a dump_sheet file.  The header is validated and the lattice,
-    with its cell budget, built before the body is read into one array."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ValueError("not a sheet dump (shorter than its header)")
-        magic, version, dy, ds, y_min, y_max, s_max, seed, stream, ncols = \
-            _HEADER.unpack(head)
-        if magic != SHEET_MAGIC:
-            raise ValueError("not a sheet dump (bad magic)")
-        if version != SHEET_VERSION:
-            raise ValueError(f"unsupported sheet dump version {version}")
-        for name, v in (("dy", dy), ("ds", ds)):
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"corrupt sheet dump ({name} = {v} is not "
-                                 f"finite and positive)")
-        if not y_max > y_min:
-            raise ValueError(f"corrupt sheet dump (y_max = {y_max} does not "
-                             f"exceed y_min = {y_min})")
-        body_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if ncols == 0 or body_bytes % (8 * ncols):
-            raise ValueError("corrupt sheet dump (size does not divide)")
-        nrows = body_bytes // (8 * ncols)
-        for axis, got, span in (("rows", nrows, (y_max - y_min) / dy),
-                                ("columns", ncols, s_max / ds)):
-            if not (math.isfinite(span) and got == round(span)):
-                raise ValueError(f"corrupt sheet dump ({got} {axis}, header "
-                                 f"implies {span:g})")
-        lat = SheetLattice(y_min, dy, ds, nrows, ncols)
-        inc = np.fromfile(fh, dtype=np.float64, count=lat.cells)
-    if inc.size != lat.cells:
-        raise ValueError("corrupt sheet dump (body ends early)")
-    return SheetSample(lattice=lat, seed=seed, stream=stream,
-                       increments=inc.reshape(nrows, ncols))

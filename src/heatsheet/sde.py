@@ -17,7 +17,8 @@ import numpy as np
 
 from .grid import TimeGrid, TestFunction
 from .fracops import SpectralPlan
-from .gaussfield import cov_u_gram, cov_v_gram, gram_cholesky
+from .gaussfield import (cov_u_gram, cov_v_gram, gram_cholesky,
+                         check_sheet_cells)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -251,6 +252,17 @@ class EvolveConfig:
                 f"dz={self.dz:g} violates the stability rule "
                 f"dz <= 0.1 sqrt(dt) = {lim:.6g}")
 
+    def check_records(self, block: int):
+        """Raise ResourceError unless a block of this many replicas can hold
+        its records, (steps + 1) rows of 2m pairings and an energy each; the
+        step count is taken as the float Z / dz, so that an infinite one
+        fails here too."""
+        steps = self.Z / self.dz
+        check_sheet_cells(
+            block * (steps + 1.0) * (2 * len(self.observables) + 1),
+            f"the records of Z={self.Z:g} / dz={self.dz:g} = {steps:.6g} "
+            f"steps")
+
     @property
     def steps(self) -> int:
         return int(round(self.Z / self.dz))
@@ -322,6 +334,7 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     rngs = [] if rng is None else [rng] if single else list(rng)
     if cfg.noise and len(rngs) != init.u.shape[0]:
         raise ValueError("a noisy run needs one generator per replica in rng")
+    cfg.check_records(init.u.shape[0])
     Hobs = np.stack([h.values for h in cfg.observables]) \
         if cfg.observables else np.zeros((0, grid.n))
     dt = grid.dt

@@ -71,7 +71,7 @@ def spde_suite():
 
 @pytest.fixture(scope="module")
 def evolve_suite():
-    reports, sample, grid, seed = suite_evolve(RunConfig())
+    reports, sample = suite_evolve(RunConfig())
     return reports
 
 

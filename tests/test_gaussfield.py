@@ -1,6 +1,6 @@
 """Gaussian-field layer: covariances, sheet sampling, pairings, the drift
-functional in both forms, the Laplace-domain covariance identity, the
-weak-form residual, and binary sheet dumps.
+functional's two weight arrays, the Laplace-domain covariance identity and
+the weak-form residual.
 
 Cross-covariance and Gram reference values below were frozen from adaptive
 double quadrature of the defining integrals (independent of the cell-wise
@@ -8,12 +8,11 @@ quadrature used by the implementation).
 """
 import dataclasses
 import math
-import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
@@ -24,14 +23,11 @@ import heatsheet as hs
 from heatsheet import (CoverageError, ResourceError, SheetLattice, TimeGrid,
                        cameron_martin_laplace, cameron_martin_target,
                        cov_u, cov_u_cross, cov_u_gram, cov_v_gram,
-                       drift_field_form, drift_integral_form,
-                       drift_variance_exact, dump_sheet, load_sheet,
-                       residual_report, sheet_sample)
+                       drift_variance_exact, residual_report, sheet_sample)
 from heatsheet.gaussfield import (SheetSample, TensorTestFunction,
-                                  WeakformPlan, _check_coverage,
-                                  coverage_halfwidth,
+                                  WeakformPlan, coverage_halfwidth,
                                   drift_field_weights, drift_integral_weights,
-                                  exp_tail_u, exp_tail_v, gram_cholesky,
+                                  exp_tails, gram_cholesky,
                                   pair_u_weights, pair_v_weights,
                                   point_weights, sheet_rng, _bracket,
                                   weakform_geometry,
@@ -164,7 +160,7 @@ class TestSheetSample:
                 SheetLattice(*args)
         lat = SheetLattice(0.0, 0.5, 0.25, 2, 2)
         with pytest.raises(ValueError, match="2 x 2 lattice"):
-            SheetSample(lat, seed=0, stream=0, increments=np.zeros((1, 2)))
+            SheetSample(lat, increments=np.zeros((1, 2)))
 
     def test_cell_budget(self):
         with pytest.raises(ResourceError):
@@ -173,13 +169,6 @@ class TestSheetSample:
     def test_generator_is_sfc64(self):
         # every draw site shares this one (seed, stream) generator
         assert isinstance(sheet_rng(5, 3).bit_generator, np.random.SFC64)
-
-    def test_float32_variant_is_deterministic(self):
-        lat = SheetLattice(0.0, 0.25, 0.25, 4, 2)
-        a = sheet_sample(lat, seed=7, dtype=np.float32)
-        b = sheet_sample(lat, seed=7, dtype=np.float32)
-        assert a.increments.dtype == np.float32
-        np.testing.assert_array_equal(a.increments, b.increments)
 
 
 class TestMcPairingsBuffer:
@@ -193,8 +182,9 @@ class TestMcPairingsBuffer:
         X = _mc_pairings(W, lat.cells, lat.scale, R,
                          seed=123, stream_base=17, workers=2)
         for r in range(R):
-            s32 = sheet_sample(lat, seed=123, stream=17 + r, dtype=np.float32)
-            direct = float(np.sum(W.reshape(64, 16) * s32.increments))
+            z32 = sheet_rng(123, 17 + r).standard_normal(lat.cells,
+                                                         dtype=np.float32)
+            direct = lat.scale * float(W[0] @ z32)
             assert X[r, 0] == pytest.approx(direct, rel=1e-4)
 
 
@@ -204,20 +194,6 @@ class TestGreenrep:
         lat = s.lattice
         assert contract(point_weights(lat.y_nodes, lat.s_nodes, 0.0, 0.25),
                         s) == 0.0
-
-    def test_coverage_errors_name_the_side(self):
-        lat = SheetLattice(-5.0, 0.25, 0.25, 40, 2)
-        _check_coverage(lat, 0.0, 0.25)
-        with pytest.raises(CoverageError, match="y_min side"):
-            _check_coverage(lat, -4.0, 0.25)
-        with pytest.raises(CoverageError, match="y_max side"):
-            _check_coverage(lat, 4.0, 0.25)
-        wide = SheetLattice(-10.0, 0.5, 0.25, 40, 2)
-        with pytest.raises(CoverageError, match="does not reach"):
-            _check_coverage(wide, 0.0, 0.75)
-        # drift_field_form checks its sheet the same way before it pairs
-        with pytest.raises(CoverageError, match="y_max side"):
-            drift_field_form(sheet_sample(lat, seed=0), 4.0, 1.0)
 
     def test_point_variance_quadrature(self):
         # deterministic check: the cell quadratic form converges to the
@@ -410,7 +386,7 @@ class TestExpTails:
         ref, _ = quad(lambda t: math.exp(-(d * d) / (4.0 * (t - s)))
                       / math.sqrt(4.0 * math.pi * (t - s)) * math.exp(-nu * t),
                       T, np.inf)
-        assert exp_tail_u(d, s, nu, T) == pytest.approx(ref, abs=1e-12)
+        assert exp_tails(d, s, nu, T)[0] == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("d,s", [(0.5, 3.0), (-1.2, 5.0)])
     def test_v_tail_matches_quadrature(self, d, s):
@@ -419,12 +395,13 @@ class TestExpTails:
                       * math.exp(-(d * d) / (4.0 * (t - s)))
                       / math.sqrt(4.0 * math.pi * (t - s)) * math.exp(-nu * t),
                       T, np.inf)
-        assert exp_tail_v(d, s, nu, T) == pytest.approx(ref, abs=1e-12)
+        assert exp_tails(d, s, nu, T)[1] == pytest.approx(ref, abs=1e-12)
 
     def test_parity(self):
-        assert exp_tail_u(0.7, 2.0, 1.0, 8.0) == exp_tail_u(-0.7, 2.0, 1.0, 8.0)
-        assert exp_tail_v(0.7, 2.0, 1.0, 8.0) == -exp_tail_v(-0.7, 2.0, 1.0, 8.0)
-        assert exp_tail_v(0.0, 2.0, 1.0, 8.0) == 0.0
+        (u, v), (u_neg, v_neg) = (exp_tails(d, 2.0, 1.0, 8.0)
+                                  for d in (0.7, -0.7))
+        assert u == u_neg and v == -v_neg
+        assert exp_tails(0.0, 2.0, 1.0, 8.0)[1] == 0.0
 
 
 DRIFT_NU = 1.0
@@ -443,8 +420,10 @@ class TestDrift:
 
     def test_zero_sheet_gives_zero(self, lattice):
         s = zeroed(sheet_sample(lattice, seed=0))
-        assert drift_field_form(s, 0.0, self.NU) == 0.0
-        assert drift_integral_form(s, 0.0, self.NU) == 0.0
+        yn, sn = lattice.y_nodes, lattice.s_nodes
+        assert contract(drift_field_weights(yn, sn, 0.0, self.NU,
+                                            lattice.s_max), s) == 0.0
+        assert contract(drift_integral_weights(yn, sn, 0.0, self.NU), s) == 0.0
 
     def test_weights_agree_cell_by_cell(self, lattice):
         # the two routes to the drift functional assign the same weight to
@@ -504,13 +483,12 @@ class TestDrift:
         assert ks_2samp(v0, v1, method="asymp").pvalue > 0.01
 
     def test_validation(self, lattice):
-        s = sheet_sample(lattice, seed=0)
-        with pytest.raises(ValueError):
-            drift_field_form(s, 0.0, -1.0)
-        with pytest.raises(ValueError):
-            drift_integral_form(s, 0.0, 0.0)
-        with pytest.raises(CoverageError, match="exponential"):
-            drift_integral_form(s, lattice.y_max - 1.0, self.NU)
+        yn, sn = lattice.y_nodes, lattice.s_nodes
+        for nu in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="nu must be positive"):
+                drift_field_weights(yn, sn, 0.0, nu, lattice.s_max)
+            with pytest.raises(ValueError, match="nu must be positive"):
+                drift_integral_weights(yn, sn, 0.0, nu)
 
 
 class TestCameronMartin:
@@ -691,119 +669,6 @@ class TestWeakform:
         target = plan.variance_discrete()
         var = float(np.var(vals, ddof=1))
         assert abs(var - target) <= 4.0 * target * math.sqrt(2.0 / (R - 1))
-
-
-class TestSheetDump:
-    def test_roundtrip(self, tmp_path):
-        s = sheet_sample(SheetLattice(-1.0, 0.25, 0.125, 12, 6), seed=42,
-                         stream=6)
-        path = tmp_path / "sheet.bin"
-        dump_sheet(s, path)
-        assert path.stat().st_size == 64 + 8 * s.cells
-        back = load_sheet(path)
-        np.testing.assert_array_equal(back.increments, s.increments)
-        assert (back.lattice, back.seed, back.stream) == \
-            (s.lattice, s.seed, s.stream)
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "x.bin"
-        p.write_bytes(b"NOPE" + bytes(60))
-        with pytest.raises(ValueError, match="magic"):
-            load_sheet(p)
-
-    def test_bad_version(self, tmp_path):
-        s = sheet_sample(SheetLattice(0.0, 0.5, 0.25, 2, 2), seed=0)
-        p = tmp_path / "x.bin"
-        dump_sheet(s, p)
-        raw = bytearray(p.read_bytes())
-        raw[4:8] = struct.pack("<I", 99)
-        p.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="version"):
-            load_sheet(p)
-
-    def test_truncated_body(self, tmp_path):
-        s = sheet_sample(SheetLattice(0.0, 0.5, 0.25, 2, 2), seed=0)
-        p = tmp_path / "x.bin"
-        dump_sheet(s, p)
-        p.write_bytes(p.read_bytes()[:-8])  # drop one cell, keep 8-alignment
-        with pytest.raises(ValueError, match="corrupt"):
-            load_sheet(p)
-
-    @settings(max_examples=40, deadline=None)
-    @given(y_min=st.floats(-50.0, 50.0), dy=st.floats(1e-3, 4.0),
-           ds=st.floats(1e-3, 4.0), ny=st.integers(1, 6),
-           ns=st.integers(1, 6), seed=st.integers(0, (1 << 64) - 1),
-           stream=st.integers(0, (1 << 32) - 1))
-    def test_roundtrip_any_geometry(self, tmp_path_factory, y_min, dy, ds,
-                                    ny, ns, seed, stream):
-        inc = np.random.default_rng(ny * 7 + ns).standard_normal((ny, ns))
-        s = SheetSample(SheetLattice(y_min, dy, ds, ny, ns), seed=seed,
-                        stream=stream, increments=inc)
-        path = tmp_path_factory.getbasetemp() / "roundtrip.bin"
-        dump_sheet(s, path)
-        back = load_sheet(path)
-        np.testing.assert_array_equal(back.increments, s.increments)
-        assert (back.lattice, back.seed, back.stream) == \
-            (s.lattice, s.seed, s.stream)
-
-    # header layout "<4sI5dQII": dy, ds, y_min, y_max, s_max at byte 8 + 8k
-    @pytest.mark.parametrize("offset,value,msg", [
-        (8, 0.0, r"dy = 0.0 is not finite and positive"),
-        (8, math.nan, r"dy = nan is not finite and positive"),
-        (16, -0.25, r"ds = -0.25 is not finite and positive"),
-        (16, math.inf, r"ds = inf is not finite and positive"),
-        (24, 1.0, r"y_max = 1.0 does not exceed y_min = 1.0"),
-        (32, 1.5, r"2 rows, header implies 3"),
-        (32, math.inf, r"2 rows, header implies inf"),
-        (40, 1.0, r"2 columns, header implies 4"),
-    ])
-    def test_corrupt_header_field(self, tmp_path, offset, value, msg):
-        s = sheet_sample(SheetLattice(0.0, 0.5, 0.25, 2, 2), seed=0)
-        p = tmp_path / "x.bin"
-        dump_sheet(s, p)
-        raw = bytearray(p.read_bytes())
-        raw[offset:offset + 8] = struct.pack("<d", value)
-        p.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="corrupt sheet dump.*" + msg):
-            load_sheet(p)
-
-    def test_load_holds_one_copy_of_the_body(self, tmp_path):
-        lat = SheetLattice(0.0, 1.0, 1.0, 1000, 1000)
-        p = tmp_path / "x.bin"
-        dump_sheet(SheetSample(lat, seed=0, stream=0,
-                               increments=np.ones((1000, 1000))), p)
-        tracemalloc.start()
-        try:
-            back = load_sheet(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert back.increments.flags.writeable
-        assert np.all(back.increments == 1.0)
-        assert peak < 1.25 * 8 * lat.cells
-
-    def test_over_budget_dump_fails_before_reading(self, tmp_path):
-        # a sparse file: its size promises one column of MAX + 1 cells
-        rows = hs.gaussfield.MAX_SHEET_CELLS + 1
-        p = tmp_path / "x.bin"
-        with open(p, "wb") as fh:
-            fh.write(struct.pack("<4sI5dQII", b"SHT1", 1, 1.0, 1.0, 0.0,
-                                 float(rows), 1.0, 0, 0, 1))
-            fh.truncate(64 + 8 * rows)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceError, match="exceeds budget"):
-                load_sheet(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    def test_short_file(self, tmp_path):
-        p = tmp_path / "x.bin"
-        p.write_bytes(b"SHT1")
-        with pytest.raises(ValueError, match="shorter than its header"):
-            load_sheet(p)
 
 
 if __name__ == "__main__":

@@ -48,11 +48,6 @@ def test_benchmark_trace_targets_resolve():
                                              "padded_len"), property)
 
 
-# exported for use outside the package, with no caller inside it: the
-# reader of the final_state.bin that `heatsheet evolve` writes
-EXPORT_ALLOW = {"load_sheet"}
-
-
 def test_every_export_has_a_caller():
     # every public name must be used by the library, a demo or the
     # benchmark; a name that only the tests reach is dead weight.  Its own
@@ -67,7 +62,7 @@ def test_every_export_has_a_caller():
             if isinstance(node, (ast.Name, ast.Attribute)) \
                     and isinstance(node.ctx, ast.Load):
                 used.add(node.id if isinstance(node, ast.Name) else node.attr)
-    unused = sorted(set(heatsheet.__all__) - used - EXPORT_ALLOW)
+    unused = sorted(set(heatsheet.__all__) - used)
     assert not unused, f"exported but only tests reach: {unused}"
 
 

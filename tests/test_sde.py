@@ -19,7 +19,7 @@ from heatsheet import (EvolveConfig, FieldState, InstabilityError, SpectralPlan,
                        stability_limit, stationary_basis)
 from heatsheet.cli import EVOLVE_BATCH, _parallel
 from heatsheet.fracops import frac_laplacian
-from heatsheet.gaussfield import sheet_rng
+from heatsheet.gaussfield import MAX_SHEET_CELLS, sheet_rng
 from heatsheet.sde import SQRT2, _advance, _drift_terms
 
 T_MAX = 8.0
@@ -288,8 +288,24 @@ class TestEvolveConfig:
             EvolveConfig(dz=0.0125, Z=0.00625, observables=())
         assert EvolveConfig(dz=0.0125, Z=0.007, observables=()).steps == 1
 
+    def test_records_budget_counts_the_block(self):
+        # (steps + 1) rows of 2m pairings and an energy per replica: 81 x 1
+        cfg = EvolveConfig(dz=0.0125, Z=1.0, observables=())
+        cfg.check_records(MAX_SHEET_CELLS // 81)
+        with pytest.raises(hs.ResourceError, match="exceeds budget"):
+            cfg.check_records(MAX_SHEET_CELLS // 81 + 1)
+
 
 class TestEvolve:
+    def test_records_over_budget(self):
+        # a step count whose records cannot be held is a resource failure
+        # before anything is allocated, not numpy's dimension error
+        g = TimeGrid(16.0, 64)
+        cfg = EvolveConfig(dz=0.05, Z=1e300, observables=(), noise=False)
+        with pytest.raises(hs.ResourceError,
+                           match=r"records of Z=1e\+300 / dz=0.05"):
+            evolve(zero_state(g), cfg, SpectralPlan(g))
+
     def test_zero_flow(self, grid, plan):
         h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=0.0125, Z=0.5, observables=(h,), noise=False)
