@@ -10,14 +10,14 @@ independent oracles.  See the README for the map of checks.
 from .grid import TimeGrid, TestFunction, antisym_extend
 from .kernels import laplace_g, l_nu, l_nu_laplace
 from .fracops import (SpectralPlan, frac_laplacian, op_A1, op_A2,
-                      halfroot_conv, a1_a2_residual, ConfigurationError)
+                      halfroot_conv, a1_a2_residual)
 from .gaussfield import (cov_u, cov_u_cross, cov_u_apply, cov_v_apply,
                          cov_u_gram, cov_v_gram, SheetLattice, SheetSample,
                          sheet_sample, sheet_rng, drift_variance_exact,
                          cameron_martin_laplace, cameron_martin_target,
                          TensorTestFunction, WeakformPlan,
                          weakform_residual_reference, coverage_halfwidth,
-                         CoverageError, ResourceError)
+                         ResourceError)
 from .sde import (FieldState, EvolveConfig, EvolveResult, noise_draw,
                   stationary_basis, StationarySampler, evolve, smooth_window,
                   stability_limit, spectral_radius, InstabilityError)
@@ -30,12 +30,12 @@ __all__ = [
     "TimeGrid", "TestFunction", "antisym_extend",
     "laplace_g", "l_nu", "l_nu_laplace",
     "SpectralPlan", "frac_laplacian", "op_A1", "op_A2", "halfroot_conv",
-    "a1_a2_residual", "ConfigurationError",
+    "a1_a2_residual",
     "cov_u", "cov_u_cross", "cov_u_apply", "cov_v_apply", "cov_u_gram",
     "cov_v_gram", "SheetLattice", "SheetSample", "sheet_sample", "sheet_rng",
     "drift_variance_exact", "cameron_martin_laplace", "cameron_martin_target",
     "TensorTestFunction", "WeakformPlan", "weakform_residual_reference",
-    "coverage_halfwidth", "CoverageError", "ResourceError",
+    "coverage_halfwidth", "ResourceError",
     "FieldState", "EvolveConfig", "EvolveResult", "noise_draw",
     "stationary_basis", "StationarySampler", "evolve", "smooth_window",
     "stability_limit", "spectral_radius", "InstabilityError",

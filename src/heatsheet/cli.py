@@ -11,10 +11,13 @@ Five subcommands, one per suite:
 Each writes <suite>_report.json into --out (plus, for evolve, the sample
 replica's trajectory.csv and its final (u, v) as final_state.npy, a float64
 (2, n) array for np.load) and exits 0 when every report passes, 1 when
-any fails, 2 on a configuration error and 3 on a numerical or resource
-failure, exhausted memory included, which yields no verdict.  Replica
-streams are derived as seed XOR suite tag, then one SeedSequence spawn per
-replica, so results are independent of the worker count.
+any fails, 2 on a bad option or input (a ValueError) or a file error (an
+OSError) and 3 on a numerical or resource failure, exhausted memory
+included, which yields no verdict.  Each run option has one way in, its
+flag (OPTIONS); the decay rates and the heat-kernel tail tolerance are
+fixed constants.  Replica streams are derived as seed XOR suite tag, then
+one SeedSequence spawn per replica, so results are independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .grid import TimeGrid, TestFunction
 from .kernels import l_nu, l_nu_laplace
 from .fracops import (SpectralPlan, frac_laplacian, op_A1, op_A2,
                       halfroot_conv, a1_a2_residual, A2_TAIL_POWER)
-from .gaussfield import (SQRT4PI, DEFAULT_TAIL_TOL, cov_u, cov_u_gram,
+from .gaussfield import (SQRT4PI, TAIL_TOL, cov_u, cov_u_gram,
                          cov_v_gram, coverage_halfwidth, sheet_rng,
                          sheet_sample, point_weights, pair_u_weights,
                          pair_v_weights, drift_field_weights,
@@ -80,6 +83,7 @@ DRIFT_Y_STEP = 1.0 / 8         # lattice-aligned probe locations
 # the drift variance target integrates over all s >= 0; a sheet that ends at
 # s_max misses a share e^(-2 nu s_max) of it, which must stay below this
 DRIFT_TRUNCATION = 1e-3
+DRIFT_NU = 1.0                 # decay rate of the drift functional
 
 CHUNK_REPLICAS = 128
 # float32 cells per chunk buffer, 8 MB a worker; 16 M-cell buffers ran no
@@ -94,10 +98,6 @@ EVOLVE_BATCH = 16
 REFINE_GAIN = 1.8
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved run parameters; None means 'suite default'."""
@@ -108,33 +108,24 @@ class RunConfig:
     dz: float | None = None
     Z: float | None = None
     replicas: int | None = None
-    nus: tuple = (1.0, 4.0)
-    tail_tol: float = DEFAULT_TAIL_TOL
     out_dir: str = "."
     workers: int = 1
 
     def validate(self):
-        for name, v in (("tmax", self.t_max), ("dz", self.dz), ("Z", self.Z),
-                        ("tail_tol", self.tail_tol)):
+        for name, v in (("tmax", self.t_max), ("dz", self.dz), ("Z", self.Z)):
             if v is not None and not math.isfinite(v):
-                raise ConfigError(f"{name} must be finite, got {v}")
-        if not all(math.isfinite(v) for v in self.nus):
-            raise ConfigError(f"nu values must be finite, got {list(self.nus)}")
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.n is not None and (self.n < 2 or self.n & (self.n - 1)):
-            raise ConfigError("n must be a power of two")
+            raise ValueError("n must be a power of two")
         if not (0 <= self.seed < U64):
-            raise ConfigError("seed must fit in 64 bits")
+            raise ValueError("seed must fit in 64 bits")
         for name, v in (("tmax", self.t_max), ("dz", self.dz), ("Z", self.Z)):
             if v is not None and v <= 0:
-                raise ConfigError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive")
         if self.replicas is not None and self.replicas < 2:
-            raise ConfigError("replicas must be at least 2")
-        if not self.nus or any(v <= 0 for v in self.nus):
-            raise ConfigError("nu values must be positive")
-        if not (0.0 < self.tail_tol < 1.0):
-            raise ConfigError("tail_tol must lie in (0, 1)")
+            raise ValueError("replicas must be at least 2")
         if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+            raise ValueError("workers must be at least 1")
 
 
 def suite_seed(cfg: RunConfig, tag: int) -> int:
@@ -171,6 +162,7 @@ def _parallel(ranges: list, workers: int, task):
 OPS_PAD = 4
 OPS_MARGIN = 0.5   # factorization error is read on (margin, t_max - margin)
 OPS_T_CUT = 4.0    # eigenfunctions are compared on t <= min(t_cut, t_max)
+OPS_NUS = (1.0, 4.0)  # decay rates of the exponential eigenfunctions
 
 
 def _ops_bump(grid: TimeGrid) -> TestFunction:
@@ -188,7 +180,7 @@ def _check_ops_grid(grid: TimeGrid):
     if not (_interior(grid).any()
             and grid.nodes[0] <= min(OPS_T_CUT, grid.t_max)):
         lo = 2.0 * OPS_MARGIN * grid.n / (grid.n - 1)
-        raise ConfigError(
+        raise ValueError(
             f"tmax must lie in ({lo:g}, {2.0 * OPS_T_CUT * grid.n:g}] at "
             f"n={grid.n} for verify-ops, got {grid.t_max:g}")
 
@@ -249,7 +241,7 @@ def suite_ops(cfg: RunConfig) -> list:
     # exponential eigenfunctions of the first operator
     tcut = min(OPS_T_CUT, grid.t_max)
     mask = grid.nodes <= tcut
-    for nu in cfg.nus:
+    for nu in OPS_NUS:
         f = np.exp(-nu * grid.nodes)
         out = op_A1(f, grid, tail=("exp", nu))
         rel = float(np.max(np.abs(out - math.sqrt(nu) * f)[mask]
@@ -428,14 +420,14 @@ def suite_cov(cfg: RunConfig) -> list:
     R_gram = min(cfg.replicas or COV_GRAM_REPLICAS, COV_GRAM_REPLICAS)
     # both sheets must fit before any weights are built
     point = _sheet_band(0.0, 1.0, math.sqrt(COV_POINT_DS), COV_POINT_DS,
-                        coverage_halfwidth(1.0, cfg.tail_tol))
+                        coverage_halfwidth(1.0))
     gram = _sheet_band(0.0, t_max, COV_GRAM_DY, COV_GRAM_DS,
-                       coverage_halfwidth(t_max, cfg.tail_tol))
+                       coverage_halfwidth(t_max))
     reports = []
 
     # point variance of the field at (0, 1)
     crop = _support(point_weights(point.y_nodes, point.s_nodes, 0.0,
-                                  1.0)[None], point, cfg.tail_tol)
+                                  1.0)[None], point, TAIL_TOL)
     X = _mc_pairings(crop.W, crop.cells, crop.scale, R_point, seed, 0,
                      cfg.workers)
     var, se = var_se(X[:, 0])
@@ -451,7 +443,7 @@ def suite_cov(cfg: RunConfig) -> list:
     yn, sn = gram.y_nodes, gram.s_nodes
     crop = _support(np.concatenate([
         pair_u_weights(yn, sn, 0.0, hs, t_max),
-        pair_v_weights(yn, sn, 0.0, hs, t_max)]), gram, cfg.tail_tol)
+        pair_v_weights(yn, sn, 0.0, hs, t_max)]), gram, TAIL_TOL)
     X = _mc_pairings(crop.W, crop.cells, crop.scale, R_gram,
                      seed, GRAM_STREAM_BASE, cfg.workers)
     m = len(hs)
@@ -498,20 +490,20 @@ def _probe_weights(lat: SheetLattice, yvals: np.ndarray, build) -> list:
 def suite_drift(cfg: RunConfig) -> list:
     seed = suite_seed(cfg, DRIFT_TAG)
     t_max = cfg.t_max or OPS_T_MAX
-    nu = cfg.nus[0]
+    nu = DRIFT_NU
     R = cfg.replicas or DRIFT_REPLICAS
     s_max = round(t_max / COV_GRAM_DS) * COV_GRAM_DS
     deficit = math.exp(-2.0 * nu * s_max)
     if deficit > DRIFT_TRUNCATION:
-        raise ConfigError(
+        raise ValueError(
             f"tmax={t_max:g} is too short for verify-drift at nu={nu:g}: the "
             f"sheet ends at s={s_max:g}, where the variance target still lacks "
             f"a share e^(-2 nu s)={deficit:.3g}; the bound "
             f"{DRIFT_TRUNCATION:g} needs s >= ln(1/{DRIFT_TRUNCATION:g}) / "
             f"(2 nu) = {math.log(1.0 / DRIFT_TRUNCATION) / (2.0 * nu):.4g}")
     # heat-kernel support and the exponential's reach around every probe
-    reach = max(coverage_halfwidth(t_max, cfg.tail_tol),
-                math.log(1.0 / cfg.tail_tol) / math.sqrt(nu))
+    reach = max(coverage_halfwidth(t_max),
+                math.log(1.0 / TAIL_TOL) / math.sqrt(nu))
     lat = _sheet_band((DRIFT_Y_COUNT - 1) * DRIFT_Y_STEP, t_max,
                       COV_GRAM_DY, COV_GRAM_DS, reach)
     gdesc = {"dy": lat.dy, "ds": lat.ds, "ny": lat.ny, "ns": lat.ns,
@@ -547,7 +539,7 @@ def suite_drift(cfg: RunConfig) -> list:
 
     # law: variance of the explicit form matches the closed double integral,
     # on the weights of the first probe, y = 0, which the crop overwrites
-    crop = _support(wi[0][None], lat, cfg.tail_tol)
+    crop = _support(wi[0][None], lat, TAIL_TOL)
     X = _mc_pairings(crop.W, crop.cells, crop.scale, R, seed, 1, cfg.workers)
     var, se = var_se(X[:, 0])
     reports.append(z_test(
@@ -603,7 +595,7 @@ def suite_spde(cfg: RunConfig) -> list:
         tgt = f.l2sq()
         bias = abs(plan.variance_discrete() / tgt - 1.0)
         # the crop overwrites omega by its coefficients
-        crop = _support(plan.omega[None], lat, cfg.tail_tol)
+        crop = _support(plan.omega[None], lat, TAIL_TOL)
         gdesc = {"t_max": t_max, "n": n, "x_radius": f.x_radius,
                  "dy": lat.dy, "ds": lat.ds, "nx": plan.nx, "dx": plan.dx,
                  **crop.grid()}
@@ -730,23 +722,8 @@ COMMANDS = {
 }
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat key=value lines; # starts a comment; keys are OPTIONS keys."""
-    out = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key=value")
-            k, v = (s.strip() for s in line.split("=", 1))
-            out[k] = v
-    return out
-
-
-# option key -> (RunConfig field, parser).  Every key is a config-file key;
-# all but FILE_ONLY are also flags (--key).  Defaults live in RunConfig.
+# flag --key -> (RunConfig field, parser): each field has this one way in;
+# the defaults live in RunConfig alone
 OPTIONS = {
     "seed": ("seed", int),
     "tmax": ("t_max", float),
@@ -756,31 +733,19 @@ OPTIONS = {
     "replicas": ("replicas", int),
     "workers": ("workers", int),
     "out": ("out_dir", str),
-    "tail_tol": ("tail_tol", float),
-    "nu": ("nus", lambda text: tuple(float(s) for s in text.split(",") if s)),
 }
-FILE_ONLY = ("tail_tol", "nu")
-EVOLVE_ONLY = ("dz", "Z")  # as flags; a config file may serve every command
+EVOLVE_ONLY = ("dz", "Z")  # flags that every other command rejects
 
 
 def build_config(args) -> RunConfig:
-    raw = parse_config_file(args.config) if args.config else {}
     given = {}
-    for key, v in raw.items():
-        if key not in OPTIONS:
-            raise ConfigError(f"unknown config key '{key}'")
-        field, parse = OPTIONS[key]
-        try:
-            given[field] = parse(v)
-        except ValueError:
-            raise ConfigError(f"bad value for config key '{key}': {v!r}")
-    # flags win over the file
     for key, (field, _) in OPTIONS.items():
-        if getattr(args, key, None) is not None:
+        v = getattr(args, key)
+        if v is not None:
             if key in EVOLVE_ONLY and args.command != "evolve":
-                raise ConfigError(f"--{key} applies only to evolve, not to "
-                                  f"{args.command}")
-            given[field] = getattr(args, key)
+                raise ValueError(f"--{key} applies only to evolve, not to "
+                                 f"{args.command}")
+            given[field] = v
     cfg = RunConfig(**given)
     cfg.validate()
     return cfg
@@ -793,10 +758,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None)
         for key, (_, parse) in OPTIONS.items():
-            if key not in FILE_ONLY:
-                sp.add_argument(f"--{key}", type=parse, default=None)
+            sp.add_argument(f"--{key}", type=parse, default=None)
     return p
 
 
@@ -805,7 +768,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ResourceError, ArithmeticError, MemoryError) as e:

@@ -39,10 +39,6 @@ TAIL_NODES = 200
 BOUNDARY_WARN_FACTOR = 1e-6
 
 
-class ConfigurationError(ValueError):
-    """Raised when an operator is asked to run without required metadata."""
-
-
 @dataclass
 class SpectralPlan:
     """Sine-transform workspace for the odd extensions of TimeGrid values.
@@ -192,8 +188,7 @@ def halfroot_conv(f: np.ndarray, grid: TimeGrid,
     if tail is not None:
         kind, p = tail[0], float(tail[1])
         if kind != "power":
-            raise ConfigurationError(
-                "halfroot_conv tail model must be ('power', p)")
+            raise ValueError("halfroot_conv tail model must be ('power', p)")
         t = grid.nodes
         T = t[-1]
         C = f[-1] * T ** p
@@ -223,7 +218,7 @@ def op_A1(f: np.ndarray, grid: TimeGrid, tail: tuple) -> np.ndarray:
     if f.shape != (n,):
         raise ValueError("op_A1: values not on the given grid")
     if tail is None or not isinstance(tail, tuple) or len(tail) == 0:
-        raise ConfigurationError(
+        raise ValueError(
             "op_A1 needs a tail decay model ('exp', nu) or ('power', p)")
     dt = grid.dt
     t = grid.nodes
@@ -240,31 +235,29 @@ def op_A1(f: np.ndarray, grid: TimeGrid, tail: tuple) -> np.ndarray:
     if kind == "exp":
         nu = float(tail[1])
         if nu <= 0:
-            raise ConfigurationError("exp tail needs nu > 0")
+            raise ValueError("exp tail needs nu > 0")
         a = T - t
         out += np.sqrt(nu) * fT * np.exp(nu * a) * erfc(np.sqrt(nu * a))
     elif kind == "power":
         p = float(tail[1])
         if p <= 0.5:
-            raise ConfigurationError("power tail needs p > 1/2 for convergence")
+            raise ValueError("power tail needs p > 1/2 for convergence")
         C = fT * T ** p
         tp, wq = _power_tail_nodes(T)
         vals = p * C * tp ** (-p - 1.0) / SQRTPI
         out += ((vals * wq)[None, :] / np.sqrt(tp[None, :] - t[:, None])).sum(axis=1)
     else:
-        raise ConfigurationError(f"unknown tail model {kind!r}")
+        raise ValueError(f"unknown tail model {kind!r}")
     return out
 
 
-def a1_a2_residual(h: TestFunction, plan: SpectralPlan | None = None) -> float:
+def a1_a2_residual(h: TestFunction, plan: SpectralPlan) -> float:
     """Max-abs residual of the composition identity
 
         op_A1(op_A2 h) = -h' + frac_laplacian(h^a, 1)
 
     restricted to [0, t_max]."""
     g = h.grid
-    if plan is None:
-        plan = SpectralPlan(g)
     a2 = op_A2(h)
     a1a2 = op_A1(a2, g, tail=("power", A2_TAIL_POWER))
     lhs_minus = frac_laplacian(h.values, 1.0, plan)

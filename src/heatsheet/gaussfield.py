@@ -31,7 +31,9 @@ from .kernels import laplace_g
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
 
-DEFAULT_TAIL_TOL = 1e-8
+# heat-kernel tail tolerance: sizes every sheet band (coverage_halfwidth)
+# and bounds the share of a weight row's energy that the crop leaves out
+TAIL_TOL = 1e-8
 GRAM_JITTER = 1e-12
 MAX_SHEET_CELLS = 60_000_000
 
@@ -47,10 +49,6 @@ PAIR_V_CUT = 6.5  # e^(-v^2) support cut for the derivative-kernel integral
 # x support
 WEAKFORM_X_RES = 40
 WEAKFORM_YPAD = 8.0
-
-
-class CoverageError(ValueError):
-    """Sheet rectangle does not cover the kernel's effective support."""
 
 
 class ResourceError(RuntimeError):
@@ -243,9 +241,10 @@ def sheet_sample(lattice: SheetLattice, seed: int,
     return SheetSample(lattice=lattice, increments=inc)
 
 
-def coverage_halfwidth(t_hi: float, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """Half-width L = sqrt(4 t ln(1/tol)) of the kernel's effective support."""
-    return math.sqrt(4.0 * t_hi * math.log(1.0 / tail_tol))
+def coverage_halfwidth(t_hi: float) -> float:
+    """Half-width sqrt(4 t ln(1/TAIL_TOL)) of the kernel's effective
+    support."""
+    return math.sqrt(4.0 * t_hi * math.log(1.0 / TAIL_TOL))
 
 
 # ----------------------------------------------------------------------
@@ -414,30 +413,27 @@ def _cm_lower_triangle(nu_t: float, nu_tp: float, gap: float, level: int) -> flo
     xw, ww = roots_legendre(n)
     xw = 0.5 * (xw + 1.0)
     ww = 0.5 * ww
-    xr, wr = xw, ww
-    xs, ws = xw, ww
     L = 2.0 / nu_t
     u = xw / (1.0 - xw)
     xi = L * u * u
     jxi = L * 2.0 * u / (1.0 - xw) ** 2
-    rho = xr
     XI = xi[:, None]
-    R = rho[None, :]
+    R = xw[None, :]
     TP = XI * (1.0 - R * R)
     wlo = np.sqrt(XI) * R
     whi = np.sqrt(XI * (2.0 - R * R))
     if gap == 0.0:
         K = (whi - wlo) / (4.0 * math.sqrt(math.pi))
     else:
-        WQ = wlo[:, :, None] + (whi - wlo)[:, :, None] * xs[None, None, :]
+        WQ = wlo[:, :, None] + (whi - wlo)[:, :, None] * xw[None, None, :]
         ab4 = np.maximum(WQ ** 4 - (XI * R * R)[:, :, None] ** 2, 0.0)
         arg = np.full_like(WQ, np.inf)
         nz = ab4 > 0
         arg[nz] = gap * WQ[nz] / np.sqrt(ab4[nz])
         K = (whi - wlo) / (4.0 * math.sqrt(math.pi)) * np.einsum(
-            "ijk,k->ij", erfc(arg), ws)
+            "ijk,k->ij", erfc(arg), ww)
     F = np.exp(-nu_t * XI - nu_tp * TP) * K * XI * 2.0 * R
-    return float(np.einsum("ij,i,j->", F, jxi * ww, wr))
+    return float(np.einsum("ij,i,j->", F, jxi * ww, ww))
 
 
 def cameron_martin_laplace(nu: float, nu2: float, y_gap: float,
@@ -603,7 +599,7 @@ class WeakformPlan:
 
     def residual(self, sheet: SheetSample) -> float:
         if sheet.lattice != self.lattice:
-            raise CoverageError("sheet lattice does not match the plan")
+            raise ValueError("sheet lattice does not match the plan")
         return float(np.sum(self.omega * sheet.increments))
 
     def variance_discrete(self) -> float:

@@ -157,12 +157,10 @@ def _advance(state: FieldState, dz: float, du: np.ndarray, dv: np.ndarray,
 
 
 def noise_draw(rng: np.random.Generator, grid: TimeGrid, dz: float,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """One white-in-t Brownian increment: N(0, dz/dt) per cell, so that
-    <dW; h> has variance dz ||h||^2 up to grid resolution.  With out, the
-    increment is drawn into that length-n row in place."""
-    if out is None:
-        out = np.empty(grid.n)
+               out: np.ndarray) -> np.ndarray:
+    """One white-in-t Brownian increment, drawn in place into the length-n
+    row out: N(0, dz/dt) per cell, so that <dW; h> has variance dz ||h||^2
+    up to grid resolution."""
     rng.standard_normal(out=out)
     out *= math.sqrt(dz / grid.dt)
     return out

@@ -224,7 +224,7 @@ def test_criterion_11_window_integral_properties(ops_suite):
 
 def test_mc_reports_record_their_draws(cov_suite, drift_suite, spde_suite):
     # each Monte Carlo statistic drew at least one normal per replica and
-    # left out at most the default tail_tol of a weight row's energy; a
+    # left out at most TAIL_TOL of a weight row's energy; a
     # z-tested statistic draws one weight row and records the exact
     # variance of what it drew
     mc = [r for r in cov_suite[0] + drift_suite + spde_suite if r.replicas]

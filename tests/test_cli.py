@@ -1,4 +1,4 @@
-"""Command-line orchestration: config resolution, exit codes, report files,
+"""Command-line orchestration: flag resolution, exit codes, report files,
 determinism, and worker-count invariance."""
 import dataclasses
 import json
@@ -11,11 +11,10 @@ import pytest
 
 from heatsheet import ResourceError, cli, gaussfield
 from heatsheet.cli import (CHUNK_CELL_BUDGET, CHUNK_REPLICAS, COV_TAG,
-                           OPS_TAG, ConfigError, RunConfig, _mc_chunks,
+                           OPS_TAG, OPTIONS, RunConfig, _mc_chunks,
                            _mc_pairings, build_config, main, make_parser,
-                           parse_config_file, suite_cov, suite_drift,
-                           suite_evolve, suite_ops, suite_seed, suite_spde,
-                           write_report)
+                           suite_cov, suite_drift, suite_evolve, suite_ops,
+                           suite_seed, suite_spde, write_report)
 from heatsheet.gaussfield import MAX_SHEET_CELLS
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -39,14 +38,10 @@ class TestRunConfig:
         (dict(dz=0.0), "dz must be positive"),
         (dict(Z=-1.0), "Z must be positive"),
         (dict(replicas=1), "replicas must be at least 2"),
-        (dict(nus=()), "nu values must be positive"),
-        (dict(nus=(1.0, -2.0)), "nu values must be positive"),
-        (dict(tail_tol=0.0), "tail_tol"),
-        (dict(tail_tol=1.5), "tail_tol"),
         (dict(workers=0), "workers"),
     ])
     def test_validate_rejects(self, kw, msg):
-        with pytest.raises(ConfigError, match=msg):
+        with pytest.raises(ValueError, match=msg):
             RunConfig(**kw).validate()
 
     def test_defaults_are_valid(self):
@@ -61,46 +56,10 @@ class TestRunConfig:
 
 
 class TestConfigFile:
-    def test_parse_key_values(self, tmp_path):
-        p = tmp_path / "run.conf"
-        p.write_text("# comment\nseed = 7\nn=512   # trailing comment\n\nnu=1,2.5\n")
-        assert parse_config_file(p) == {"seed": "7", "n": "512", "nu": "1,2.5"}
-
-    def test_parse_rejects_bare_words(self, tmp_path):
-        p = tmp_path / "run.conf"
-        p.write_text("seed\n")
-        with pytest.raises(ConfigError, match="run.conf:1"):
-            parse_config_file(p)
+    """How the command line becomes a RunConfig: flags are the only way in."""
 
     def args(self, argv):
         return make_parser().parse_args(argv)
-
-    def test_flags_win_over_file(self, tmp_path):
-        p = tmp_path / "run.conf"
-        p.write_text("seed=5\nn=256\n")
-        cfg = build_config(self.args(
-            ["verify-ops", "--config", str(p), "--seed", "9"]))
-        assert cfg.seed == 9
-        assert cfg.n == 256
-
-    def test_nu_list(self, tmp_path):
-        p = tmp_path / "run.conf"
-        p.write_text("nu=1,2.5\n")
-        cfg = build_config(self.args(["verify-drift", "--config", str(p)]))
-        assert cfg.nus == (1.0, 2.5)
-
-    def test_unknown_key(self, tmp_path):
-        p = tmp_path / "run.conf"
-        p.write_text("bogus=1\n")
-        with pytest.raises(ConfigError, match="unknown config key"):
-            build_config(self.args(["verify-ops", "--config", str(p)]))
-
-    def test_bad_value(self, tmp_path):
-        p = tmp_path / "run.conf"
-        for line in ("n=twelve", "nu=1,x"):
-            p.write_text(line + "\n")
-            with pytest.raises(ConfigError, match="bad value for config key"):
-                build_config(self.args(["verify-ops", "--config", str(p)]))
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_bare_subcommand_is_run_config_defaults(self, command):
@@ -109,12 +68,14 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_help_lists_the_flags(self, command, capsys):
-        # tail_tol and nu are config-file keys only
+        # one flag per RunConfig field, and no other: a field without a
+        # flag would be a knob that no run can set
+        assert sorted(field for field, _ in OPTIONS.values()) == sorted(
+            f.name for f in dataclasses.fields(RunConfig))
         with pytest.raises(SystemExit):
             self.args([command, "--help"])
         flags = set(re.findall(r"--\w+", capsys.readouterr().out))
-        assert flags == {"--help", "--config", "--seed", "--tmax", "--n",
-                         "--dz", "--Z", "--replicas", "--workers", "--out"}
+        assert flags == {"--help"} | {f"--{key}" for key in OPTIONS}
 
 
 class TestExitCodes:
@@ -122,18 +83,6 @@ class TestExitCodes:
         rc = run(["verify-ops", "--n", "4095", "--out", str(tmp_path)])
         assert rc == 2
         assert "power of two" in capsys.readouterr().err
-
-    def test_missing_config_file(self, tmp_path, capsys):
-        rc = run(["verify-ops", "--config", str(tmp_path / "nope.conf")])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_bad_nu_via_config(self, tmp_path, capsys):
-        p = tmp_path / "run.conf"
-        p.write_text("nu=-1\n")
-        rc = run(["verify-drift", "--config", str(p)])
-        assert rc == 2
-        assert "nu values" in capsys.readouterr().err
 
     def test_spde_geometry_error(self, tmp_path, capsys):
         # bump support cannot fit inside (0, 2.5)
@@ -190,18 +139,14 @@ class TestExitCodes:
         assert f"tmax must lie in (1.00024, 32768] at n=4096 for verify-ops, " \
             f"got {float(tmax):g}" in err
 
-    @pytest.mark.parametrize("argv,conf,msg", [
-        (["verify-ops", "--tmax", "nan"], "", "tmax must be finite"),
-        (["verify-cov", "--tmax", "inf"], "", "tmax must be finite"),
-        (["evolve", "--dz", "nan"], "", "dz must be finite"),
-        (["evolve", "--Z", "inf"], "", "Z must be finite"),
-        (["verify-drift"], "tail_tol=nan", "tail_tol must be finite"),
-        (["verify-drift"], "nu=1,nan", "nu values must be finite"),
+    @pytest.mark.parametrize("argv,msg", [
+        (["verify-ops", "--tmax", "nan"], "tmax must be finite"),
+        (["verify-cov", "--tmax", "inf"], "tmax must be finite"),
+        (["evolve", "--dz", "nan"], "dz must be finite"),
+        (["evolve", "--Z", "inf"], "Z must be finite"),
     ])
-    def test_non_finite_value(self, tmp_path, capsys, argv, conf, msg):
-        p = tmp_path / "run.conf"
-        p.write_text(conf + "\n")
-        rc = run(argv + ["--config", str(p), "--out", str(tmp_path)])
+    def test_non_finite_value(self, tmp_path, capsys, argv, msg):
+        rc = run(argv + ["--out", str(tmp_path)])
         assert rc == 2
         assert msg in capsys.readouterr().err
 
@@ -279,13 +224,6 @@ class TestExitCodes:
         assert rc == 2
         assert (capsys.readouterr().err
                 == f"error: {flag} applies only to evolve, not to {command}\n")
-
-    def test_evolve_keys_allowed_in_a_shared_config_file(self, tmp_path):
-        p = tmp_path / "run.conf"
-        p.write_text("dz=0.01\nZ=0.5\n")
-        args = make_parser().parse_args(["verify-ops", "--config", str(p)])
-        cfg = build_config(args)
-        assert (cfg.dz, cfg.Z) == (0.01, 0.5)
 
     def test_degraded_resolution_fails_honestly(self, tmp_path, capsys):
         # at n = 512 the identity-suite refinement targets are unattainable

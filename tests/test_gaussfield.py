@@ -20,7 +20,7 @@ from scipy.special import roots_legendre
 from scipy.stats import ks_2samp
 
 import heatsheet as hs
-from heatsheet import (CoverageError, ResourceError, SheetLattice, TimeGrid,
+from heatsheet import (ResourceError, SheetLattice, TimeGrid,
                        cameron_martin_laplace, cameron_martin_target,
                        cov_u, cov_u_cross, cov_u_gram, cov_v_gram,
                        drift_variance_exact, residual_report, sheet_sample)
@@ -641,7 +641,7 @@ class TestWeakform:
                                  2 * lat.ns),
                     SheetLattice(lat.y_min + lat.dy, lat.dy, lat.ds, lat.ny,
                                  lat.ns)):
-            with pytest.raises(CoverageError, match="does not match"):
+            with pytest.raises(ValueError, match="does not match"):
                 plan.residual(sheet_sample(bad, seed=0))
 
     def test_plans_compare_by_identity(self):

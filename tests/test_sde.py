@@ -191,7 +191,8 @@ class TestNoiseDraw:
         dz = 0.0125
         rng = sheet_rng(5, 0)
         R = 10_000
-        vals = np.array([pair(noise_draw(rng, grid, dz), h.values, grid)
+        row = np.empty(grid.n)
+        vals = np.array([pair(noise_draw(rng, grid, dz, row), h.values, grid)
                          for _ in range(R)])
         target = dz * pair(h.values, h.values, grid)
         var = float(np.var(vals, ddof=1))
@@ -393,7 +394,8 @@ def _oracle(states, cfg, plan, rngs):
         for _ in range(cfg.steps):
             L1u = lap(state.u, 1.0, plan)
             L12v = lap(state.v, 0.5, plan)
-            noise = noise_draw(rng, state.grid, cfg.dz)
+            noise = noise_draw(rng, state.grid, cfg.dz,
+                               np.empty(state.grid.n))
             state = _advance(state, cfg.dz, state.v, -(L1u + SQRT2 * L12v),
                              noise)
         out.append(state)
