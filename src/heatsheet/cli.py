@@ -14,7 +14,8 @@ replica's trajectory.csv and its final (u, v) as final_state.npy, a float64
 any fails, 2 on a bad option or input (a ValueError) or a file error (an
 OSError) and 3 on a numerical or resource failure, exhausted memory
 included, which yields no verdict.  Each run option has one way in, its
-flag (OPTIONS); the decay rates and the heat-kernel tail tolerance are
+flag (OPTIONS), and each command takes only the flags its suite reads
+(COMMAND_FLAGS); the decay rates and the heat-kernel tail tolerance are
 fixed constants.  Replica streams are derived as seed XOR suite tag, then
 one SeedSequence spawn per replica, so results are independent of the
 worker count.
@@ -45,8 +46,8 @@ from .gaussfield import (SQRT4PI, TAIL_TOL, cov_u, cov_u_gram,
                          cameron_martin_laplace, cameron_martin_target,
                          TensorTestFunction, WeakformPlan, SheetLattice,
                          check_sheet_cells, weakform_geometry, ResourceError)
-from .sde import (EvolveConfig, FieldState, StationarySampler,
-                  stationary_basis, evolve, stability_limit)
+from .sde import (EvolveConfig, FieldState, StationarySampler, evolve,
+                  stability_limit)
 from .stats import mean_se, var_se, z_test, residual_report, matrix_compare
 
 # suite tags XORed into the master seed (hex digits of pi: nothing up
@@ -634,8 +635,7 @@ def suite_evolve(cfg: RunConfig):
     # a block's records must fit before anything is drawn
     ecfg.check_records(min(R, EVOLVE_BATCH))
 
-    basis = stationary_basis(grid)
-    sampler = StationarySampler(basis, grid)
+    sampler = StationarySampler(grid)
     plan = SpectralPlan(grid)
     G1 = cov_u_gram(obs)
     G2 = cov_v_gram(obs)
@@ -650,7 +650,7 @@ def suite_evolve(cfg: RunConfig):
         # noise rows, in the same order as a run of r alone
         rngs = [sheet_rng(seed, r) for r in range(lo, hi)]
         init = FieldState.stack([sampler.draw(rng) for rng in rngs])
-        res = evolve(init, ecfg, plan, rng=rngs)
+        res = evolve(init, ecfg, plan, rngs)
         UZ[lo:hi] = res.u_obs[:, -1]
         VZ[lo:hi] = res.v_obs[:, -1]
         book[lo:hi] = res.bookkeeping_error
@@ -660,7 +660,8 @@ def suite_evolve(cfg: RunConfig):
     _parallel([(lo, min(lo + EVOLVE_BATCH, R))
                for lo in range(0, R, EVOLVE_BATCH)], cfg.workers, task)
 
-    gdesc = {"t_max": t_max, "n": n, "dz": dz, "Z": Z, "basis": len(basis)}
+    gdesc = {"t_max": t_max, "n": n, "dz": dz, "Z": Z,
+             "basis": len(sampler.basis)}
     reports = [residual_report(
         "telescoping audit, max over replicas", float(book.max()), 1e-10,
         seed=seed, grid=gdesc)]
@@ -734,18 +735,24 @@ OPTIONS = {
     "workers": ("workers", int),
     "out": ("out_dir", str),
 }
-EVOLVE_ONLY = ("dz", "Z")  # flags that every other command rejects
+# the flags each command reads; any other is rejected, so that no flag is
+# echoed into a report without changing it
+COMMON_FLAGS = ("seed", "workers", "out")
+COMMAND_FLAGS = {
+    "verify-ops": COMMON_FLAGS + ("tmax", "n"),
+    "verify-cov": COMMON_FLAGS + ("tmax", "n", "replicas"),
+    "verify-drift": COMMON_FLAGS + ("tmax", "replicas"),
+    "verify-spde": COMMON_FLAGS + ("tmax", "n", "replicas"),
+    "evolve": COMMON_FLAGS + ("tmax", "n", "replicas", "dz", "Z"),
+}
 
 
 def build_config(args) -> RunConfig:
     given = {}
-    for key, (field, _) in OPTIONS.items():
+    for key in COMMAND_FLAGS[args.command]:
         v = getattr(args, key)
         if v is not None:
-            if key in EVOLVE_ONLY and args.command != "evolve":
-                raise ValueError(f"--{key} applies only to evolve, not to "
-                                 f"{args.command}")
-            given[field] = v
+            given[OPTIONS[key][0]] = v
     cfg = RunConfig(**given)
     cfg.validate()
     return cfg
@@ -758,14 +765,18 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
-        for key, (_, parse) in OPTIONS.items():
-            sp.add_argument(f"--{key}", type=parse, default=None)
+        for key in COMMAND_FLAGS[name]:
+            sp.add_argument(f"--{key}", type=OPTIONS[key][1], default=None)
     return p
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args, unread = make_parser().parse_known_args(argv)
     try:
+        if unread:
+            flags = " ".join(f"--{key}" for key in COMMAND_FLAGS[args.command])
+            raise ValueError(f"{unread[0].split('=')[0]} does not apply to "
+                             f"{args.command}, which reads {flags}")
         cfg = build_config(args)
         return COMMANDS[args.command](cfg)
     except (ValueError, OSError) as e:

@@ -163,12 +163,6 @@ def _tail_rule():
     return offsets, weights
 
 
-def _power_tail_nodes(T: float):
-    """Nodes T + w^2 on (T, inf) and their quadrature weights."""
-    offsets, weights = _tail_rule()
-    return T + offsets, weights
-
-
 def halfroot_conv(f: np.ndarray, grid: TimeGrid,
                   tail: tuple | None = None) -> np.ndarray:
     """Convolution with (4 pi |.|)^(-1/2) against the odd extension of f.
@@ -192,7 +186,8 @@ def halfroot_conv(f: np.ndarray, grid: TimeGrid,
         t = grid.nodes
         T = t[-1]
         C = f[-1] * T ** p
-        tp, wq = _power_tail_nodes(T)
+        offsets, wq = _tail_rule()
+        tp = T + offsets
         vals = C * tp ** (-p) / SQRT4PI
         #  (T, inf): distance t' - t ;  (-inf, -T): distance t' + t
         add = ((vals * wq)[None, :] / np.sqrt(tp[None, :] - t[:, None])).sum(axis=1)
@@ -243,7 +238,8 @@ def op_A1(f: np.ndarray, grid: TimeGrid, tail: tuple) -> np.ndarray:
         if p <= 0.5:
             raise ValueError("power tail needs p > 1/2 for convergence")
         C = fT * T ** p
-        tp, wq = _power_tail_nodes(T)
+        offsets, wq = _tail_rule()
+        tp = T + offsets
         vals = p * C * tp ** (-p - 1.0) / SQRTPI
         out += ((vals * wq)[None, :] / np.sqrt(tp[None, :] - t[:, None])).sum(axis=1)
     else:

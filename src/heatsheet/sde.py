@@ -3,14 +3,15 @@
 The state is a pair of time profiles (u, v) on a TimeGrid.  The location
 plays the role usually taken by time: u advances by v, v feels a damped
 restoring drift built from fractional operators in t, plus white noise.
-Explicit Euler-Maruyama is used throughout; see stability_limit for the
-step rule and spectral_radius for the exact amplification factor of the
-noiseless scheme.
+evolve steps a (B, n) block of replicas by explicit Euler-Maruyama; see
+stability_limit for the step rule and spectral_radius for the exact
+amplification factor of the noiseless scheme.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +48,12 @@ def spectral_radius(grid: TimeGrid, dz: float) -> float:
     Mode tau steps by the 2x2 matrix [[1, dz], [-tau dz, 1 - sqrt(2)
     sqrt(tau) dz]]; its eigenvalues give |lambda|^2 = 1 - sqrt(2) dz
     sqrt(tau) + dz^2 tau, so instability begins at dz sqrt(tau) = sqrt(2).
+    That is convex in tau, so its maximum over [0, pi/dt] sits at an end:
+    1 at tau = 0, or its value at the Nyquist mode.
     """
     tau_max = math.pi / grid.dt
-    tau = np.linspace(0.0, tau_max, 512)
-    amp = np.sqrt(np.maximum(1.0 - SQRT2 * dz * np.sqrt(tau) + dz * dz * tau, 0.0))
-    return float(amp.max())
+    nyquist = 1.0 - SQRT2 * dz * math.sqrt(tau_max) + dz * dz * tau_max
+    return math.sqrt(max(1.0, nyquist))
 
 
 def smooth_window(grid: TimeGrid, lo: float, hi: float,
@@ -81,8 +83,9 @@ def smooth_window(grid: TimeGrid, lo: float, hi: float,
 class FieldState:
     """State (u, v) of the spatial dynamics at location z.
 
-    u and v are (n,) for one replica or (B, n) for a block of B replicas
-    stepped together; every replica of a block sits at the same z.
+    u and v are (B, n) for a block of B replicas stepped together, every
+    replica of a block at the same z, or (n,) for one replica: a stationary
+    draw, or one row of a result.
     """
 
     u: np.ndarray
@@ -122,25 +125,6 @@ def _drift_terms(U: np.ndarray, V: np.ndarray, plan: SpectralPlan) -> np.ndarray
     return -plan.inverse(mixed)
 
 
-def _halflap_energy(U: np.ndarray, plan: SpectralPlan) -> np.ndarray:
-    """<u; halflap u^a> dt from the sine spectrum U of u (Parseval).
-
-    Sine bin k has the magnitude of bin k + 1 of the complex transform of
-    the padded u^a, whose bin 0 vanishes.  The padded signal is zero off
-    [-t_max, t_max] and u^a halflap u^a is even, so the half-line pairing is
-    half the full circular one, in which every bin but the last (Nyquist)
-    bin counts twice."""
-    N = plan.padded_len
-    w = 2.0 * plan.multiplier(1.0)
-    w[-1] *= 0.5
-    return (U * U) @ w * (plan.grid.dt / (2.0 * N))
-
-
-def _check_plan(grid: TimeGrid, plan: SpectralPlan):
-    if plan.grid != grid:
-        raise ValueError("state and plan grids differ")
-
-
 def _advance(state: FieldState, dz: float, du: np.ndarray, dv: np.ndarray,
              noise: np.ndarray) -> FieldState:
     """The Euler update from rates already computed at state; raises
@@ -178,7 +162,8 @@ def stationary_basis(grid: TimeGrid) -> list:
 
 
 class StationarySampler:
-    """Draws (u, v) from the stationary law restricted to a bump family.
+    """Draws (u, v) from the stationary law restricted to the bump family
+    stationary_basis(grid), kept as basis.
 
     u-pairings get covariance Gram(C1), v-pairings Gram(C2), independent.
     Grid values are reconstructed through the dual basis: the minimal-norm
@@ -188,27 +173,21 @@ class StationarySampler:
     its span) are exact in law.
     """
 
-    def __init__(self, h_basis: list, grid: TimeGrid):
-        if not h_basis:
-            raise ValueError("empty basis")
-        if any(h.grid != grid for h in h_basis):
-            raise ValueError("basis not on the given grid")
+    def __init__(self, grid: TimeGrid):
         self.grid = grid
-        self.basis = list(h_basis)
+        self.basis = stationary_basis(grid)
+        if not self.basis:
+            raise ValueError("empty basis")
         H = np.stack([h.values for h in self.basis])
         M = H @ H.T * grid.dt
-        G1 = cov_u_gram(self.basis)
-        G2 = cov_v_gram(self.basis)
         try:
-            self.L1 = gram_cholesky(G1)
-            self.L2 = gram_cholesky(G2)
+            self.L1 = gram_cholesky(cov_u_gram(self.basis))
+            self.L2 = gram_cholesky(cov_v_gram(self.basis))
             # dual-basis rows: pairing the reconstruction against h_j
             # returns exactly the drawn coefficient c_j
             self.dual = np.linalg.solve(M, H)
         except np.linalg.LinAlgError as e:
             raise ArithmeticError(f"Gram factorization failed: {e}") from e
-        self.G1 = G1
-        self.G2 = G2
 
     def draw(self, rng: np.random.Generator) -> FieldState:
         """One state at z = 0."""
@@ -251,13 +230,13 @@ class EvolveConfig:
                 f"dz <= 0.1 sqrt(dt) = {lim:.6g}")
 
     def check_records(self, block: int):
-        """Raise ResourceError unless a block of this many replicas can hold
-        its records, (steps + 1) rows of 2m pairings and an energy each; the
-        step count is taken as the float Z / dz, so that an infinite one
-        fails here too."""
+        """Raise ResourceError unless the records evolve allocates for a
+        block of this many replicas fit: (steps + 1) rows of 2m pairings a
+        replica, plus the steps + 1 z nodes.  The step count is taken as
+        the float Z / dz, so that an infinite one fails here too."""
         steps = self.Z / self.dz
         check_sheet_cells(
-            block * (steps + 1.0) * (2 * len(self.observables) + 1),
+            (steps + 1.0) * (block * 2 * len(self.observables) + 1),
             f"the records of Z={self.Z:g} / dz={self.dz:g} = {steps:.6g} "
             f"steps")
 
@@ -268,29 +247,25 @@ class EvolveConfig:
 
 @dataclass(frozen=True, eq=False)
 class EvolveResult:
-    """Trajectory record: observable pairings at every step plus the end
-    state, a telescoping-sum audit, and the noiseless-energy track.
-
-    Shapes are those of one replica; a run from a (B, n) block puts a
-    leading replica axis on every array and on the audit, and row(r)
-    gives replica r alone."""
+    """Trajectory record of a block: observable pairings at every step,
+    the end state and a telescoping-sum audit, each with a leading replica
+    axis (B, ...); row(r) gives replica r alone, without that axis."""
 
     z_nodes: np.ndarray            # (steps+1,)
-    u_obs: np.ndarray              # (steps+1, m)
-    v_obs: np.ndarray              # (steps+1, m)
+    u_obs: np.ndarray              # (B, steps+1, m)
+    v_obs: np.ndarray              # (B, steps+1, m)
     final_state: FieldState
-    bookkeeping_error: float       # max |<u_Z-u_0;h> - sum <v_z;h> dz|
-    energy: np.ndarray             # (steps+1,) <v;v> + <u; halflap u^a>
+    bookkeeping_error: np.ndarray  # (B,) max |<u_Z-u_0;h> - sum <v_z;h> dz|
 
     def row(self, r: int) -> "EvolveResult":
         fs = self.final_state
         return EvolveResult(
             z_nodes=self.z_nodes, u_obs=self.u_obs[r], v_obs=self.v_obs[r],
             final_state=FieldState(u=fs.u[r], v=fs.v[r], z=fs.z, grid=fs.grid),
-            bookkeeping_error=float(self.bookkeeping_error[r]),
-            energy=self.energy[r])
+            bookkeeping_error=float(self.bookkeeping_error[r]))
 
     def to_csv(self) -> str:
+        """The record of one replica, a row(r), as CSV."""
         m = self.u_obs.shape[1]
         cols = ["z"]
         cols += [f"u_h{i}" for i in range(m)]
@@ -305,44 +280,42 @@ class EvolveResult:
 
 
 def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
-           rng: np.random.Generator | list | None = None) -> EvolveResult:
-    """Run the explicit scheme from init to z + Z, recording observables.
+           rngs: Sequence[np.random.Generator] = ()) -> EvolveResult:
+    """Run the explicit scheme from the (B, n) block init to z + Z,
+    recording observables.
 
-    init may be one state with one generator rng, or a (B, n) block with
-    a sequence rng of B generators, replica r drawing its noise rows from
-    rng[r] in step order, so each row reproduces that replica's single run.
-    A noiseless run (cfg.noise False) needs no rng.
+    rngs holds one generator per replica, replica r drawing its noise rows
+    from rngs[r] in step order, so each row reproduces that replica run as
+    a block of one.  A noiseless run (cfg.noise False) needs none.
 
     The block is stepped in the sine basis: the sine spectrum U of u is
     carried across steps (u += v dz gives U += dz V exactly), so a step
     costs one real forward transform (V) and one real inverse (the fused
-    drift), and the energy track reads <u; halflap u^a> off U by Parseval.
-    The u-update is literally u += v dz, so the recorded pairings satisfy
-    <u_Z; h> - <u_0; h> = sum over steps of <v_z; h> dz to roundoff; the
-    realized maximum deviation is stored on the result.
+    drift).  The u-update is literally u += v dz, so the recorded pairings
+    satisfy <u_Z; h> - <u_0; h> = sum over steps of <v_z; h> dz to
+    roundoff; the realized maximum deviation is stored on the result.
     """
     grid = init.grid
+    if init.u.ndim != 2:
+        raise ValueError(f"evolve steps a (B, n) block of replicas, not a "
+                         f"state of shape {init.u.shape}")
     cfg.check_stability(grid)
-    _check_plan(grid, plan)
+    if plan.grid != grid:
+        raise ValueError("state and plan grids differ")
     if cfg.observables and cfg.observables[0].grid != grid:
         raise ValueError("observables not on the state grid")
-    single = init.u.ndim == 1
-    if single:
-        init = FieldState(u=init.u[None], v=init.v[None], z=init.z, grid=grid)
-    rngs = [] if rng is None else [rng] if single else list(rng)
-    if cfg.noise and len(rngs) != init.u.shape[0]:
-        raise ValueError("a noisy run needs one generator per replica in rng")
-    cfg.check_records(init.u.shape[0])
+    B = init.u.shape[0]
+    if cfg.noise and len(rngs) != B:
+        raise ValueError("a noisy run needs one generator per replica in rngs")
+    cfg.check_records(B)
     Hobs = np.stack([h.values for h in cfg.observables]) \
         if cfg.observables else np.zeros((0, grid.n))
     dt = grid.dt
     dz = cfg.dz
     steps = cfg.steps
-    B = init.u.shape[0]
     m = Hobs.shape[0]
     u_obs = np.zeros((B, steps + 1, m))
     v_obs = np.zeros((B, steps + 1, m))
-    energy = np.zeros((B, steps + 1))
     zs = init.z + dz * np.arange(steps + 1)
     noise = np.zeros((B, grid.n))
 
@@ -352,8 +325,6 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     for k in range(steps + 1):
         u_obs[:, k] = state.u @ Hobs.T * dt
         v_obs[:, k] = state.v @ Hobs.T * dt
-        energy[:, k] = (np.einsum("bi,bi->b", state.v, state.v) * dt
-                        + _halflap_energy(U, plan))
         if k == steps:
             break
         V = plan.forward(state.v)
@@ -367,7 +338,5 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
 
     book = np.max(np.abs((u_obs[:, -1] - u_obs[:, 0]) - vsum), axis=1,
                   initial=0.0)
-    res = EvolveResult(z_nodes=zs, u_obs=u_obs, v_obs=v_obs,
-                       final_state=state, bookkeeping_error=book,
-                       energy=energy)
-    return res.row(0) if single else res
+    return EvolveResult(z_nodes=zs, u_obs=u_obs, v_obs=v_obs,
+                        final_state=state, bookkeeping_error=book)

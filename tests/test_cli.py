@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from heatsheet import ResourceError, cli, gaussfield
-from heatsheet.cli import (CHUNK_CELL_BUDGET, CHUNK_REPLICAS, COV_TAG,
-                           OPS_TAG, OPTIONS, RunConfig, _mc_chunks,
+from heatsheet.cli import (CHUNK_CELL_BUDGET, CHUNK_REPLICAS, COMMAND_FLAGS,
+                           COV_TAG, OPS_TAG, OPTIONS, RunConfig, _mc_chunks,
                            _mc_pairings, build_config, main, make_parser,
                            suite_cov, suite_drift, suite_evolve, suite_ops,
                            suite_seed, suite_spde, write_report)
@@ -68,14 +68,18 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_help_lists_the_flags(self, command, capsys):
-        # one flag per RunConfig field, and no other: a field without a
-        # flag would be a knob that no run can set
+        # one flag per RunConfig field, and no other, each read by some
+        # command: a field without one would be a knob that no run can set
         assert sorted(field for field, _ in OPTIONS.values()) == sorted(
             f.name for f in dataclasses.fields(RunConfig))
+        assert set().union(*COMMAND_FLAGS.values()) == set(OPTIONS)
         with pytest.raises(SystemExit):
             self.args([command, "--help"])
         flags = set(re.findall(r"--\w+", capsys.readouterr().out))
-        assert flags == {"--help"} | {f"--{key}" for key in OPTIONS}
+        assert flags == {"--help"} | {f"--{key}"
+                                      for key in COMMAND_FLAGS[command]}
+        # the benchmark appends these to every call
+        assert {"--seed", "--workers", "--out"} <= flags
 
 
 class TestExitCodes:
@@ -115,7 +119,7 @@ class TestExitCodes:
         def unreachable(*a, **k):
             raise AssertionError("basis built before the records check")
 
-        monkeypatch.setattr(cli, "stationary_basis", unreachable)
+        monkeypatch.setattr(cli, "StationarySampler", unreachable)
         rc = run(["evolve", *steps_flags, "--replicas", "2", "--n", "64",
                   "--out", str(tmp_path)])
         assert rc == 3
@@ -220,10 +224,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", ["--dz", "--Z"])
     def test_evolve_flags_rejected_elsewhere(self, tmp_path, capsys,
                                              command, flag):
-        rc = run([command, flag, "5", "--n", "512", "--out", str(tmp_path)])
+        rc = run([command, flag, "5", "--out", str(tmp_path)])
         assert rc == 2
-        assert (capsys.readouterr().err
-                == f"error: {flag} applies only to evolve, not to {command}\n")
+        reads = " ".join(f"--{key}" for key in COMMAND_FLAGS[command])
+        assert (capsys.readouterr().err == f"error: {flag} does not apply to "
+                f"{command}, which reads {reads}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,given,flag", [
+        ("verify-ops", ["--replicas", "64"], "--replicas"),
+        ("verify-drift", ["--n", "64"], "--n"),
+        ("evolve", ["--nus=1"], "--nus")])
+    def test_unread_flags_rejected(self, tmp_path, capsys, command, given,
+                                   flag):
+        # a flag the suite never reads would be echoed into the report's
+        # config while changing nothing; an unknown one is named the same way
+        rc = run([command, *given, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {flag} does not apply to {command}, which reads ")
+        assert not list(tmp_path.iterdir())
 
     def test_degraded_resolution_fails_honestly(self, tmp_path, capsys):
         # at n = 512 the identity-suite refinement targets are unattainable
@@ -557,16 +577,6 @@ class TestWorkerInvariance:
         assert reports(2) == first
         assert reports(3) == first
 
-    def test_drift_reports_identical(self):
-        # verdicts and numbers must not depend on the worker count
-        base = dict(t_max=4.0, replicas=INVARIANCE_REPLICAS)
-        r1 = suite_drift(RunConfig(workers=1, **base))
-        r3 = suite_drift(RunConfig(workers=3, **base))
-        assert len(r1) == len(r3)
-        for a, b in zip(r1, r3):
-            da, db = a.to_dict(), b.to_dict()
-            assert da == db
-
 
 class TestEvolveArtifacts:
     def test_files_written(self, tmp_path):
@@ -584,6 +594,20 @@ class TestEvolveArtifacts:
         doc = json.loads((tmp_path / "evolve_report.json").read_text())
         assert doc["suite"] == "evolve"
         assert all(r["pass"] for r in doc["reports"])
+
+    def test_files_identical_across_workers(self, tmp_path):
+        # the sample replica's files, written from the first block, must
+        # not depend on how the blocks are shared out
+        files = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            rc = run(["evolve", "--tmax", "8", "--n", "256", "--replicas",
+                      "100", "--Z", "0.2", "--workers", workers,
+                      "--out", str(out)])
+            assert rc == 0
+            files.append([(out / name).read_bytes()
+                          for name in ("trajectory.csv", "final_state.npy")])
+        assert files[0] == files[1]
 
 
 if __name__ == "__main__":

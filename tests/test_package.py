@@ -3,6 +3,7 @@ a caller outside the tests; the benchmark tracer's wrap targets still
 exist; and importing the command line pulls in no scipy subpackage it does
 not use."""
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -46,6 +47,19 @@ def test_benchmark_trace_targets_resolve():
     assert params[:3] == ["fa", "beta", "plan"]
     assert isinstance(inspect.getattr_static(heatsheet.SpectralPlan,
                                              "padded_len"), property)
+    # the evolve hook reads init and cfg by position or name, then
+    # cfg.steps, cfg.noise and init.grid.n
+    params = list(inspect.signature(heatsheet.evolve).parameters)
+    assert params[:2] == ["init", "cfg"]
+    fields = {f.name for f in dataclasses.fields(heatsheet.EvolveConfig)}
+    assert "noise" in fields
+    assert isinstance(inspect.getattr_static(heatsheet.EvolveConfig, "steps"),
+                      property)
+    # the sampler's draw hook reads self.basis; the sheet hook out.cells
+    grid = heatsheet.TimeGrid(8.0, 64)
+    assert len(heatsheet.StationarySampler(grid).basis) == 40
+    lat = heatsheet.SheetLattice(0.0, 0.5, 0.5, 3, 4)
+    assert heatsheet.sheet_sample(lat, 0).cells == 12
 
 
 def test_every_export_has_a_caller():

@@ -35,6 +35,11 @@ def zero_state(grid) -> FieldState:
     return FieldState(u=np.zeros(grid.n), v=np.zeros(grid.n), z=0.0, grid=grid)
 
 
+def zero_block(grid) -> FieldState:
+    """A block of one replica at rest, the smallest state evolve takes."""
+    return FieldState.stack([zero_state(grid)])
+
+
 def drift(state, plan):
     """Rates (du/dz, dv/dz) at one state, from the fused drift evolve uses."""
     dv = _drift_terms(plan.forward(state.u), plan.forward(state.v), plan)
@@ -78,6 +83,17 @@ class TestStability:
         expect = math.sqrt(1.0 - math.sqrt(2.0 * tau_max) + tau_max)
         assert spectral_radius(grid, 1.0) == pytest.approx(expect, rel=1e-6)
         assert spectral_radius(grid, 1.0) > 1.0
+
+    @pytest.mark.parametrize("n", [256, N])
+    @pytest.mark.parametrize("dz", [0.0125, 0.05, 0.125, 0.25, 1.0, 3.0])
+    def test_radius_equals_a_scan_of_the_modes(self, n, dz):
+        # |lambda|^2 is convex in tau, so the closed form at the two ends
+        # equals the largest value over a fine scan of the grid's modes
+        g = TimeGrid(T_MAX, n)
+        tau = np.linspace(0.0, math.pi / g.dt, 512)
+        amp2 = 1.0 - SQRT2 * dz * np.sqrt(tau) + dz * dz * tau
+        scan = float(np.sqrt(np.maximum(amp2, 0.0)).max())
+        assert spectral_radius(g, dz) == scan
 
 
 class TestSmoothWindow:
@@ -129,8 +145,8 @@ class TestDrift:
                        z=0.0, grid=grid)
         dz = stability_limit(grid)
         cfg = EvolveConfig(dz=dz, Z=dz, observables=(), noise=False)
-        out = evolve(s, cfg, plan).final_state
-        np.testing.assert_array_equal(out.u, s.u + s.v * dz)
+        out = evolve(FieldState.stack([s]), cfg, plan).final_state
+        np.testing.assert_array_equal(out.u[0], s.u + s.v * dz)
 
     def test_linearity(self, grid, plan):
         w = smooth_window(grid, 1.0, 7.0)
@@ -166,7 +182,7 @@ class TestDrift:
         cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=(),
                            noise=False)
         with pytest.raises(ValueError, match="grids differ"):
-            evolve(zero_state(grid), cfg, other)
+            evolve(zero_block(grid), cfg, other)
 
 
 class TestEulerStep:
@@ -209,18 +225,16 @@ class TestStationary:
         centers = [h.center for h in basis]
         assert centers == sorted(centers)
 
-    def test_sampler_validation(self, grid):
-        with pytest.raises(ValueError):
-            StationarySampler([], grid)
-        other = hs.TestFunction(2.0, 0.3, TimeGrid(T_MAX, 256))
-        with pytest.raises(ValueError):
-            StationarySampler([other], grid)
+    def test_sampler_validation(self):
+        # t_max 0.05 holds no bump of the stationary basis
+        with pytest.raises(ValueError, match="empty basis"):
+            StationarySampler(TimeGrid(0.05, 64))
 
     def test_dual_reconstruction_is_exact(self, grid):
         # pairing the reconstructed field against the basis returns the
         # drawn coefficients to roundoff
-        basis = stationary_basis(grid)
-        samp = StationarySampler(basis, grid)
+        samp = StationarySampler(grid)
+        basis = samp.basis
         m = len(basis)
         state = samp.draw(sheet_rng(3, 0))
         rng = sheet_rng(3, 0)
@@ -232,8 +246,8 @@ class TestStationary:
         assert np.max(np.abs(got_v - cv)) <= 1e-12
 
     def test_moments_match_grams(self, grid):
-        basis = stationary_basis(grid)
-        samp = StationarySampler(basis, grid)
+        samp = StationarySampler(grid)
+        basis = samp.basis
         j = len(basis) // 2
         h = basis[j]
         R = 10_000
@@ -244,7 +258,8 @@ class TestStationary:
             st = samp.draw(rng)
             us[r] = pair(st.u, h.values, grid)
             vs[r] = pair(st.v, h.values, grid)
-        for vals, target in ((us, samp.G1[j, j]), (vs, samp.G2[j, j])):
+        for vals, target in ((us, hs.cov_u_gram(basis)[j, j]),
+                             (vs, hs.cov_v_gram(basis)[j, j])):
             mean, se = hs.mean_se(vals)
             assert abs(mean) <= 4.0 * se
             var = float(np.var(vals, ddof=1))
@@ -254,7 +269,7 @@ class TestStationary:
         assert abs(corr) <= 4.0 / math.sqrt(R)
 
     def test_stationary_init_deterministic(self, grid):
-        sampler = StationarySampler(stationary_basis(grid), grid)
+        sampler = StationarySampler(grid)
         a = sampler.draw(sheet_rng(9, 0))
         b = sampler.draw(sheet_rng(9, 0))
         np.testing.assert_array_equal(a.u, b.u)
@@ -289,12 +304,17 @@ class TestEvolveConfig:
             EvolveConfig(dz=0.0125, Z=0.00625, observables=())
         assert EvolveConfig(dz=0.0125, Z=0.007, observables=()).steps == 1
 
-    def test_records_budget_counts_the_block(self):
-        # (steps + 1) rows of 2m pairings and an energy per replica: 81 x 1
-        cfg = EvolveConfig(dz=0.0125, Z=1.0, observables=())
-        cfg.check_records(MAX_SHEET_CELLS // 81)
-        with pytest.raises(hs.ResourceError, match="exceeds budget"):
-            cfg.check_records(MAX_SHEET_CELLS // 81 + 1)
+    def test_records_budget_counts_the_block(self, grid):
+        # (steps + 1) rows of 2m pairings per replica plus the steps + 1 z
+        # nodes: 81 (2 m B + 1) cells
+        for m in (1, 3):
+            obs = tuple(hs.TestFunction(c, 0.5, grid)
+                        for c in (2.0, 4.0, 6.0)[:m])
+            cfg = EvolveConfig(dz=0.0125, Z=1.0, observables=obs)
+            most = (MAX_SHEET_CELLS // 81 - 1) // (2 * m)
+            cfg.check_records(most)
+            with pytest.raises(hs.ResourceError, match="exceeds budget"):
+                cfg.check_records(most + 1)
 
 
 class TestEvolve:
@@ -305,45 +325,56 @@ class TestEvolve:
         cfg = EvolveConfig(dz=0.05, Z=1e300, observables=(), noise=False)
         with pytest.raises(hs.ResourceError,
                            match=r"records of Z=1e\+300 / dz=0.05"):
-            evolve(zero_state(g), cfg, SpectralPlan(g))
+            evolve(zero_block(g), cfg, SpectralPlan(g))
+
+    def test_single_state_rejected(self, grid, plan):
+        # evolve steps blocks only; one replica is a block of one
+        cfg = EvolveConfig(dz=0.0125, Z=0.25, observables=(), noise=False)
+        with pytest.raises(ValueError, match=r"\(B, n\) block"):
+            evolve(zero_state(grid), cfg, plan)
 
     def test_zero_flow(self, grid, plan):
         h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=0.0125, Z=0.5, observables=(h,), noise=False)
-        res = evolve(zero_state(grid), cfg, plan)
+        res = evolve(zero_block(grid), cfg, plan)
         assert float(np.max(np.abs(res.u_obs))) == 0.0
-        assert float(np.max(np.abs(res.energy))) == 0.0
-        assert res.bookkeeping_error == 0.0
+        assert float(np.max(np.abs(res.final_state.v))) == 0.0
+        assert res.bookkeeping_error[0] == 0.0
         assert res.z_nodes.size == cfg.steps + 1
 
     def test_deterministic_in_seed(self, grid, plan):
         h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=0.0125, Z=0.25, observables=(h,))
-        r1 = evolve(zero_state(grid), cfg, plan, rng=sheet_rng(7, 0))
-        r2 = evolve(zero_state(grid), cfg, plan, rng=sheet_rng(7, 0))
+        r1 = evolve(zero_block(grid), cfg, plan, [sheet_rng(7, 0)])
+        r2 = evolve(zero_block(grid), cfg, plan, [sheet_rng(7, 0)])
         np.testing.assert_array_equal(r1.u_obs, r2.u_obs)
         np.testing.assert_array_equal(r1.final_state.v, r2.final_state.v)
 
     def test_telescoping_bookkeeping(self, grid, plan):
         h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=0.0125, Z=0.5, observables=(h,))
-        init = StationarySampler(stationary_basis(grid), grid).draw(
-            sheet_rng(11, 0))
-        res = evolve(init, cfg, plan, rng=sheet_rng(3, 0))
-        assert res.bookkeeping_error <= 1e-10
+        init = StationarySampler(grid).draw(sheet_rng(11, 0))
+        res = evolve(FieldState.stack([init]), cfg, plan, [sheet_rng(3, 0)])
+        assert res.bookkeeping_error[0] <= 1e-10
 
     def test_energy_decays_without_noise(self, grid, plan):
+        # <v;v> + <u; halflap u^a>, taken directly after each evolve step
         w = smooth_window(grid, 1.0, 7.0)
-        init = FieldState(u=w * np.sin(4.0 * grid.nodes), v=np.zeros(N),
-                          z=0.0, grid=grid)
+        init = FieldState(u=[w * np.sin(4.0 * grid.nodes)],
+                          v=np.zeros((1, N)), z=0.0, grid=grid)
         lim = stability_limit(grid)
         increase = {}
         for dz in (lim, lim / 2.0):
             cfg = EvolveConfig(dz=dz, Z=1.0, observables=(), noise=False)
-            res = evolve(init, cfg, plan)
-            assert res.energy[-1] < res.energy[0]
-            inc = float(np.max(np.diff(res.energy)))
-            increase[dz] = max(inc, 0.0) / (dz * res.energy[0])
+            one = EvolveConfig(dz=dz, Z=dz, observables=(), noise=False)
+            state = init
+            energy = [_direct_energy(state.u[0], state.v[0], plan)]
+            for _ in range(cfg.steps):
+                state = evolve(state, one, plan).final_state
+                energy.append(_direct_energy(state.u[0], state.v[0], plan))
+            assert energy[-1] < energy[0]
+            inc = float(np.max(np.diff(energy)))
+            increase[dz] = max(inc, 0.0) / (dz * energy[0])
         # per-step energy gains are an O(dz) scheme artifact
         assert increase[lim] <= 0.2
         assert increase[lim / 2.0] <= 0.7 * increase[lim]
@@ -371,7 +402,7 @@ class TestEvolve:
     def test_csv_export(self, grid, plan):
         h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=0.0125, Z=0.125, observables=(h,))
-        res = evolve(zero_state(grid), cfg, plan, rng=sheet_rng(1, 0))
+        res = evolve(zero_block(grid), cfg, plan, [sheet_rng(1, 0)]).row(0)
         text = res.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "z,u_h0,v_h0"
@@ -412,7 +443,7 @@ class TestBatchedEvolve:
 
     @pytest.fixture(scope="class")
     def sampler(self, grid):
-        return StationarySampler(stationary_basis(grid), grid)
+        return StationarySampler(grid)
 
     def block(self, sampler, lo, hi):
         rngs = [sheet_rng(self.SEED, r) for r in range(lo, hi)]
@@ -425,7 +456,7 @@ class TestBatchedEvolve:
         cfg = EvolveConfig(dz=stability_limit(grid), Z=1.0, observables=())
         assert cfg.steps == 80
         init, rngs = self.block(sampler, 0, 4)
-        res = evolve(init, cfg, plan, rng=rngs)
+        res = evolve(init, cfg, plan, rngs)
         # fresh streams, advanced past the stationary draw as in the block
         again, rngs = self.block(sampler, 0, 4)
         singles = [FieldState(u=again.u[r], v=again.v[r], z=0.0, grid=grid)
@@ -446,36 +477,22 @@ class TestBatchedEvolve:
 
         def task(lo, hi):
             init, rngs = self.block(sampler, lo, hi)
-            res = evolve(init, cfg, plan, rng=rngs)
+            res = evolve(init, cfg, plan, rngs)
             for r in range(lo, hi):
                 rows[r] = res.row(r - lo)
 
         _parallel([(lo, min(lo + EVOLVE_BATCH, R))
                    for lo in range(0, R, EVOLVE_BATCH)], 1, task)
         for r in range(R):
-            rng = sheet_rng(self.SEED, r)
-            one = evolve(sampler.draw(rng), cfg, plan, rng=rng)
+            init, rngs = self.block(sampler, r, r + 1)
+            one = evolve(init, cfg, plan, rngs).row(0)
             got = rows[r]
             assert got.u_obs.shape == one.u_obs.shape == (cfg.steps + 1, 1)
             for a, b in ((got.u_obs, one.u_obs), (got.v_obs, one.v_obs),
-                         (got.energy, one.energy),
                          (got.final_state.u, one.final_state.u),
                          (got.final_state.v, one.final_state.v)):
                 assert _rel_diff(a, b) <= 1e-13
             assert got.bookkeeping_error <= 1e-10
-
-    def test_parseval_energy_matches_direct(self, grid, plan, sampler):
-        cfg = EvolveConfig(dz=stability_limit(grid), Z=0.5, observables=(),
-                           noise=False)
-        init, _ = self.block(sampler, 0, 3)
-        res = evolve(init, cfg, plan)
-        assert res.energy.shape == (3, cfg.steps + 1)
-        fs = res.final_state
-        for r in range(3):
-            e0 = _direct_energy(init.u[r], init.v[r], plan)
-            e1 = _direct_energy(fs.u[r], fs.v[r], plan)
-            assert res.energy[r, 0] == pytest.approx(e0, rel=1e-12)
-            assert res.energy[r, -1] == pytest.approx(e1, rel=1e-12)
 
     def test_instability_names_z(self, grid, plan):
         u = np.zeros((3, N))
@@ -492,13 +509,13 @@ class TestBatchedEvolve:
         init, rngs = self.block(sampler, 0, 3)
         cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=())
         with pytest.raises(ValueError, match="one generator per replica"):
-            evolve(init, cfg, plan, rng=rngs[:2])
+            evolve(init, cfg, plan, rngs[:2])
 
     def test_noise_needs_a_generator(self, grid, plan):
-        # noise is drawn only from rng; a noisy run without one raises
+        # noise is drawn only from rngs; a noisy run without them raises
         cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=())
         with pytest.raises(ValueError, match="one generator per replica"):
-            evolve(zero_state(grid), cfg, plan)
+            evolve(zero_block(grid), cfg, plan)
 
 
 if __name__ == "__main__":
