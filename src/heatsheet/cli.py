@@ -16,9 +16,9 @@ OSError) and 3 on a numerical or resource failure, exhausted memory
 included, which yields no verdict.  Each run option has one way in, its
 flag (OPTIONS), and each command takes only the flags its suite reads
 (COMMAND_FLAGS); the decay rates and the heat-kernel tail tolerance are
-fixed constants.  Replica streams are derived as seed XOR suite tag, then
-one SeedSequence spawn per replica, so results are independent of the
-worker count.
+fixed constants.  Replica streams are derived as seed XOR suite tag (TAGS),
+then one SeedSequence spawn per replica, so results are independent of the
+worker count; write_report records that suite seed with every report.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid import TimeGrid, TestFunction
-from .kernels import l_nu, l_nu_laplace
+from .kernels import SQRT4PI, l_nu, l_nu_laplace
 from .fracops import (SpectralPlan, frac_laplacian, op_A1, op_A2,
                       halfroot_conv, a1_a2_residual, A2_TAIL_POWER)
-from .gaussfield import (SQRT4PI, TAIL_TOL, cov_u, cov_u_gram,
+from .gaussfield import (TAIL_TOL, cov_u, cov_u_gram,
                          cov_v_gram, coverage_halfwidth, sheet_rng,
                          sheet_sample, point_weights, pair_u_weights,
                          pair_v_weights, drift_field_weights,
@@ -52,11 +52,9 @@ from .stats import mean_se, var_se, z_test, residual_report, matrix_compare
 
 # suite tags XORed into the master seed (hex digits of pi: nothing up
 # the sleeve, just five fixed distinct words)
-OPS_TAG = 0x243F6A8885A308D3
-COV_TAG = 0x13198A2E03707344
-DRIFT_TAG = 0xA4093822299F31D0
-SPDE_TAG = 0x082EFA98EC4E6C89
-EVOLVE_TAG = 0x452821E638D01377
+TAGS = {"ops": 0x243F6A8885A308D3, "cov": 0x13198A2E03707344,
+        "drift": 0xA4093822299F31D0, "spde": 0x082EFA98EC4E6C89,
+        "evolve": 0x452821E638D01377}
 
 U64 = 1 << 64
 
@@ -129,8 +127,8 @@ class RunConfig:
             raise ValueError("workers must be at least 1")
 
 
-def suite_seed(cfg: RunConfig, tag: int) -> int:
-    return (cfg.seed ^ tag) % U64
+def suite_seed(cfg: RunConfig, suite: str) -> int:
+    return (cfg.seed ^ TAGS[suite]) % U64
 
 
 def _sheet_band(y_last: float, t: float, dy: float, ds: float,
@@ -164,6 +162,7 @@ OPS_PAD = 4
 OPS_MARGIN = 0.5   # factorization error is read on (margin, t_max - margin)
 OPS_T_CUT = 4.0    # eigenfunctions are compared on t <= min(t_cut, t_max)
 OPS_NUS = (1.0, 4.0)  # decay rates of the exponential eigenfunctions
+OPS_MIN_N = 8      # coarser grids put no node where the bump's h' is nonzero
 
 
 def _ops_bump(grid: TimeGrid) -> TestFunction:
@@ -176,8 +175,12 @@ def _interior(grid: TimeGrid) -> np.ndarray:
 
 
 def _check_ops_grid(grid: TimeGrid):
-    """Both comparison masks must hold a node: the middle node t_max/2 - dt/2
-    must clear the margin and the first node dt/2 must not pass t_cut."""
+    """n >= OPS_MIN_N, since errors are scaled by max |h'| of the ops bump;
+    and both comparison masks must hold a node: the middle node t_max/2 -
+    dt/2 must clear the margin and the first node dt/2 must not pass t_cut."""
+    if grid.n < OPS_MIN_N:
+        raise ValueError(f"n must be at least {OPS_MIN_N} for verify-ops, "
+                         f"got {grid.n}")
     if not (_interior(grid).any()
             and grid.nodes[0] <= min(OPS_T_CUT, grid.t_max)):
         lo = 2.0 * OPS_MARGIN * grid.n / (grid.n - 1)
@@ -203,21 +206,19 @@ def _a1a2_err(grid: TimeGrid) -> float:
 
 
 def _refinement_reports(label: str, what: str, tol: float, err_of,
-                        grid: TimeGrid, seed: int, gdesc: dict) -> list:
+                        grid: TimeGrid, gdesc: dict) -> list:
     """The error err_of(grid) against tol, then the quotient err(dt/2) /
     err(dt), which must drop below 1/REFINE_GAIN."""
     fine = TimeGrid(grid.t_max, 2 * grid.n)
     err, err_f = err_of(grid), err_of(fine)
-    return [residual_report(f"{label}, {what}", err, tol, seed=seed,
-                            grid=gdesc),
+    return [residual_report(f"{label}, {what}", err, tol, grid=gdesc),
             residual_report(f"{label}, refinement quotient",
                             err_f / max(err, 1e-300), 1.0 / REFINE_GAIN,
-                            seed=seed, grid={**gdesc, "fine_n": fine.n,
-                                             "fine_error": err_f})]
+                            grid={**gdesc, "fine_n": fine.n,
+                                  "fine_error": err_f})]
 
 
 def suite_ops(cfg: RunConfig) -> list:
-    seed = suite_seed(cfg, OPS_TAG)
     grid = TimeGrid(cfg.t_max or OPS_T_MAX, cfg.n or OPS_N)
     _check_ops_grid(grid)
     gdesc = {"t_max": grid.t_max, "n": grid.n}
@@ -225,7 +226,7 @@ def suite_ops(cfg: RunConfig) -> list:
     # factorization of the second operator through the quarter-order one
     reports = _refinement_reports(
         "quarter-order factorization", "interior max error", 1e-2,
-        _a2_factorization_err, grid, seed, gdesc)
+        _a2_factorization_err, grid, gdesc)
 
     # inversion: convolving the image against the halfroot kernel returns h
     h = _ops_bump(grid)
@@ -233,11 +234,11 @@ def suite_ops(cfg: RunConfig) -> list:
     back = halfroot_conv(a2, grid, tail=("power", A2_TAIL_POWER))
     inv_err = float(np.max(np.abs(back - h.values)) / h.sup_norm)
     reports.append(residual_report(
-        "halfroot inversion, max error", inv_err, 1e-2, seed=seed, grid=gdesc))
+        "halfroot inversion, max error", inv_err, 1e-2, grid=gdesc))
 
     # composition identity with first-order refinement
     reports += _refinement_reports("composition identity", "residual", 2e-2,
-                                   _a1a2_err, grid, seed, gdesc)
+                                   _a1a2_err, grid, gdesc)
 
     # exponential eigenfunctions of the first operator
     tcut = min(OPS_T_CUT, grid.t_max)
@@ -249,22 +250,20 @@ def suite_ops(cfg: RunConfig) -> list:
                            / (math.sqrt(nu) * f[mask])))
         reports.append(residual_report(
             f"exponential eigenfunction nu={nu:g}", rel, 1e-3,
-            seed=seed, grid={**gdesc, "t_cut": tcut}))
+            grid={**gdesc, "t_cut": tcut}))
 
     # window integral l: pinned at 0, bounded normalized tail, Laplace value
     reports.append(residual_report(
-        "window integral at t=0", abs(l_nu(1.0, 0.0)), 0.0,
-        seed=seed, grid={}))
+        "window integral at t=0", abs(l_nu(1.0, 0.0)), 0.0))
     ts = np.geomspace(10.0, 1000.0, 25)
     sup = max(abs(t ** 1.5 * l_nu(1.0, t)) for t in ts)
     reports.append(residual_report(
         "window integral normalized tail bound", sup, 1.0,
-        seed=seed, grid={"t_lo": 10.0, "t_hi": 1000.0,
-                         "limit": 1.0 / SQRT4PI}))
+        grid={"t_lo": 10.0, "t_hi": 1000.0, "limit": 1.0 / SQRT4PI}))
     lap = l_nu_laplace(1.0, 1.0)
     reports.append(residual_report(
         "window integral laplace value", abs(lap - 0.25), 1e-4,
-        seed=seed, grid={"value": lap}))
+        grid={"value": lap}))
     return reports
 
 
@@ -414,7 +413,7 @@ def _cov_se(S: np.ndarray, R: int) -> np.ndarray:
 
 
 def suite_cov(cfg: RunConfig) -> list:
-    seed = suite_seed(cfg, COV_TAG)
+    seed = suite_seed(cfg, "cov")
     t_max = cfg.t_max or OPS_T_MAX
     grid = TimeGrid(t_max, cfg.n or OPS_N)
     R_point = cfg.replicas or COV_POINT_REPLICAS
@@ -434,10 +433,9 @@ def suite_cov(cfg: RunConfig) -> list:
     var, se = var_se(X[:, 0])
     tgt = cov_u(1.0, 1.0)
     reports.append(z_test(
-        var, se, tgt, name="field variance at (0,1)", seed=seed,
-        replicas=R_point, grid={"dy": point.dy, "ds": point.ds,
-                                "ny": point.ny, "ns": point.ns,
-                                **crop.grid()}))
+        var, se, tgt, name="field variance at (0,1)", replicas=R_point,
+        grid={"dy": point.dy, "ds": point.ds, "ny": point.ny,
+              "ns": point.ns, **crop.grid()}))
 
     # Gram comparison of field and derivative pairings at x = 0
     hs = cov_observables(grid)
@@ -461,8 +459,8 @@ def suite_cov(cfg: RunConfig) -> list:
              np.zeros((m, m)))):
         gap = float(np.max(np.abs(G[block] - target)))
         reports.append(matrix_compare(
-            S[block], target, se[block], name=name, seed=seed,
-            replicas=R_gram, grid={**gdesc, "discrete_gap": gap}))
+            S[block], target, se[block], name=name, replicas=R_gram,
+            grid={**gdesc, "discrete_gap": gap}))
     return reports
 
 
@@ -489,7 +487,7 @@ def _probe_weights(lat: SheetLattice, yvals: np.ndarray, build) -> list:
 
 
 def suite_drift(cfg: RunConfig) -> list:
-    seed = suite_seed(cfg, DRIFT_TAG)
+    seed = suite_seed(cfg, "drift")
     t_max = cfg.t_max or OPS_T_MAX
     nu = DRIFT_NU
     R = cfg.replicas or DRIFT_REPLICAS
@@ -529,14 +527,12 @@ def suite_drift(cfg: RunConfig) -> list:
 
     rms = field_rms(32)
     reports.append(residual_report(
-        "drift pathwise identity, relative RMS", rms, 5e-2,
-        seed=seed, grid=gdesc))
+        "drift pathwise identity, relative RMS", rms, 5e-2, grid=gdesc))
     rms_coarse = field_rms(8)
     reports.append(residual_report(
         "drift quadrature refinement gain", rms / max(rms_coarse, 1e-300),
-        0.25, seed=seed,
-        grid={**gdesc, "coarse_nodes": 8, "fine_nodes": 32,
-              "coarse_rms": rms_coarse}))
+        0.25, grid={**gdesc, "coarse_nodes": 8, "fine_nodes": 32,
+                    "coarse_rms": rms_coarse}))
 
     # law: variance of the explicit form matches the closed double integral,
     # on the weights of the first probe, y = 0, which the crop overwrites
@@ -545,7 +541,7 @@ def suite_drift(cfg: RunConfig) -> list:
     var, se = var_se(X[:, 0])
     reports.append(z_test(
         var, se, drift_variance_exact(nu), name="drift functional variance",
-        seed=seed, replicas=R, grid={**gdesc, **crop.grid()}))
+        replicas=R, grid={**gdesc, **crop.grid()}))
 
     # Laplace-domain identity for the shifted covariance kernel, the
     # continuum statement behind the drift construction
@@ -555,7 +551,7 @@ def suite_drift(cfg: RunConfig) -> list:
             tgt = cameron_martin_target(nu_a, nu_b, 0.0)
             reports.append(residual_report(
                 f"laplace covariance identity nu={nu_a:g} nu2={nu_b:g}",
-                abs(val / tgt - 1.0), 1e-4, seed=seed,
+                abs(val / tgt - 1.0), 1e-4,
                 grid={"value": val, "closed_form": tgt}))
     return reports
 
@@ -580,7 +576,7 @@ def spde_test_functions(grid: TimeGrid) -> list:
 
 
 def suite_spde(cfg: RunConfig) -> list:
-    seed = suite_seed(cfg, SPDE_TAG)
+    seed = suite_seed(cfg, "spde")
     t_max = cfg.t_max or SPDE_T_MAX
     n = cfg.n or SPDE_N
     grid = TimeGrid(t_max, n)
@@ -604,10 +600,10 @@ def suite_spde(cfg: RunConfig) -> list:
         X = _mc_pairings(crop.W, crop.cells, crop.scale, R,
                          seed, fi * SPDE_STREAM_STRIDE, cfg.workers)
         reports += _moment_tests(X[:, 0], tgt, "weak-form residual",
-                                 f"f{fi + 1}", seed=seed, grid=gdesc)
+                                 f"f{fi + 1}", grid=gdesc)
         reports.append(residual_report(
             f"weak-form discrete variance bias, f{fi + 1}", bias, 2e-2,
-            seed=seed, grid=gdesc))
+            grid=gdesc))
     return reports
 
 
@@ -620,7 +616,7 @@ def evolve_observables(grid: TimeGrid) -> list:
 
 
 def suite_evolve(cfg: RunConfig):
-    seed = suite_seed(cfg, EVOLVE_TAG)
+    seed = suite_seed(cfg, "evolve")
     t_max = cfg.t_max or EVOLVE_T_MAX
     n = cfg.n or EVOLVE_N
     grid = TimeGrid(t_max, n)
@@ -643,7 +639,7 @@ def suite_evolve(cfg: RunConfig):
     UZ = np.zeros((R, m))
     VZ = np.zeros((R, m))
     book = np.zeros(R)
-    sample = {}
+    first = {}
 
     def task(lo, hi):
         # replica r keeps its own stream: its stationary draw, then its
@@ -655,7 +651,7 @@ def suite_evolve(cfg: RunConfig):
         VZ[lo:hi] = res.v_obs[:, -1]
         book[lo:hi] = res.bookkeeping_error
         if lo == 0:
-            sample["result"] = res.row(0)
+            first["block"] = res
 
     _parallel([(lo, min(lo + EVOLVE_BATCH, R))
                for lo in range(0, R, EVOLVE_BATCH)], cfg.workers, task)
@@ -664,15 +660,15 @@ def suite_evolve(cfg: RunConfig):
              "basis": len(sampler.basis)}
     reports = [residual_report(
         "telescoping audit, max over replicas", float(book.max()), 1e-10,
-        seed=seed, grid=gdesc)]
+        grid=gdesc)]
     for i, h in enumerate(obs):
         lab = f"h{i + 1} (center {h.center:g})"
         for name, data, tgt_var in (("u", UZ[:, i], G1[i, i]),
                                     ("v", VZ[:, i], G2[i, i])):
             reports += _moment_tests(data, float(tgt_var),
                                      f"terminal {name}-pairing", lab,
-                                     seed=seed, grid=gdesc)
-    return reports, sample["result"]
+                                     grid=gdesc)
+    return reports, first["block"]
 
 
 # ----------------------------------------------------------------------
@@ -683,7 +679,8 @@ def write_report(path: str, suite: str, cfg: RunConfig, reports: list):
         "suite": suite,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": {k: v for k, v in asdict(cfg).items() if k != "out_dir"},
-        "reports": [r.to_dict() for r in reports],
+        "reports": [{**r.to_dict(), "seed": suite_seed(cfg, suite)}
+                    for r in reports],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -701,14 +698,14 @@ def _finish(suite: str, cfg: RunConfig, reports: list) -> int:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    reports, sample = suite_evolve(cfg)
+    reports, block = suite_evolve(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "trajectory.csv"), "w") as fh:
-        fh.write(sample.to_csv())
-    # the sample's final (u, v) as a float64 (2, n) array: row 0 = u, 1 = v
-    state = sample.final_state
+        fh.write(block.to_csv(0))
+    # the sample, replica 0: its final (u, v) as a float64 (2, n) array
+    state = block.final_state
     np.save(os.path.join(cfg.out_dir, "final_state.npy"),
-            np.vstack([state.u, state.v]))
+            np.vstack([state.u[0], state.v[0]]))
     return _finish("evolve", cfg, reports)
 
 

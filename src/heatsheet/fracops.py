@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dst, idst, irfft, next_fast_len, rfft
-from scipy.special import erfc
+from scipy.special import erfc, roots_legendre
 
 from .grid import TimeGrid, TestFunction, antisym_extend
-
-SQRTPI = np.sqrt(np.pi)
-SQRT4PI = np.sqrt(4.0 * np.pi)
+from .kernels import SQRTPI, SQRT4PI
 
 # Decay exponent of op_A2 output beyond the support of a compactly
 # supported input.  The odd extension has zero total mass, so the generic
@@ -55,7 +53,7 @@ class SpectralPlan:
 
     grid: TimeGrid
     pad: int = 2
-    _cache: dict = field(default_factory=dict, repr=False)
+    _mult: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.pad < 2:
@@ -65,21 +63,18 @@ class SpectralPlan:
     def padded_len(self) -> int:
         return self.pad * 2 * self.grid.n
 
-    @property
+    @functools.cached_property
     def tau(self) -> np.ndarray:
         """Angular frequency of each sine bin: 2 pi k / (padded_len dt),
         k = 1..padded_len/2."""
-        if "tau" not in self._cache:
-            N = self.padded_len
-            self._cache["tau"] = 2.0 * np.pi * (
-                np.arange(1, N // 2 + 1) * (1.0 / (N * self.grid.dt)))
-        return self._cache["tau"]
+        N = self.padded_len
+        return 2.0 * np.pi * (
+            np.arange(1, N // 2 + 1) * (1.0 / (N * self.grid.dt)))
 
     def multiplier(self, beta: float) -> np.ndarray:
-        key = ("mult", float(beta))
-        if key not in self._cache:
-            self._cache[key] = self.tau ** beta
-        return self._cache[key]
+        if beta not in self._mult:
+            self._mult[beta] = self.tau ** beta
+        return self._mult[beta]
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         """Sine spectrum (..., padded_len/2) of half-line values (..., n)."""
@@ -152,7 +147,7 @@ def op_A2(h: TestFunction) -> np.ndarray:
 def _tail_rule():
     """Gauss-Legendre rule mapped onto (0, inf): offsets w^2 and weights,
     built on first use and shared read-only."""
-    xs, ws = np.polynomial.legendre.leggauss(TAIL_NODES)
+    xs, ws = roots_legendre(TAIL_NODES)
     v = 0.5 * (xs + 1.0)
     wv = 0.5 * ws
     w = v / (1.0 - v)
@@ -161,6 +156,15 @@ def _tail_rule():
     offsets.flags.writeable = False
     weights.flags.writeable = False
     return offsets, weights
+
+
+def _tail_sum(g, T: float, t: np.ndarray) -> np.ndarray:
+    """int_T^inf g(t') / sqrt(t' - t_i) dt' at every t_i < T, on the tail
+    rule; callers evaluate the mirror tail over (-inf, -T) as the same sum
+    at -t_i, since sqrt(t' + t) = sqrt(t' - (-t))."""
+    offsets, wq = _tail_rule()
+    tp = T + offsets
+    return ((g(tp) * wq)[None, :] / np.sqrt(tp[None, :] - t[:, None])).sum(axis=1)
 
 
 def halfroot_conv(f: np.ndarray, grid: TimeGrid,
@@ -186,13 +190,9 @@ def halfroot_conv(f: np.ndarray, grid: TimeGrid,
         t = grid.nodes
         T = t[-1]
         C = f[-1] * T ** p
-        offsets, wq = _tail_rule()
-        tp = T + offsets
-        vals = C * tp ** (-p) / SQRT4PI
-        #  (T, inf): distance t' - t ;  (-inf, -T): distance t' + t
-        add = ((vals * wq)[None, :] / np.sqrt(tp[None, :] - t[:, None])).sum(axis=1)
-        sub = ((vals * wq)[None, :] / np.sqrt(tp[None, :] + t[:, None])).sum(axis=1)
-        out += add - sub
+        g = lambda tp: C * tp ** (-p) / SQRT4PI
+        #  (T, inf) adds, and its odd mirror (-inf, -T) subtracts
+        out += _tail_sum(g, T, t) - _tail_sum(g, T, -t)
     return out
 
 
@@ -238,10 +238,7 @@ def op_A1(f: np.ndarray, grid: TimeGrid, tail: tuple) -> np.ndarray:
         if p <= 0.5:
             raise ValueError("power tail needs p > 1/2 for convergence")
         C = fT * T ** p
-        offsets, wq = _tail_rule()
-        tp = T + offsets
-        vals = p * C * tp ** (-p - 1.0) / SQRTPI
-        out += ((vals * wq)[None, :] / np.sqrt(tp[None, :] - t[:, None])).sum(axis=1)
+        out += _tail_sum(lambda tp: p * C * tp ** (-p - 1.0) / SQRTPI, T, t)
     else:
         raise ValueError(f"unknown tail model {kind!r}")
     return out

@@ -27,9 +27,7 @@ from scipy.special import erfc, roots_legendre
 
 from .grid import TimeGrid, TestFunction, antisym_extend, bump_profile
 from .fracops import SpectralPlan, cell_conv, frac_laplacian, halfroot_conv
-from .kernels import laplace_g
-
-SQRT4PI = math.sqrt(4.0 * math.pi)
+from .kernels import SQRTPI, SQRT4PI, laplace_g
 
 # heat-kernel tail tolerance: sizes every sheet band (coverage_halfwidth)
 # and bounds the share of a weight row's energy that the crop leaves out
@@ -82,10 +80,7 @@ def cov_u_cross(dx: float, t: float, t2: float) -> float:
     xg, wg = roots_legendre(CROSS_NODES)
     w = lo + (hi - lo) * 0.5 * (xg + 1.0)
     ww = (hi - lo) * 0.5 * wg
-    if dx == 0.0:
-        vals = np.ones_like(w)
-    else:
-        vals = np.exp(-dx * dx / (4.0 * w * w))
+    vals = np.exp(-dx * dx / (4.0 * w * w))  # exactly 1 at dx = 0
     return float(np.sum(vals * ww) / SQRT4PI)
 
 
@@ -130,19 +125,22 @@ def cov_v_gram(h_list: list[TestFunction]) -> np.ndarray:
     """Gram matrix <h_i; C2 h_j>; the |t-t'|^(-1/2) diagonal is integrated
     exactly per cell.  Raises if the result is not PSD after jitter."""
     G = _gram(h_list, cov_v_apply)
-    jit = GRAM_JITTER * np.trace(G) / len(h_list)
-    evals = np.linalg.eigvalsh(G + jit * np.eye(len(h_list)))
+    jit = _jitter(G)
+    evals = np.linalg.eigvalsh(G + jit * np.eye(len(G)))
     if evals.min() < -jit:
         raise ArithmeticError(
             f"cov_v Gram not PSD after jitter: min eigenvalue {evals.min():.3e}")
     return G
 
 
+def _jitter(G: np.ndarray) -> float:
+    """The standard trace-scaled jitter GRAM_JITTER tr(G) / m of an m x m G."""
+    return GRAM_JITTER * np.trace(G) / len(G)
+
+
 def gram_cholesky(G: np.ndarray) -> np.ndarray:
     """Cholesky factor after the standard trace-scaled jitter."""
-    m = G.shape[0]
-    jit = GRAM_JITTER * np.trace(G) / m
-    return np.linalg.cholesky(G + jit * np.eye(m))
+    return np.linalg.cholesky(G + _jitter(G) * np.eye(len(G)))
 
 
 # ----------------------------------------------------------------------
@@ -423,14 +421,14 @@ def _cm_lower_triangle(nu_t: float, nu_tp: float, gap: float, level: int) -> flo
     wlo = np.sqrt(XI) * R
     whi = np.sqrt(XI * (2.0 - R * R))
     if gap == 0.0:
-        K = (whi - wlo) / (4.0 * math.sqrt(math.pi))
+        K = (whi - wlo) / (4.0 * SQRTPI)
     else:
         WQ = wlo[:, :, None] + (whi - wlo)[:, :, None] * xw[None, None, :]
         ab4 = np.maximum(WQ ** 4 - (XI * R * R)[:, :, None] ** 2, 0.0)
         arg = np.full_like(WQ, np.inf)
         nz = ab4 > 0
         arg[nz] = gap * WQ[nz] / np.sqrt(ab4[nz])
-        K = (whi - wlo) / (4.0 * math.sqrt(math.pi)) * np.einsum(
+        K = (whi - wlo) / (4.0 * SQRTPI) * np.einsum(
             "ijk,k->ij", erfc(arg), ww)
     F = np.exp(-nu_t * XI - nu_tp * TP) * K * XI * 2.0 * R
     return float(np.einsum("ij,i,j->", F, jxi * ww, ww))
@@ -477,17 +475,14 @@ class TensorTestFunction:
 
     def l2sq(self) -> float:
         """||f||^2 over the quadrant: the product of the two factors' 1-D
-        quadratures."""
+        norms, each by one 400-node Gauss-Legendre rule over its support."""
         xg, wg = roots_legendre(400)
-        lo, hi = self.x_support
-        x = lo + (hi - lo) * 0.5 * (xg + 1.0)
-        fx = bump_profile(x, self.x_center, self.x_radius)
-        ipx = float(np.sum(fx * fx * wg) * 0.5 * (hi - lo))
-        tlo, thi = self.ft.support
-        t = tlo + (thi - tlo) * 0.5 * (xg + 1.0)
-        ft = self.ft(t)
-        ipt = float(np.sum(ft * ft * wg) * 0.5 * (thi - tlo))
-        return ipx * ipt
+        fx = lambda x: bump_profile(x, self.x_center, self.x_radius)
+        out = 1.0
+        for f, (lo, hi) in ((fx, self.x_support), (self.ft, self.ft.support)):
+            fv = f(lo + (hi - lo) * 0.5 * (xg + 1.0))
+            out *= float(np.sum(fv * fv * wg) * 0.5 * (hi - lo))
+        return out
 
 
 def _x_nodes(f: TensorTestFunction, x_res: int) -> tuple:

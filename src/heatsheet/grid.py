@@ -7,7 +7,8 @@ the grids deliberately place no node at t = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +91,6 @@ class TestFunction:
     center: float
     radius: float
     grid: TimeGrid
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.center - self.radius
@@ -111,18 +111,14 @@ class TestFunction:
     def deriv2(self, t) -> np.ndarray:
         return bump_profile(t, self.center, self.radius, 2)
 
-    @property
+    @functools.cached_property
     def values(self) -> np.ndarray:
-        """Samples on the grid nodes, cached."""
-        if "v" not in self._cache:
-            self._cache["v"] = self(self.grid.nodes)
-        return self._cache["v"]
+        """Samples on the grid nodes, taken through __call__ once."""
+        return self(self.grid.nodes)
 
-    @property
+    @functools.cached_property
     def deriv_values(self) -> np.ndarray:
-        if "d" not in self._cache:
-            self._cache["d"] = self.deriv(self.grid.nodes)
-        return self._cache["d"]
+        return self.deriv(self.grid.nodes)
 
     @property
     def sup_norm(self) -> float:

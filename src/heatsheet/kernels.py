@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import dawsn, erfcx, roots_legendre
 
 SQRTPI = math.sqrt(math.pi)
+SQRT4PI = math.sqrt(4.0 * math.pi)
 
 # l_nu_laplace: Gauss-Legendre nodes on w in [0, sqrt(LAPLACE_T_CUT)], t = w^2
 LAPLACE_NODES = 64

@@ -10,6 +10,7 @@ amplification factor of the noiseless scheme.
 
 from __future__ import annotations
 
+import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -248,8 +249,8 @@ class EvolveConfig:
 @dataclass(frozen=True, eq=False)
 class EvolveResult:
     """Trajectory record of a block: observable pairings at every step,
-    the end state and a telescoping-sum audit, each with a leading replica
-    axis (B, ...); row(r) gives replica r alone, without that axis."""
+    the end state and a telescoping-sum audit, each with a leading axis
+    (B, ...) whose index r holds the block's replica r."""
 
     z_nodes: np.ndarray            # (steps+1,)
     u_obs: np.ndarray              # (B, steps+1, m)
@@ -257,26 +258,15 @@ class EvolveResult:
     final_state: FieldState
     bookkeeping_error: np.ndarray  # (B,) max |<u_Z-u_0;h> - sum <v_z;h> dz|
 
-    def row(self, r: int) -> "EvolveResult":
-        fs = self.final_state
-        return EvolveResult(
-            z_nodes=self.z_nodes, u_obs=self.u_obs[r], v_obs=self.v_obs[r],
-            final_state=FieldState(u=fs.u[r], v=fs.v[r], z=fs.z, grid=fs.grid),
-            bookkeeping_error=float(self.bookkeeping_error[r]))
-
-    def to_csv(self) -> str:
-        """The record of one replica, a row(r), as CSV."""
-        m = self.u_obs.shape[1]
-        cols = ["z"]
-        cols += [f"u_h{i}" for i in range(m)]
-        cols += [f"v_h{i}" for i in range(m)]
-        lines = [",".join(cols)]
-        for k in range(self.z_nodes.size):
-            row = [f"{self.z_nodes[k]:.12g}"]
-            row += [f"{x:.12g}" for x in self.u_obs[k]]
-            row += [f"{x:.12g}" for x in self.v_obs[k]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+    def to_csv(self, r: int) -> str:
+        """The record of replica r as CSV: a header z,u_h0,..,v_h0,.. and
+        one row per z node, every value in %.12g."""
+        cols = [f"{x}_h{i}" for x in "uv" for i in range(self.u_obs.shape[2])]
+        buf = io.StringIO()
+        np.savetxt(buf, np.column_stack([self.z_nodes, self.u_obs[r],
+                                         self.v_obs[r]]), fmt="%.12g",
+                   delimiter=",", header=",".join(["z"] + cols), comments="")
+        return buf.getvalue()
 
 
 def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,

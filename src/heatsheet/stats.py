@@ -1,7 +1,8 @@
 """Monte Carlo estimators, hypothesis tests, and the VerificationReport record.
 
 Every report is recomputable: the pass flag follows mechanically from the
-stored numbers and the stored rule string.
+stored numbers and the stored rule string.  A report holds no seed: the run
+that writes it records the suite's seed next to each one.
 The suites reduce replica arrays with plain numpy reductions after every
 replica is stored by index, so results do not depend on how replicas were
 chunked across workers.
@@ -37,7 +38,6 @@ class VerificationReport:
     rule: str
     passed: bool
     replicas: int = 0
-    seed: int = 0
     grid: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -67,8 +67,7 @@ def var_se(samples) -> tuple[float, float]:
 
 
 def z_test(estimate: float, se: float, target: float, name: str = "",
-           replicas: int = 0, seed: int = 0,
-           grid: dict | None = None) -> VerificationReport:
+           replicas: int = 0, grid: dict | None = None) -> VerificationReport:
     """Pass iff |estimate - target| <= K * se."""
     if se < 0.0:
         raise ValueError("se must be nonnegative")
@@ -83,20 +82,20 @@ def z_test(estimate: float, se: float, target: float, name: str = "",
     return VerificationReport(
         statistic=name, estimate=float(estimate), se=float(se),
         target=float(target), z=float(z), rule=f"|z| <= {K:g}",
-        passed=bool(ok), replicas=replicas, seed=seed, grid=grid or {})
+        passed=bool(ok), replicas=replicas, grid=grid or {})
 
 
 def residual_report(name: str, residual: float, tol: float,
-                    seed: int = 0, grid: dict | None = None) -> VerificationReport:
+                    grid: dict | None = None) -> VerificationReport:
     """Deterministic bound: pass iff residual <= tol."""
     return VerificationReport(
         statistic=name, estimate=float(residual), se=0.0, target=float(tol),
         z=None, rule="estimate <= target", passed=bool(residual <= tol),
-        replicas=0, seed=seed, grid=grid or {})
+        replicas=0, grid=grid or {})
 
 
 def matrix_compare(emp: np.ndarray, analytic: np.ndarray, se: np.ndarray,
-                   name: str = "", replicas: int = 0, seed: int = 0,
+                   name: str = "", replicas: int = 0,
                    grid: dict | None = None) -> VerificationReport:
     """Entrywise comparison: pass iff >= 95% of entries lie within K*se of the
     target and no entry strays beyond 2K*se.  As in z_test, an entry with
@@ -118,5 +117,5 @@ def matrix_compare(emp: np.ndarray, analytic: np.ndarray, se: np.ndarray,
         statistic=name, estimate=frac, se=worst, target=FRAC_REQUIRED,
         z=None,
         rule=f"frac_within >= {FRAC_REQUIRED:g}, max|z| <= {2.0 * K:g}",
-        passed=bool(ok), replicas=replicas, seed=seed, grid=grid or {})
+        passed=bool(ok), replicas=replicas, grid=grid or {})
 

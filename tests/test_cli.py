@@ -5,13 +5,14 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from heatsheet import ResourceError, cli, gaussfield
 from heatsheet.cli import (CHUNK_CELL_BUDGET, CHUNK_REPLICAS, COMMAND_FLAGS,
-                           COV_TAG, OPS_TAG, OPTIONS, RunConfig, _mc_chunks,
+                           OPTIONS, TAGS, RunConfig, _mc_chunks,
                            _mc_pairings, build_config, main, make_parser,
                            suite_cov, suite_drift, suite_evolve, suite_ops,
                            suite_seed, suite_spde, write_report)
@@ -48,10 +49,12 @@ class TestRunConfig:
         RunConfig().validate()
 
     def test_suite_seed(self):
-        assert suite_seed(RunConfig(seed=0), OPS_TAG) == OPS_TAG
-        assert suite_seed(RunConfig(seed=OPS_TAG), OPS_TAG) == 0
-        a = suite_seed(RunConfig(seed=5), OPS_TAG)
-        b = suite_seed(RunConfig(seed=5), COV_TAG)
+        assert set(TAGS) == {"ops", "cov", "drift", "spde", "evolve"}
+        assert len(set(TAGS.values())) == len(TAGS)
+        assert suite_seed(RunConfig(seed=0), "ops") == TAGS["ops"]
+        assert suite_seed(RunConfig(seed=TAGS["ops"]), "ops") == 0
+        a = suite_seed(RunConfig(seed=5), "ops")
+        b = suite_seed(RunConfig(seed=5), "cov")
         assert a != b
 
 
@@ -245,6 +248,26 @@ class TestExitCodes:
             f"error: {flag} does not apply to {command}, which reads ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n", ["2", "4"])
+    def test_ops_n_below_minimum(self, tmp_path, capsys, n):
+        # no node of the ops bump has a nonzero derivative, so the
+        # composition error, scaled by max |h'|, would be inf or nan
+        rc = run(["verify-ops", "--n", n, "--out", str(tmp_path)])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"error: n must be at least 8 for verify-ops, got {n}" \
+            in out.err
+        assert not list(tmp_path.iterdir())
+
+    def test_ops_smallest_n_gives_finite_verdicts(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run(["verify-ops", "--n", "8", "--out", str(tmp_path)])
+        assert rc == 1
+        doc = json.loads((tmp_path / "ops_report.json").read_text())
+        assert all(math.isfinite(r["estimate"]) for r in doc["reports"])
+
     def test_degraded_resolution_fails_honestly(self, tmp_path, capsys):
         # at n = 512 the identity-suite refinement targets are unattainable
         rc = run(["verify-ops", "--n", "512", "--out", str(tmp_path)])
@@ -340,7 +363,7 @@ class TestMcEngine:
         assert peak < (1 + R) * sheet + sheet // 2
 
     @pytest.mark.parametrize("shape", [(1, 1), (7, 16), (12, 40), (6, 5)])
-    def test_haar_is_orthonormal(self, shape):
+    def test_db4_is_orthonormal(self, shape):
         # odd, power-of-two and mixed axis lengths, some shorter than the
         # filters: the Daubechies-4 transform's matrix is orthogonal, so it
         # keeps inner products, and each axis is halved only while even,
@@ -576,6 +599,30 @@ class TestWorkerInvariance:
         first = reports(1)
         assert reports(2) == first
         assert reports(3) == first
+
+
+# each command at a reduced size; only the recorded seeds are checked
+SEED_RUNS = {
+    "ops": ["verify-ops"],
+    "cov": ["verify-cov", "--replicas", "16"],
+    "drift": ["verify-drift", "--tmax", "4", "--replicas", "16"],
+    "spde": ["verify-spde", "--n", "64", "--replicas", "16"],
+    "evolve": ["evolve", "--tmax", "8", "--n", "256", "--replicas", "4",
+               "--Z", "0.2"],
+}
+
+
+class TestReportSeeds:
+    @pytest.mark.parametrize("suite", list(SEED_RUNS))
+    def test_every_report_records_the_suite_seed(self, tmp_path, suite):
+        rc = run([*SEED_RUNS[suite], "--seed", "5", "--out", str(tmp_path)])
+        assert rc in (0, 1)
+        doc = json.loads((tmp_path / f"{suite}_report.json").read_text())
+        assert doc["config"]["seed"] == 5
+        assert doc["reports"]
+        want = suite_seed(RunConfig(seed=5), suite)
+        assert [r["seed"] for r in doc["reports"]] \
+            == [want] * len(doc["reports"])
 
 
 class TestEvolveArtifacts:

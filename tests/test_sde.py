@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import heatsheet as hs
-from heatsheet import (EvolveConfig, FieldState, InstabilityError, SpectralPlan,
-                       StationarySampler, TimeGrid, evolve,
+from heatsheet import (EvolveConfig, EvolveResult, FieldState, InstabilityError,
+                       SpectralPlan, StationarySampler, TimeGrid, evolve,
                        noise_draw, smooth_window, spectral_radius,
                        stability_limit, stationary_basis)
 from heatsheet.cli import EVOLVE_BATCH, _parallel
@@ -402,15 +402,32 @@ class TestEvolve:
     def test_csv_export(self, grid, plan):
         h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=0.0125, Z=0.125, observables=(h,))
-        res = evolve(zero_block(grid), cfg, plan, [sheet_rng(1, 0)]).row(0)
-        text = res.to_csv()
+        res = evolve(zero_block(grid), cfg, plan, [sheet_rng(1, 0)])
+        text = res.to_csv(0)
         lines = text.strip().split("\n")
         assert lines[0] == "z,u_h0,v_h0"
         assert len(lines) == cfg.steps + 2
         data = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1)
         np.testing.assert_allclose(data[:, 0], res.z_nodes, atol=1e-12)
-        np.testing.assert_allclose(data[:, 1], res.u_obs[:, 0], rtol=1e-10,
-                                   atol=1e-300)
+        np.testing.assert_allclose(data[:, 1], res.u_obs[0, :, 0],
+                                   rtol=1e-10, atol=1e-300)
+
+    def test_csv_formats_each_value_in_12g(self, grid):
+        # the oracle: each value of replica r through f"{x:.12g}", comma
+        # joined, one line per z node under the header
+        vals = np.array([[0.0, -0.0, 5e-324], [1.0 / 3.0, -np.inf, np.nan],
+                         [1e300, -2.5e-7, 123456789012345.0]])
+        u = np.stack([vals, -vals])
+        res = EvolveResult(z_nodes=np.array([0.0, 0.0125, 0.025]),
+                           u_obs=u, v_obs=2.0 * u,
+                           final_state=FieldState.stack([zero_state(grid)] * 2),
+                           bookkeeping_error=np.zeros(2))
+        for r in range(2):
+            lines = ["z,u_h0,u_h1,u_h2,v_h0,v_h1,v_h2"]
+            for k in range(3):
+                row = [res.z_nodes[k], *res.u_obs[r, k], *res.v_obs[r, k]]
+                lines.append(",".join(f"{x:.12g}" for x in row))
+            assert res.to_csv(r) == "\n".join(lines) + "\n"
 
 
 def _rel_diff(a, b) -> float:
@@ -475,24 +492,27 @@ class TestBatchedEvolve:
         cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=(h,))
         rows = [None] * R
 
+        def replica(res, r):
+            fs = res.final_state
+            return ((res.u_obs[r], res.v_obs[r], fs.u[r], fs.v[r]),
+                    res.bookkeeping_error[r])
+
         def task(lo, hi):
             init, rngs = self.block(sampler, lo, hi)
             res = evolve(init, cfg, plan, rngs)
             for r in range(lo, hi):
-                rows[r] = res.row(r - lo)
+                rows[r] = replica(res, r - lo)
 
         _parallel([(lo, min(lo + EVOLVE_BATCH, R))
                    for lo in range(0, R, EVOLVE_BATCH)], 1, task)
         for r in range(R):
             init, rngs = self.block(sampler, r, r + 1)
-            one = evolve(init, cfg, plan, rngs).row(0)
-            got = rows[r]
-            assert got.u_obs.shape == one.u_obs.shape == (cfg.steps + 1, 1)
-            for a, b in ((got.u_obs, one.u_obs), (got.v_obs, one.v_obs),
-                         (got.final_state.u, one.final_state.u),
-                         (got.final_state.v, one.final_state.v)):
+            one, _ = replica(evolve(init, cfg, plan, rngs), 0)
+            got, book = rows[r]
+            assert got[0].shape == one[0].shape == (cfg.steps + 1, 1)
+            for a, b in zip(got, one):
                 assert _rel_diff(a, b) <= 1e-13
-            assert got.bookkeeping_error <= 1e-10
+            assert book <= 1e-10
 
     def test_instability_names_z(self, grid, plan):
         u = np.zeros((3, N))
