@@ -74,6 +74,7 @@ EVOLVE_REPLICAS = 5000
 COV_POINT_DS = 1.0 / 512
 COV_GRAM_DS = 1.0 / 64
 COV_GRAM_DY = 1.0 / 8
+COV_RADIUS = 0.7               # radius of the eight Gram observables
 GRAM_STREAM_BASE = 1 << 20     # keep gram streams clear of the point block
 SPDE_STREAM_STRIDE = 1 << 20   # stream offset between test-function runs
 
@@ -272,8 +273,23 @@ def suite_ops(cfg: RunConfig) -> list:
 
 def cov_observables(grid: TimeGrid) -> list:
     centers = 1.0 + 0.8 * np.arange(8)
-    return [TestFunction(center=float(c), radius=0.7, grid=grid)
+    return [TestFunction(center=float(c), radius=COV_RADIUS, grid=grid)
             for c in centers]
+
+
+def _check_cov_grid(grid: TimeGrid):
+    """dt <= COV_RADIUS / 2: the Gram targets cov_u_gram and cov_v_gram
+    sample the observables on the grid, and on coarser grids their
+    discretisation bias alone fails the Gram gates."""
+    half = COV_RADIUS / 2
+    if grid.dt > half:
+        n_min = 2
+        while grid.t_max / n_min > half:
+            n_min *= 2
+        raise ValueError(
+            f"n must be at least {n_min} for verify-cov at tmax="
+            f"{grid.t_max:g}, where dt = tmax/n may not exceed {half:g}, "
+            f"half the observables' radius; got {grid.n}")
 
 
 def _mc_chunks(R: int, ncells: int) -> list:
@@ -423,6 +439,7 @@ def suite_cov(cfg: RunConfig) -> list:
                         coverage_halfwidth(1.0))
     gram = _sheet_band(0.0, t_max, COV_GRAM_DY, COV_GRAM_DS,
                        coverage_halfwidth(t_max))
+    _check_cov_grid(grid)
     reports = []
 
     # point variance of the field at (0, 1)
@@ -473,7 +490,10 @@ def _probe_weights(lat: SheetLattice, yvals: np.ndarray, build) -> list:
     The drift weights depend on y only through y - y_node, so a probe k
     whole cells above the first is the first probe's array on a node column
     shifted down by k cells: one build at the first probe on a column
-    widened by the probes' spread, sliced once per probe.
+    widened by the probes' spread, sliced once per probe.  The slices are
+    exact: the pairing weights are built per distinct |y - y_node|, in
+    bounded blocks of s-rows, with a node sum whose order does not depend
+    on which other distances share the build.
     """
     k = (yvals - yvals[0]) / lat.dy
     shift = np.rint(k).astype(int)

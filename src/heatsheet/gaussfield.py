@@ -42,6 +42,11 @@ CROSS_NODES = 200
 PAIR_U_NODES = 32
 PAIR_V_NODES = 32
 PAIR_V_CUT = 6.5  # e^(-v^2) support cut for the derivative-kernel integral
+# (s-row, distance, node) entries of one block of a pairing build's tables:
+# 0.5 MB per float64 table, a handful of them alive at once; blocks of 2^15
+# to 2^17 entries built the default cov and drift weights equally fast on a
+# 2-core Xeon, 2^18 and more ran slower
+PAIR_BLOCK_ENTRIES = 1 << 16
 
 # weak-form plan: x cells per space-bump radius, sheet margin beyond the
 # x support
@@ -260,13 +265,35 @@ def point_weights(y_nodes: np.ndarray, s_nodes: np.ndarray,
     return out
 
 
-def _row_values(h, t: np.ndarray, s: float) -> np.ndarray:
-    """h on the quadrature nodes t of the s-row, which all lie at or after
-    s: a TestFunction whose support ends by s is 0 there and is not
-    evaluated."""
-    if isinstance(h, TestFunction) and h.support[1] <= s:
-        return np.zeros(t.shape)
-    return np.asarray(h(t), dtype=float)
+def _distances(x: float, y_nodes: np.ndarray) -> tuple:
+    """(ad, inv, sgn): the distinct |x - y| of the nodes, ascending, the
+    index into ad of each node's distance, and sign(x - y) per node."""
+    d = x - y_nodes
+    ad, inv = np.unique(np.abs(d), return_inverse=True)
+    return ad, inv, np.sign(d)
+
+
+def _row_blocks(s_nodes: np.ndarray, t_hi: float, per_row: int) -> list:
+    """The indices of the live s-rows (s < t_hi), in order, as blocks of at
+    most PAIR_BLOCK_ENTRIES // per_row rows (at least one row each)."""
+    live = np.flatnonzero(s_nodes < t_hi)
+    size = max(1, PAIR_BLOCK_ENTRIES // max(per_row, 1))
+    return [live[i:i + size] for i in range(0, live.size, size)]
+
+
+def _block_values(h, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """h on the quadrature nodes t of a block of s-rows, row r's nodes
+    t[r] all at or after s[r]: a TestFunction is 0 on the rows that start
+    after its support ends, and those rows are not evaluated."""
+    if not isinstance(h, TestFunction):
+        return np.asarray(h(t), dtype=float)
+    on = s < h.support[1]
+    if on.all():
+        return np.asarray(h(t), dtype=float)
+    out = np.zeros(t.shape)
+    if on.any():
+        out[on] = h(t[on])
+    return out
 
 
 def pair_u_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
@@ -276,22 +303,30 @@ def pair_u_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
 
     The substitution w = sqrt(t - s) removes the kernel's 1/sqrt
     singularity; the integrand is then smooth and a fixed Gauss-Legendre
-    rule per s-row suffices.  Each h is any callable on [0, t_hi]; the
-    kernel table of an s-row is built once for all of them.
+    rule per s-row suffices.  Each h is any callable on [0, t_hi].  A
+    weight depends on y only through |x - y|, so it is built once per
+    distinct distance and gathered back onto the nodes.  The live s-rows
+    go in blocks (_row_blocks) whose (row, distance, node) kernel table is
+    built once for all h; each h is evaluated once per block.  The node
+    sum of each weight is an einsum over the last axis, whose order does
+    not depend on the other rows or distances in the call, so a build on
+    any subset of the nodes or s-rows is that slice of the full build.
     """
     xg, wg = roots_legendre(nw)
-    d2 = (x - y_nodes) ** 2
-    out = np.zeros((len(hs), y_nodes.size, s_nodes.size))
-    for k, s in enumerate(s_nodes):
-        if s >= t_hi:
-            continue
-        wmax = math.sqrt(t_hi - s)
-        w = 0.5 * wmax * (xg + 1.0)
-        ww = (2.0 / SQRT4PI) * 0.5 * wmax * wg
-        H = np.array([_row_values(h, s + w * w, s) for h in hs])
-        E = np.exp(-d2[:, None] / (4.0 * w[None, :] ** 2))
-        out[:, :, k] = (H * ww) @ E.T
-    return out
+    ad, inv, _ = _distances(x, y_nodes)
+    d2 = ad ** 2
+    out = np.zeros((len(hs), ad.size, s_nodes.size))
+    for rows in _row_blocks(s_nodes, t_hi, ad.size * nw):
+        s = s_nodes[rows]
+        wmax = np.sqrt(t_hi - s)
+        w = (0.5 * wmax)[:, None] * (xg + 1.0)
+        ww = ((2.0 / SQRT4PI) * 0.5 * wmax)[:, None] * wg
+        E = np.exp(-d2[None, :, None] / (4.0 * w[:, None, :] ** 2))
+        t = s[:, None] + w * w
+        for i, h in enumerate(hs):
+            Hw = _block_values(h, t, s) * ww
+            out[i][:, rows] = np.einsum("rdk,rk->dr", E, Hw)
+    return out[:, inv]
 
 
 def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
@@ -302,32 +337,35 @@ def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
     With d = x - y and v = |d| / (2 sqrt(t - s)) the integral becomes
     -sgn(d) (2/sqrt(4 pi)) int e^(-v^2) h(s + d^2/(4 v^2)) dv from
     v_min = |d|/(2 sqrt(t_hi - s)) upward; e^(-v^2) kills everything
-    beyond PAIR_V_CUT.  Rows with d = 0 vanish by antisymmetry.  The nodes,
-    Jacobian and e^(-v^2) of an s-row are built once; only h(t) is
-    evaluated per h, and a TestFunction only on the s-rows that start
-    before its support ends.
+    beyond PAIR_V_CUT.  The integral depends on y only through |d|, so it
+    is built once per distinct distance, gathered back onto the nodes and
+    multiplied by sgn(d), exactly; rows with d = 0 vanish.  The live
+    s-rows go in blocks (_row_blocks) whose (row, distance, node) tables
+    of nodes and of Jacobian times e^(-v^2), zero past t_hi, are built
+    once for all h; each h is evaluated once per block.  The node sum of
+    each weight is an einsum over the last axis, whose order does not
+    depend on the other rows or distances in the call, so a build on any
+    subset of the nodes or s-rows is that slice of the full build.
     """
     xg, wg = roots_legendre(nv)
-    d = x - y_nodes
-    ad = np.abs(d)
-    pre = -(2.0 / SQRT4PI) * np.sign(d)
-    out = np.zeros((len(hs), y_nodes.size, s_nodes.size))
-    for k, s in enumerate(s_nodes):
-        if s >= t_hi:
-            continue
-        vmin = ad / (2.0 * math.sqrt(t_hi - s))
-        vhi = np.maximum(PAIR_V_CUT, vmin)
-        v = vmin[:, None] + (vhi - vmin)[:, None] * 0.5 * (xg[None, :] + 1.0)
-        ej = np.exp(-v * v) * ((vhi - vmin)[:, None] * 0.5 * wg[None, :])
+    ad, inv, sgn = _distances(x, y_nodes)
+    out = np.zeros((len(hs), ad.size, s_nodes.size))
+    for rows in _row_blocks(s_nodes, t_hi, ad.size * nv):
+        s = s_nodes[rows]
+        vmin = ad / (2.0 * np.sqrt(t_hi - s))[:, None]
+        span = (np.maximum(PAIR_V_CUT, vmin) - vmin)[:, :, None]
+        v = vmin[:, :, None] + span * 0.5 * (xg + 1.0)
+        ej = np.exp(-v * v) * (span * 0.5 * wg)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tt = s + ad[:, None] ** 2 / (4.0 * v * v)
-        tt[ad == 0.0, :] = s  # d = 0 rows are zeroed by pre anyway
-        past = tt > t_hi
+            tt = s[:, None, None] + ad[:, None] ** 2 / (4.0 * v * v)
+        tt[:, ad == 0.0] = s[:, None, None]  # zeroed by sgn(d) anyway
+        ej[tt > t_hi] = 0.0  # the integral ends at t_hi
         np.minimum(tt, t_hi, out=tt)
         for i, h in enumerate(hs):
-            hv = _row_values(h, tt, s)
-            hv[past] = 0.0
-            out[i, :, k] = pre * np.einsum("ij,ij->i", ej, hv)
+            out[i][:, rows] = -(2.0 / SQRT4PI) * np.einsum(
+                "rdk,rdk->dr", ej, _block_values(h, tt, s))
+    out = out[:, inv]
+    out *= sgn[:, None]
     return out
 
 
@@ -365,12 +403,12 @@ def drift_field_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, y: float,
         raise ValueError("nu must be positive")
     hu = lambda t: math.sqrt(nu) * np.exp(-nu * t)
     hv = lambda t: np.exp(-nu * t)
-    d = y - y_nodes
     W = pair_u_weights(y_nodes, s_nodes, y, [hu], T, nw=nw)[0]
     W += pair_v_weights(y_nodes, s_nodes, y, [hv], T, nv=nw)[0]
-    tail_u, tail_v = exp_tails(d[:, None], s_nodes[None, :], nu, T)
-    W += math.sqrt(nu) * tail_u
-    W += tail_v
+    ad, inv, sgn = _distances(y, y_nodes)
+    tail_u, tail_v = exp_tails(ad[:, None], s_nodes[None, :], nu, T)
+    W += math.sqrt(nu) * tail_u[inv]
+    W += sgn[:, None] * tail_v[inv]
     return W
 
 

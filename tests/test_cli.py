@@ -268,6 +268,37 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "ops_report.json").read_text())
         assert all(math.isfinite(r["estimate"]) for r in doc["reports"])
 
+    @pytest.mark.parametrize("flags,n_min", [
+        (["--n", "8"], 32), (["--n", "16"], 32),
+        (["--tmax", "12", "--n", "32"], 64)])
+    def test_cov_dt_above_half_the_observables_radius(
+            self, tmp_path, capsys, monkeypatch, flags, n_min):
+        # at dt = 1 or 0.5 the Gram targets sample the radius-0.7
+        # observables so coarsely that their discretisation gap alone
+        # fails the Gram gates: a resolution fault, rejected before any
+        # weights are built, not a statistical FAIL
+        def unreachable(*a, **k):
+            raise AssertionError("weights built before the grid check")
+
+        monkeypatch.setattr(cli, "point_weights", unreachable)
+        rc = run(["verify-cov", *flags, "--out", str(tmp_path)])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        tmax, n = (flags[1], flags[3]) if len(flags) == 4 else ("8", flags[1])
+        assert out.err == (
+            f"error: n must be at least {n_min} for verify-cov at tmax={tmax},"
+            f" where dt = tmax/n may not exceed 0.35, half the observables' "
+            f"radius; got {n}\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_cov_smallest_n_runs(self, tmp_path):
+        rc = run(["verify-cov", "--n", "32", "--replicas", "16",
+                  "--out", str(tmp_path)])
+        assert rc in (0, 1)
+        doc = json.loads((tmp_path / "cov_report.json").read_text())
+        assert len(doc["reports"]) == 4
+
     def test_degraded_resolution_fails_honestly(self, tmp_path, capsys):
         # at n = 512 the identity-suite refinement targets are unattainable
         rc = run(["verify-ops", "--n", "512", "--out", str(tmp_path)])

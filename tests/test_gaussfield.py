@@ -24,8 +24,9 @@ from heatsheet import (ResourceError, SheetLattice, TimeGrid,
                        cameron_martin_laplace, cameron_martin_target,
                        cov_u, cov_u_cross, cov_u_gram, cov_v_gram,
                        drift_variance_exact, residual_report, sheet_sample)
-from heatsheet.gaussfield import (SheetSample, TensorTestFunction,
-                                  WeakformPlan, coverage_halfwidth,
+from heatsheet.gaussfield import (PAIR_BLOCK_ENTRIES, SheetSample,
+                                  TensorTestFunction, WeakformPlan,
+                                  _row_blocks, coverage_halfwidth,
                                   drift_field_weights, drift_integral_weights,
                                   exp_tails, gram_cholesky,
                                   pair_u_weights, pair_v_weights,
@@ -322,6 +323,8 @@ class TestPairings:
         # of the stack equals that function built alone
         g, (h1, h2), lat = geometry
         yn, sn = lat.y_nodes, lat.s_nodes
+        # ny / 2 distinct distances, 32 nodes each: several row blocks
+        assert len(_row_blocks(sn, g.t_max, lat.ny // 2 * 32)) >= 2
         fns = [h1, h2, hs.TestFunction(5.0, 1.5, g), lambda t: np.exp(-t)]
         stack = build(yn, sn, 0.0, fns, g.t_max)
         assert stack.shape == (len(fns), lat.ny, lat.ns)
@@ -333,6 +336,55 @@ class TestPairings:
         # hold exact zeros, so plain callables give the same bytes
         plain = [lambda t, h=h: h(t) for h in fns]
         assert build(yn, sn, 0.0, plain, g.t_max).tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("build", [pair_u_weights, pair_v_weights])
+    def test_any_subset_is_a_slice_of_the_full_build(self, geometry, build):
+        # a weight depends on its own distance and s-row alone, and its
+        # node sum is taken in a fixed order: a build on some s-rows and an
+        # asymmetric subset of the nodes is that slice of the full build,
+        # byte for byte
+        g, (h1, h2), lat = geometry
+        yn, sn = lat.y_nodes, lat.s_nodes
+        fns = [h1, h2, lambda t: np.exp(-t)]
+        full = build(yn, sn, 0.0, fns, g.t_max)
+        rng = np.random.default_rng(3)
+        for on_y, on_s in ((np.s_[:], np.s_[37:300]),
+                           (np.s_[150:], np.s_[:]),
+                           (np.s_[5:390:3], np.s_[500:]),
+                           (np.sort(rng.choice(lat.ny, 90, replace=False)),
+                            np.s_[200:201])):
+            part = build(yn[on_y], sn[on_s], 0.0, fns, g.t_max)
+            assert part.tobytes() == np.ascontiguousarray(
+                full[:, on_y][:, :, on_s]).tobytes()
+
+    def test_mirror_rows_on_a_symmetric_column(self, geometry):
+        # node j and node ny - 1 - j lie at -d and d: the field weights are
+        # equal there and the derivative weights exact negatives
+        g, (h1, h2), lat = geometry
+        assert np.array_equal(lat.y_nodes[::-1], -lat.y_nodes)
+        wu = pair_u_weights(lat.y_nodes, lat.s_nodes, 0.0, [h1, h2], g.t_max)
+        wv = pair_v_weights(lat.y_nodes, lat.s_nodes, 0.0, [h1, h2], g.t_max)
+        assert wu[:, ::-1].tobytes() == wu.tobytes()
+        assert np.array_equal(wv[:, ::-1], -wv)
+        assert np.count_nonzero(wv) > wv.size // 8
+
+    @pytest.mark.parametrize("per_row", [1, 6272, PAIR_BLOCK_ENTRIES // 3,
+                                         PAIR_BLOCK_ENTRIES,
+                                         PAIR_BLOCK_ENTRIES + 1])
+    def test_row_blocks_cover_live_rows_in_order(self, per_row):
+        # the rows with s < t_hi, each once and in order, in blocks of at
+        # most the entry budget, or of one row when a row alone is over it
+        s_nodes = np.concatenate([(np.arange(700) + 0.5) / 64,
+                                  [20.0, 0.1, 30.0, 3.0]])
+        t_hi = 8.0
+        blocks = _row_blocks(s_nodes, t_hi, per_row)
+        assert np.array_equal(np.concatenate(blocks),
+                              np.flatnonzero(s_nodes < t_hi))
+        cap = max(1, PAIR_BLOCK_ENTRIES // per_row)
+        assert all(1 <= b.size <= cap for b in blocks)
+        assert all(b.size * per_row <= PAIR_BLOCK_ENTRIES
+                   for b in blocks if b.size > 1)
+        assert _row_blocks(s_nodes, 0.0, per_row) == []
 
     def test_linearity_in_test_function(self):
         g = TimeGrid(3.0, 128)
@@ -396,6 +448,18 @@ class TestExpTails:
                       / math.sqrt(4.0 * math.pi * (t - s)) * math.exp(-nu * t),
                       T, np.inf)
         assert exp_tails(d, s, nu, T)[1] == pytest.approx(ref, abs=1e-12)
+
+    def test_distinct_distances_give_the_same_bytes(self):
+        # drift_field_weights evaluates the tails per distinct |d| and
+        # applies sgn(d) to the derivative tail: elementwise, so exact
+        d = 0.5625 - (-6.0 + (np.arange(70) + 0.5) / 8)  # d = 0 included
+        s = (np.arange(40) + 0.5) / 8
+        u, v = exp_tails(d[:, None], s[None, :], 1.0, 5.0)
+        ad, inv = np.unique(np.abs(d), return_inverse=True)
+        assert ad.size < d.size
+        ua, va = exp_tails(ad[:, None], s[None, :], 1.0, 5.0)
+        assert u.tobytes() == ua[inv].tobytes()
+        assert v.tobytes() == (np.sign(d)[:, None] * va[inv]).tobytes()
 
     def test_parity(self):
         (u, v), (u_neg, v_neg) = (exp_tails(d, 2.0, 1.0, 8.0)
