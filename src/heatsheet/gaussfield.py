@@ -115,9 +115,10 @@ def _gram(h_list: list[TestFunction], apply_op) -> np.ndarray:
     g = h_list[0].grid
     if any(h.grid != g for h in h_list):
         raise ValueError("test functions not on one grid")
-    cols = [apply_op(h.values, g) for h in h_list]
-    G = np.array([[float(np.sum(hi.values * cj) * g.dt) for cj in cols]
-                  for hi in h_list])
+    # row i is <h_i; C h_j> over all j at once: a row sum of the stacked
+    # columns takes the same pairwise order as each scalar sum would
+    C = np.stack([apply_op(h.values, g) for h in h_list])
+    G = np.array([np.sum(hi.values * C, axis=1) * g.dt for hi in h_list])
     return 0.5 * (G + G.T)  # kernel symmetry, up to roundoff
 
 

@@ -84,9 +84,9 @@ def smooth_window(grid: TimeGrid, lo: float, hi: float,
 class FieldState:
     """State (u, v) of the spatial dynamics at location z.
 
-    u and v are (B, n) for a block of B replicas stepped together, every
-    replica of a block at the same z, or (n,) for one replica: a stationary
-    draw, or one row of a result.
+    u and v are (B, n) for a block of B replicas at a common z, or (n,) for
+    one replica: a stationary draw, or one row of a result.  evolve reads
+    its start from one and returns its end in one, not its steps.
     """
 
     u: np.ndarray
@@ -111,10 +111,6 @@ class FieldState:
                           v=np.stack([s.v for s in states]),
                           z=s0.z, grid=s0.grid)
 
-    @property
-    def finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
-
 
 def _drift_terms(U: np.ndarray, V: np.ndarray, plan: SpectralPlan) -> np.ndarray:
     """dv/dz = -(halflap u^a + sqrt(2) quarterlap v^a) on t > 0, from the
@@ -126,37 +122,30 @@ def _drift_terms(U: np.ndarray, V: np.ndarray, plan: SpectralPlan) -> np.ndarray
     return -plan.inverse(mixed)
 
 
-def _advance(state: FieldState, dz: float, du: np.ndarray, dv: np.ndarray,
-             noise: np.ndarray) -> FieldState:
-    """The Euler update from rates already computed at state; raises
-    InstabilityError if the new state is not finite."""
-    out = FieldState(u=state.u + du * dz, v=state.v + dv * dz - noise,
-                     z=state.z + dz, grid=state.grid)
-    if not out.finite:
-        rho = spectral_radius(state.grid, dz)
-        raise InstabilityError(
-            f"non-finite state at z={out.z:.6g}; noiseless amplification "
-            f"factor {rho:.4f} (>= 1 means the step violates stability; "
-            f"limit dz <= {stability_limit(state.grid):.3e})")
-    return out
-
-
-def noise_draw(rng: np.random.Generator, grid: TimeGrid, dz: float,
-               out: np.ndarray) -> np.ndarray:
-    """One white-in-t Brownian increment, drawn in place into the length-n
-    row out: N(0, dz/dt) per cell, so that <dW; h> has variance dz ||h||^2
-    up to grid resolution."""
-    rng.standard_normal(out=out)
+def noise_draw(rngs: Sequence[np.random.Generator], grid: TimeGrid,
+               dz: float, out: np.ndarray) -> None:
+    """One white-in-t Brownian increment per replica, drawn in place into
+    the (B, n) block out, row r from rngs[r]: N(0, dz/dt) per cell, so that
+    <dW; h> has variance dz ||h||^2 up to grid resolution."""
+    for row, rng in zip(out, rngs, strict=True):
+        rng.standard_normal(out=row)
     out *= math.sqrt(dz / grid.dt)
-    return out
 
 
 # ----------------------------------------------------------------------
 # stationary initialization
 
 def stationary_basis(grid: TimeGrid) -> list:
-    """Evenly spread bump family used to carry the stationary Gaussian law."""
+    """Evenly spread bump family used to carry the stationary Gaussian law:
+    m = round(5 t_max) bumps.  Before any is built, m > n (a singular Gram)
+    raises ValueError and m n values over the cell budget ResourceError."""
     m = int(round(BASIS_PER_UNIT_T * grid.t_max))
+    if m > grid.n:
+        raise ValueError(
+            f"tmax={grid.t_max:g} needs {m:.6g} stationary basis bumps, more "
+            f"than the n={grid.n} grid nodes, so their Gram is singular")
+    check_sheet_cells(m * grid.n,
+                      f"the values of {m} stationary basis bumps")
     centers = np.linspace(BASIS_MARGIN, grid.t_max - BASIS_MARGIN, m)
     return [TestFunction(center=float(c), radius=BASIS_RADIUS, grid=grid)
             for c in centers]
@@ -278,12 +267,13 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     from rngs[r] in step order, so each row reproduces that replica run as
     a block of one.  A noiseless run (cfg.noise False) needs none.
 
-    The block is stepped in the sine basis: the sine spectrum U of u is
-    carried across steps (u += v dz gives U += dz V exactly), so a step
-    costs one real forward transform (V) and one real inverse (the fused
-    drift).  The u-update is literally u += v dz, so the recorded pairings
-    satisfy <u_Z; h> - <u_0; h> = sum over steps of <v_z; h> dz to
-    roundoff; the realized maximum deviation is stored on the result.
+    A copy of init is stepped in place: u += v dz from the old v, then
+    v += dv dz - dW, one noise_draw call filling the block's dW.  The sine
+    spectrum U of u is carried across steps (u += v dz gives U += dz V
+    exactly), so a step costs one real forward transform (V) and one real
+    inverse (the fused drift).  As u += v dz literally, the pairings satisfy
+    <u_Z; h> - <u_0; h> = sum of <v_z; h> dz over steps to roundoff; the
+    realized maximum deviation is stored on the result.
     """
     grid = init.grid
     if init.u.ndim != 2:
@@ -309,24 +299,34 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     zs = init.z + dz * np.arange(steps + 1)
     noise = np.zeros((B, grid.n))
 
-    state = init
-    U = plan.forward(state.u)
+    u = init.u.copy()
+    v = init.v.copy()
+    z = init.z
+    U = plan.forward(u)
     vsum = np.zeros((B, m))
     for k in range(steps + 1):
-        u_obs[:, k] = state.u @ Hobs.T * dt
-        v_obs[:, k] = state.v @ Hobs.T * dt
+        u_obs[:, k] = u @ Hobs.T * dt
+        v_obs[:, k] = v @ Hobs.T * dt
         if k == steps:
             break
-        V = plan.forward(state.v)
+        V = plan.forward(v)
         dv = _drift_terms(U, V, plan)
         vsum += v_obs[:, k] * dz
         if cfg.noise:
-            for row, g in zip(noise, rngs):
-                noise_draw(g, grid, dz, out=row)
-        state = _advance(state, dz, state.v, dv, noise)
+            noise_draw(rngs, grid, dz, out=noise)
+        u += v * dz
+        v += dv * dz
+        v -= noise
+        z += dz
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise InstabilityError(
+                f"non-finite state at z={z:.6g}; noiseless amplification "
+                f"factor {spectral_radius(grid, dz):.4f} (>= 1 means the step"
+                f" violates stability; limit dz <= {stability_limit(grid):.3e})")
         U += dz * V
 
     book = np.max(np.abs((u_obs[:, -1] - u_obs[:, 0]) - vsum), axis=1,
                   initial=0.0)
     return EvolveResult(z_nodes=zs, u_obs=u_obs, v_obs=v_obs,
-                        final_state=state, bookkeeping_error=book)
+                        final_state=FieldState(u=u, v=v, z=z, grid=grid),
+                        bookkeeping_error=book)

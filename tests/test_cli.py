@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heatsheet import ResourceError, cli, gaussfield
+from heatsheet import ResourceError, cli, gaussfield, sde
 from heatsheet.cli import (CHUNK_CELL_BUDGET, CHUNK_REPLICAS, COMMAND_FLAGS,
                            OPTIONS, TAGS, RunConfig, _mc_chunks,
                            _mc_pairings, build_config, main, make_parser,
@@ -129,6 +129,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: the records of {named} of ")
         assert "exceeds budget" in err
+
+    def test_evolve_basis_outnumbers_nodes(self, tmp_path, capsys):
+        # 1280 basis bumps on 1024 nodes: a singular Gram, rejected before
+        # the sampler factors anything
+        rc = run(["evolve", "--tmax", "256", "--replicas", "4",
+                  "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: tmax=256 needs 1280 stationary basis bumps, more than "
+            "the n=1024 grid nodes")
+        assert not any(tmp_path.iterdir())
+
+    def test_evolve_basis_over_budget(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*a, **k):
+            raise AssertionError("Gram built before the budget check")
+
+        monkeypatch.setattr(gaussfield, "MAX_SHEET_CELLS", 80 * 256 - 1)
+        monkeypatch.setattr(sde, "cov_u_gram", unreachable)
+        rc = run(["evolve", "--replicas", "4", "--n", "256", "--Z", "0.25",
+                  "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: the values of 80 stationary basis bumps of 20480 cells "
+            "exceeds budget 20479\n")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("tmax", ["1", "1e300"])
     def test_ops_tmax_without_comparison_nodes(self, tmp_path, capsys,

@@ -27,6 +27,7 @@ from heatsheet import (ResourceError, SheetLattice, TimeGrid,
 from heatsheet.gaussfield import (PAIR_BLOCK_ENTRIES, SheetSample,
                                   TensorTestFunction, WeakformPlan,
                                   _row_blocks, coverage_halfwidth,
+                                  cov_u_apply, cov_v_apply,
                                   drift_field_weights, drift_integral_weights,
                                   exp_tails, gram_cholesky,
                                   pair_u_weights, pair_v_weights,
@@ -116,6 +117,18 @@ class TestGrams:
 
     def test_single_function_variance_positive(self, hs_pair):
         assert cov_u_gram(hs_pair[:1])[0, 0] > 0.0
+
+    @pytest.mark.parametrize("gram,apply_op", [(cov_u_gram, cov_u_apply),
+                                               (cov_v_gram, cov_v_apply)])
+    def test_rows_equal_the_entrywise_double_sum(self, gram, apply_op):
+        # the oracle sums each entry <h_i; C h_j> on its own; a row summed
+        # over the stacked columns must give the same bytes
+        basis = hs.stationary_basis(TimeGrid(8.0, 512))
+        g = basis[0].grid
+        cols = [apply_op(h.values, g) for h in basis]
+        G = np.array([[float(np.sum(hi.values * cj) * g.dt) for cj in cols]
+                      for hi in basis])
+        assert gram(basis).tobytes() == (0.5 * (G + G.T)).tobytes()
 
     def test_validation(self, hs_pair):
         with pytest.raises(ValueError):

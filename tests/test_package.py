@@ -25,7 +25,7 @@ def test_star_import_and_unique_exports():
     assert len(heatsheet.__all__) == len(set(heatsheet.__all__))
 
 
-def test_benchmark_trace_targets_resolve():
+def test_benchmark_trace_targets_resolve(monkeypatch):
     # perfbench/tracing.py wraps these names by attribute; a rename in the
     # library would break the traced benchmark run, not this test suite
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -60,6 +60,25 @@ def test_benchmark_trace_targets_resolve():
     assert len(heatsheet.StationarySampler(grid).basis) == 40
     lat = heatsheet.SheetLattice(0.0, 0.5, 0.5, 3, 4)
     assert heatsheet.sheet_sample(lat, 0).cells == 12
+    # the tracer expects a span for sde.noise_draw on evolve's path, and
+    # its draw hook counts one replica's normals per StationarySampler.draw
+    # call; inlining the one or batching the other adds trace check failures
+    sde = importlib.import_module("heatsheet.sde")
+    calls = {"noise_draw": 0, "draw": 0}
+
+    def counted(key, fn):
+        def wrapper(*a, **k):
+            calls[key] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    monkeypatch.setattr(sde, "noise_draw", counted("noise_draw",
+                                                   sde.noise_draw))
+    monkeypatch.setattr(sde.StationarySampler, "draw",
+                        counted("draw", sde.StationarySampler.draw))
+    cli.suite_evolve(cli.RunConfig(replicas=4, n=256, Z=0.25))
+    assert calls["noise_draw"] > 0
+    assert calls["draw"] == 4
 
 
 def test_every_export_has_a_caller():

@@ -20,7 +20,7 @@ from heatsheet import (EvolveConfig, EvolveResult, FieldState, InstabilityError,
 from heatsheet.cli import EVOLVE_BATCH, _parallel
 from heatsheet.fracops import frac_laplacian
 from heatsheet.gaussfield import MAX_SHEET_CELLS, sheet_rng
-from heatsheet.sde import SQRT2, _advance, _drift_terms
+from heatsheet.sde import SQRT2, _drift_terms
 
 T_MAX = 8.0
 N = 512
@@ -46,10 +46,16 @@ def drift(state, plan):
     return state.v, dv
 
 
+def step(state, dz, dv, noise):
+    """The explicit Euler update, written here apart from evolve's: u += v dz
+    from the old v, v += dv dz - noise."""
+    return FieldState(u=state.u + state.v * dz, v=state.v + dv * dz - noise,
+                      z=state.z + dz, grid=state.grid)
+
+
 def euler_step(state, dz, noise, plan):
-    """One explicit step as evolve takes it: u += v dz; v += dv dz - noise."""
-    du, dv = drift(state, plan)
-    return _advance(state, dz, du, dv, noise)
+    """One explicit step from the fused drift at state."""
+    return step(state, dz, drift(state, plan)[1], noise)
 
 
 def lap(f, beta, plan):
@@ -120,15 +126,8 @@ class TestFieldState:
 
     def test_zero_state(self, grid):
         s = zero_state(grid)
-        assert s.finite
         assert s.z == 0.0
         assert float(np.max(np.abs(s.u))) == 0.0
-
-    def test_finite_flag(self, grid):
-        u = np.zeros(N)
-        u[3] = np.nan
-        s = FieldState(u=u, v=np.zeros(N), z=0.0, grid=grid)
-        assert not s.finite
 
 
 class TestDrift:
@@ -187,29 +186,61 @@ class TestDrift:
 
 class TestEulerStep:
     def test_noise_enters_v_only(self, grid, plan):
-        w = np.random.default_rng(1).standard_normal(N)
-        out = euler_step(zero_state(grid), 0.01, w, plan)
+        # one step from rest: u stays 0 and v is minus the step's scaled
+        # noise row, bit for bit
+        dz = 0.01
+        cfg = EvolveConfig(dz=dz, Z=dz, observables=())
+        out = evolve(zero_block(grid), cfg, plan,
+                     [sheet_rng(1, 0)]).final_state
+        w = sheet_rng(1, 0).standard_normal(N) * math.sqrt(dz / grid.dt)
         assert float(np.max(np.abs(out.u))) == 0.0
-        np.testing.assert_array_equal(out.v, -w)
-        assert out.z == 0.01
+        np.testing.assert_array_equal(out.v[0], -w)
+        assert out.z == dz
 
     def test_instability_reported(self, grid, plan):
-        big = FieldState(u=np.full(N, np.inf), v=np.zeros(N), z=0.0, grid=grid)
+        big = FieldState(u=np.full((1, N), np.inf), v=np.zeros((1, N)), z=0.0,
+                         grid=grid)
+        cfg = EvolveConfig(dz=0.01, Z=0.01, observables=(), noise=False)
         with np.errstate(all="ignore"):
-            with pytest.raises(InstabilityError, match="amplification"):
-                euler_step(big, 0.01, np.zeros(N), plan)
+            with pytest.raises(InstabilityError, match=(
+                    r"^non-finite state at z=0\.01; noiseless amplification "
+                    r"factor 1\.0000 \(>= 1 means the step violates "
+                    r"stability; limit dz <= 1\.250e-02\)$")):
+                evolve(big, cfg, plan)
+
+    def test_init_left_unchanged(self, grid, plan):
+        # evolve steps its own copy of the block
+        init = StationarySampler(grid).draw(sheet_rng(2, 0))
+        block = FieldState.stack([init, init])
+        u0, v0 = block.u.copy(), block.v.copy()
+        cfg = EvolveConfig(dz=stability_limit(grid), Z=0.05, observables=())
+        res = evolve(block, cfg, plan, [sheet_rng(2, r) for r in range(2)])
+        np.testing.assert_array_equal(block.u, u0)
+        np.testing.assert_array_equal(block.v, v0)
+        assert not np.array_equal(res.final_state.v, v0)
 
 
 class TestNoiseDraw:
+    def test_rows_come_from_their_own_streams(self, grid):
+        # row r is rngs[r]'s next n normals, scaled by sqrt(dz / dt)
+        dz = 0.0125
+        block = np.empty((3, grid.n))
+        noise_draw([sheet_rng(4, r) for r in range(3)], grid, dz, block)
+        for r in range(3):
+            want = sheet_rng(4, r).standard_normal(grid.n) \
+                * math.sqrt(dz / grid.dt)
+            np.testing.assert_array_equal(block[r], want)
+        with pytest.raises(ValueError):
+            noise_draw([sheet_rng(4, 0)] * 2, grid, dz, block)
+
     def test_pairing_variance(self, grid):
-        # <dW; h> must carry variance dz ||h||^2
+        # <dW; h> must carry variance dz ||h||^2, over the rows of a block
         h = hs.TestFunction(4.0, 2.0, grid)
         dz = 0.0125
-        rng = sheet_rng(5, 0)
         R = 10_000
-        row = np.empty(grid.n)
-        vals = np.array([pair(noise_draw(rng, grid, dz, row), h.values, grid)
-                         for _ in range(R)])
+        block = np.empty((R, grid.n))
+        noise_draw([sheet_rng(5, r) for r in range(R)], grid, dz, block)
+        vals = np.array([pair(row, h.values, grid) for row in block])
         target = dz * pair(h.values, h.values, grid)
         var = float(np.var(vals, ddof=1))
         se = target * math.sqrt(2.0 / (R - 1))
@@ -229,6 +260,22 @@ class TestStationary:
         # t_max 0.05 holds no bump of the stationary basis
         with pytest.raises(ValueError, match="empty basis"):
             StationarySampler(TimeGrid(0.05, 64))
+
+    def test_sampler_rejects_more_bumps_than_nodes(self, monkeypatch):
+        # t_max 256 takes 1280 bumps, whose Gram on 1024 nodes is singular:
+        # rejected before any Gram is built
+        def unreachable(*a, **k):
+            raise AssertionError("Gram built before the basis-size check")
+
+        monkeypatch.setattr(hs.sde, "cov_u_gram", unreachable)
+        with pytest.raises(ValueError, match=(
+                r"^tmax=256 needs 1280 stationary basis bumps, more than the "
+                r"n=1024 grid nodes")):
+            StationarySampler(TimeGrid(256.0, 1024))
+        # as many bumps as nodes is the largest basis admitted
+        assert len(stationary_basis(TimeGrid(204.8, 1024))) == 1024
+        with pytest.raises(ValueError, match="1025 stationary basis bumps"):
+            stationary_basis(TimeGrid(205.0, 1024))
 
     def test_dual_reconstruction_is_exact(self, grid):
         # pairing the reconstructed field against the basis returns the
@@ -274,7 +321,7 @@ class TestStationary:
         b = sampler.draw(sheet_rng(9, 0))
         np.testing.assert_array_equal(a.u, b.u)
         assert a.z == 0.0
-        assert a.finite
+        assert np.all(np.isfinite(a.u)) and np.all(np.isfinite(a.v))
 
 
 class TestEvolveConfig:
@@ -436,16 +483,15 @@ def _rel_diff(a, b) -> float:
 
 def _oracle(states, cfg, plan, rngs):
     """Per-replica reference stepping: two time-domain frac_laplacian calls
-    per step and the shared Euler update, fed the same noise rows."""
+    per step and the test's own Euler update, fed the same noise rows."""
     out = []
     for state, rng in zip(states, rngs):
         for _ in range(cfg.steps):
             L1u = lap(state.u, 1.0, plan)
             L12v = lap(state.v, 0.5, plan)
-            noise = noise_draw(rng, state.grid, cfg.dz,
-                               np.empty(state.grid.n))
-            state = _advance(state, cfg.dz, state.v, -(L1u + SQRT2 * L12v),
-                             noise)
+            noise = rng.standard_normal(state.grid.n) \
+                * math.sqrt(cfg.dz / state.grid.dt)
+            state = step(state, cfg.dz, -(L1u + SQRT2 * L12v), noise)
         out.append(state)
     return out
 
