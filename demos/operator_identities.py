@@ -19,11 +19,13 @@ import numpy as np
 
 from heatsheet import (SpectralPlan, TestFunction, TimeGrid, frac_laplacian,
                        halfroot_conv, op_A2)
+from heatsheet.cli import (OPS_COMPOSITION_TOL, OPS_FACTOR_TOL, OPS_INV_TOL,
+                           OPS_MARGIN as MARGIN, OPS_PAD as PAD, REFINE_GAIN)
 from heatsheet.fracops import A2_TAIL_POWER, a1_a2_residual
 
+# verify-ops' bump, pad (which keeps the spectral floor below the dt part),
+# interior margin and gates, on a coarser pair of grids
 T_MAX = 8.0
-PAD = 4          # periodization pad; keeps the spectral floor below the dt part
-MARGIN = 0.5     # interior window excludes this much of each endpoint
 
 
 def interior(grid: TimeGrid) -> np.ndarray:
@@ -57,17 +59,20 @@ def main() -> int:
     fine = TimeGrid(T_MAX, 4096)
     # the inversion error sits on the kernel's tail-completion floor, which
     # does not move with dt, so only the other two get a refinement gate
-    checks = (("factorization through quarter order", factorization_err, True),
-              ("inversion against halfroot kernel  ", inversion_err, False),
-              ("composition vs derivative identity ", composition_err, True))
+    checks = (("factorization through quarter order", factorization_err,
+               OPS_FACTOR_TOL, True),
+              ("inversion against halfroot kernel  ", inversion_err,
+               OPS_INV_TOL, False),
+              ("composition vs derivative identity ", composition_err,
+               OPS_COMPOSITION_TOL, True))
     print(f"bump (center 2, radius 1) on [0, {T_MAX:g}], "
           f"n = {coarse.n} then {fine.n}\n")
     print("identity                              err(dt)    err(dt/2)  quotient")
     ok = True
-    for name, fn, refines in checks:
+    for name, fn, tol, refines in checks:
         e0, e1 = fn(coarse), fn(fine)
         q = e1 / e0
-        ok = ok and e1 < 1e-2 and (q < 0.6 or not refines)
+        ok = ok and e1 < tol and (q < 1.0 / REFINE_GAIN or not refines)
         print(f"{name}  {e0:.3e}  {e1:.3e}  {q:.3f}")
     print("\nquotients near 0.5 mean the residual is dominated by the "
           "first-order quadrature term; the inversion row instead sits on "

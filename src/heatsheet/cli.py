@@ -164,6 +164,8 @@ OPS_MARGIN = 0.5   # factorization error is read on (margin, t_max - margin)
 OPS_T_CUT = 4.0    # eigenfunctions are compared on t <= min(t_cut, t_max)
 OPS_NUS = (1.0, 4.0)  # decay rates of the exponential eigenfunctions
 OPS_MIN_N = 8      # coarser grids put no node where the bump's h' is nonzero
+# error tolerances: factorization, halfroot inversion, composition identity
+OPS_FACTOR_TOL, OPS_INV_TOL, OPS_COMPOSITION_TOL = 1e-2, 1e-2, 2e-2
 
 
 def _ops_bump(grid: TimeGrid) -> TestFunction:
@@ -226,7 +228,7 @@ def suite_ops(cfg: RunConfig) -> list:
 
     # factorization of the second operator through the quarter-order one
     reports = _refinement_reports(
-        "quarter-order factorization", "interior max error", 1e-2,
+        "quarter-order factorization", "interior max error", OPS_FACTOR_TOL,
         _a2_factorization_err, grid, gdesc)
 
     # inversion: convolving the image against the halfroot kernel returns h
@@ -235,11 +237,11 @@ def suite_ops(cfg: RunConfig) -> list:
     back = halfroot_conv(a2, grid, tail=("power", A2_TAIL_POWER))
     inv_err = float(np.max(np.abs(back - h.values)) / h.sup_norm)
     reports.append(residual_report(
-        "halfroot inversion, max error", inv_err, 1e-2, grid=gdesc))
+        "halfroot inversion, max error", inv_err, OPS_INV_TOL, grid=gdesc))
 
     # composition identity with first-order refinement
-    reports += _refinement_reports("composition identity", "residual", 2e-2,
-                                   _a1a2_err, grid, gdesc)
+    reports += _refinement_reports("composition identity", "residual",
+                                   OPS_COMPOSITION_TOL, _a1a2_err, grid, gdesc)
 
     # exponential eigenfunctions of the first operator
     tcut = min(OPS_T_CUT, grid.t_max)
@@ -361,21 +363,21 @@ def _db4(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _support(W: np.ndarray, lat: SheetLattice, tol: float) -> SheetCrop:
+def _support(W: np.ndarray, lat: SheetLattice) -> SheetCrop:
     """Weights W of shape (rows, ny, ns) on lat, cropped by energy in the
     lattice's Daubechies-4 basis.
 
     Each row drops its smallest Daubechies-4 coefficients (_db4) while their
-    summed energy c^2 stays within tol of the row's own ||w||^2;
+    summed energy c^2 stays within TAIL_TOL of the row's own ||w||^2;
     coefficients of equal energy go together, so each row's cut is a
     threshold and zero coefficients always go.  The crop keeps every
     coefficient that some row keeps.  The transform D is orthonormal, so
     w . z = (Dw) . (Dz) and the coefficients Dz of a sheet are again i.i.d.
     normals: a statistic drawn on the kept coefficients alone is exactly
-    N(0, scale^2 ||(DW)_kept||^2), within a relative tol of its law on the
-    full lattice.  Each row is transformed once, in place: a float64
-    C-contiguous W is overwritten by its coefficients, so callers hand
-    over weights they no longer need.
+    N(0, scale^2 ||(DW)_kept||^2), within a relative TAIL_TOL of its law on
+    the full lattice.  Each row is transformed once, in place: a float64
+    C-contiguous W is overwritten by its coefficients, so callers hand over
+    weights they no longer need.
     """
     C = np.asarray(W, dtype=float).reshape(W.shape[0], -1)
     keep = np.zeros(lat.cells, dtype=bool)
@@ -384,7 +386,7 @@ def _support(W: np.ndarray, lat: SheetLattice, tol: float) -> SheetCrop:
         e = c ** 2
         s = np.sort(e)
         cs = np.cumsum(s)
-        k = int(np.searchsorted(cs, tol * cs[-1], side="right"))
+        k = int(np.searchsorted(cs, TAIL_TOL * cs[-1], side="right"))
         if k < s.size:  # back to the start of a group of ties
             k = int(np.searchsorted(s, s[k]))
         keep |= e > (s[k - 1] if k else 0.0)
@@ -444,7 +446,7 @@ def suite_cov(cfg: RunConfig) -> list:
 
     # point variance of the field at (0, 1)
     crop = _support(point_weights(point.y_nodes, point.s_nodes, 0.0,
-                                  1.0)[None], point, TAIL_TOL)
+                                  1.0)[None], point)
     X = _mc_pairings(crop.W, crop.cells, crop.scale, R_point, seed, 0,
                      cfg.workers)
     var, se = var_se(X[:, 0])
@@ -459,7 +461,7 @@ def suite_cov(cfg: RunConfig) -> list:
     yn, sn = gram.y_nodes, gram.s_nodes
     crop = _support(np.concatenate([
         pair_u_weights(yn, sn, 0.0, hs, t_max),
-        pair_v_weights(yn, sn, 0.0, hs, t_max)]), gram, TAIL_TOL)
+        pair_v_weights(yn, sn, 0.0, hs, t_max)]), gram)
     X = _mc_pairings(crop.W, crop.cells, crop.scale, R_gram,
                      seed, GRAM_STREAM_BASE, cfg.workers)
     m = len(hs)
@@ -556,7 +558,7 @@ def suite_drift(cfg: RunConfig) -> list:
 
     # law: variance of the explicit form matches the closed double integral,
     # on the weights of the first probe, y = 0, which the crop overwrites
-    crop = _support(wi[0][None], lat, TAIL_TOL)
+    crop = _support(wi[0][None], lat)
     X = _mc_pairings(crop.W, crop.cells, crop.scale, R, seed, 1, cfg.workers)
     var, se = var_se(X[:, 0])
     reports.append(z_test(
@@ -612,7 +614,7 @@ def suite_spde(cfg: RunConfig) -> list:
         tgt = f.l2sq()
         bias = abs(plan.variance_discrete() / tgt - 1.0)
         # the crop overwrites omega by its coefficients
-        crop = _support(plan.omega[None], lat, TAIL_TOL)
+        crop = _support(plan.omega[None], lat)
         gdesc = {"t_max": t_max, "n": n, "x_radius": f.x_radius,
                  "dy": lat.dy, "ds": lat.ds, "nx": plan.nx, "dx": plan.dx,
                  **crop.grid()}
@@ -708,7 +710,6 @@ def write_report(path: str, suite: str, cfg: RunConfig, reports: list):
 
 
 def _finish(suite: str, cfg: RunConfig, reports: list) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_report(os.path.join(cfg.out_dir, f"{suite}_report.json"), suite,
                  cfg, reports)
     for r in reports:
@@ -719,7 +720,6 @@ def _finish(suite: str, cfg: RunConfig, reports: list) -> int:
 
 def cmd_evolve(cfg: RunConfig) -> int:
     reports, block = suite_evolve(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "trajectory.csv"), "w") as fh:
         fh.write(block.to_csv(0))
     # the sample, replica 0: its final (u, v) as a float64 (2, n) array
@@ -795,6 +795,7 @@ def main(argv=None) -> int:
             raise ValueError(f"{unread[0].split('=')[0]} does not apply to "
                              f"{args.command}, which reads {flags}")
         cfg = build_config(args)
+        os.makedirs(cfg.out_dir, exist_ok=True)
         return COMMANDS[args.command](cfg)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dst, idst, irfft, next_fast_len, rfft
-from scipy.special import erfc, roots_legendre
+from scipy.special import erfc
 
 from .grid import TimeGrid, TestFunction, antisym_extend
-from .kernels import SQRTPI, SQRT4PI
+from .kernels import SQRTPI, SQRT4PI, unit_rule
 
 # Decay exponent of op_A2 output beyond the support of a compactly
 # supported input.  The odd extension has zero total mass, so the generic
@@ -143,27 +143,15 @@ def op_A2(h: TestFunction) -> np.ndarray:
                      lambda u: (2.0 / SQRTPI) * np.sqrt(np.abs(u)))
 
 
-@functools.lru_cache(maxsize=1)
-def _tail_rule():
-    """Gauss-Legendre rule mapped onto (0, inf): offsets w^2 and weights,
-    built on first use and shared read-only."""
-    xs, ws = roots_legendre(TAIL_NODES)
-    v = 0.5 * (xs + 1.0)
-    wv = 0.5 * ws
-    w = v / (1.0 - v)
-    jac = 2.0 * w / (1.0 - v) ** 2          # dt' = 2 w dw, w = v/(1-v)
-    offsets, weights = w * w, wv * jac
-    offsets.flags.writeable = False
-    weights.flags.writeable = False
-    return offsets, weights
-
-
 def _tail_sum(g, T: float, t: np.ndarray) -> np.ndarray:
-    """int_T^inf g(t') / sqrt(t' - t_i) dt' at every t_i < T, on the tail
-    rule; callers evaluate the mirror tail over (-inf, -T) as the same sum
-    at -t_i, since sqrt(t' + t) = sqrt(t' - (-t))."""
-    offsets, wq = _tail_rule()
-    tp = T + offsets
+    """int_T^inf g(t') / sqrt(t' - t_i) dt' at every t_i < T, on the
+    TAIL_NODES-node unit_rule v mapped to t' = T + (v / (1 - v))^2; callers
+    take the mirror tail over (-inf, -T) as the same sum at -t_i, since
+    sqrt(t' + t) = sqrt(t' - (-t))."""
+    v, wv = unit_rule(TAIL_NODES)
+    w = v / (1.0 - v)
+    wq = wv * (2.0 * w / (1.0 - v) ** 2)  # dt' = 2 w dw, dw = dv / (1-v)^2
+    tp = T + w * w
     return ((g(tp) * wq)[None, :] / np.sqrt(tp[None, :] - t[:, None])).sum(axis=1)
 
 

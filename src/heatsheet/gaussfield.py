@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.special import erfc, roots_legendre
+from scipy.special import erfc
 
 from .grid import TimeGrid, TestFunction, antisym_extend, bump_profile
 from .fracops import SpectralPlan, cell_conv, frac_laplacian, halfroot_conv
-from .kernels import SQRTPI, SQRT4PI, laplace_g
+from .kernels import SQRTPI, SQRT4PI, laplace_g, unit_rule
 
 # heat-kernel tail tolerance: sizes every sheet band (coverage_halfwidth)
 # and bounds the share of a weight row's energy that the crop leaves out
@@ -35,12 +35,14 @@ TAIL_TOL = 1e-8
 GRAM_JITTER = 1e-12
 MAX_SHEET_CELLS = 60_000_000
 
-# Gauss-Legendre node counts: the w-integral of cov_u_cross, and the
-# per-cell time integrals of pairing weights, where 32 puts the quadrature
-# residual far below every discretization effect at the default grids.
+# unit_rule node counts: the w-integral of cov_u_cross, the per-cell time
+# integrals of pairing weights, where 32 puts the quadrature residual far
+# below every discretization effect at the default grids, and each factor
+# of TensorTestFunction.l2sq; the Cameron-Martin rule has 16 2^CM_LEVEL.
 CROSS_NODES = 200
-PAIR_U_NODES = 32
-PAIR_V_NODES = 32
+PAIR_NODES = 32
+L2SQ_NODES = 400
+CM_LEVEL = 2
 PAIR_V_CUT = 6.5  # e^(-v^2) support cut for the derivative-kernel integral
 # (s-row, distance, node) entries of one block of a pairing build's tables:
 # 0.5 MB per float64 table, a handful of them alive at once; blocks of 2^15
@@ -82,9 +84,9 @@ def cov_u_cross(dx: float, t: float, t2: float) -> float:
     hi = math.sqrt(t + t2)
     if hi <= lo:
         return 0.0
-    xg, wg = roots_legendre(CROSS_NODES)
-    w = lo + (hi - lo) * 0.5 * (xg + 1.0)
-    ww = (hi - lo) * 0.5 * wg
+    xg, wg = unit_rule(CROSS_NODES)
+    w = lo + (hi - lo) * xg
+    ww = (hi - lo) * wg
     vals = np.exp(-dx * dx / (4.0 * w * w))  # exactly 1 at dx = 0
     return float(np.sum(vals * ww) / SQRT4PI)
 
@@ -298,7 +300,7 @@ def _block_values(h, t: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def pair_u_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
-                   hs, t_hi: float, nw: int = PAIR_U_NODES) -> np.ndarray:
+                   hs, t_hi: float, nw: int = PAIR_NODES) -> np.ndarray:
     """Per-cell weights int_s^{t_hi} g(y,s;x,t) h(t) dt of every h in hs,
     stacked as (len(hs), ny, ns).
 
@@ -313,15 +315,15 @@ def pair_u_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
     not depend on the other rows or distances in the call, so a build on
     any subset of the nodes or s-rows is that slice of the full build.
     """
-    xg, wg = roots_legendre(nw)
+    xg, wg = unit_rule(nw)
     ad, inv, _ = _distances(x, y_nodes)
     d2 = ad ** 2
     out = np.zeros((len(hs), ad.size, s_nodes.size))
     for rows in _row_blocks(s_nodes, t_hi, ad.size * nw):
         s = s_nodes[rows]
         wmax = np.sqrt(t_hi - s)
-        w = (0.5 * wmax)[:, None] * (xg + 1.0)
-        ww = ((2.0 / SQRT4PI) * 0.5 * wmax)[:, None] * wg
+        w = wmax[:, None] * xg
+        ww = ((2.0 / SQRT4PI) * wmax)[:, None] * wg
         E = np.exp(-d2[None, :, None] / (4.0 * w[:, None, :] ** 2))
         t = s[:, None] + w * w
         for i, h in enumerate(hs):
@@ -331,7 +333,7 @@ def pair_u_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
 
 
 def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
-                   hs, t_hi: float, nv: int = PAIR_V_NODES) -> np.ndarray:
+                   hs, t_hi: float, nv: int = PAIR_NODES) -> np.ndarray:
     """Per-cell weights int_s^{t_hi} (dg/dx)(y,s;x,t) h(t) dt of every h in
     hs, stacked as (len(hs), ny, ns).
 
@@ -348,15 +350,15 @@ def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
     depend on the other rows or distances in the call, so a build on any
     subset of the nodes or s-rows is that slice of the full build.
     """
-    xg, wg = roots_legendre(nv)
+    xg, wg = unit_rule(nv)
     ad, inv, sgn = _distances(x, y_nodes)
     out = np.zeros((len(hs), ad.size, s_nodes.size))
     for rows in _row_blocks(s_nodes, t_hi, ad.size * nv):
         s = s_nodes[rows]
         vmin = ad / (2.0 * np.sqrt(t_hi - s))[:, None]
         span = (np.maximum(PAIR_V_CUT, vmin) - vmin)[:, :, None]
-        v = vmin[:, :, None] + span * 0.5 * (xg + 1.0)
-        ej = np.exp(-v * v) * (span * 0.5 * wg)
+        v = vmin[:, :, None] + span * xg
+        ej = np.exp(-v * v) * (span * wg)
         with np.errstate(divide="ignore", invalid="ignore"):
             tt = s[:, None, None] + ad[:, None] ** 2 / (4.0 * v * v)
         tt[:, ad == 0.0] = s[:, None, None]  # zeroed by sgn(d) anyway
@@ -393,7 +395,7 @@ def exp_tails(d, s, nu: float, T: float) -> tuple:
 
 def drift_field_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, y: float,
                         nu: float, T: float,
-                        nw: int = PAIR_U_NODES) -> np.ndarray:
+                        nw: int = PAIR_NODES) -> np.ndarray:
     """Cell weights of U(y, sqrt(nu) e^(-nu .)) + d/dx U(y, e^(-nu .)), both
     pairings on nw quadrature nodes.
 
@@ -446,10 +448,7 @@ def _cm_lower_triangle(nu_t: float, nu_tp: float, gap: float, level: int) -> flo
     # triangle maps t = xi, t' = xi (1 - rho^2); xi runs through a rational
     # map of (0, 1).  All integrands are then smooth, so Gauss-Legendre
     # converges spectrally in the level.
-    n = 16 * (2 ** level)
-    xw, ww = roots_legendre(n)
-    xw = 0.5 * (xw + 1.0)
-    ww = 0.5 * ww
+    xw, ww = unit_rule(16 * 2 ** level)
     L = 2.0 / nu_t
     u = xw / (1.0 - xw)
     xi = L * u * u
@@ -473,16 +472,16 @@ def _cm_lower_triangle(nu_t: float, nu_tp: float, gap: float, level: int) -> flo
     return float(np.einsum("ij,i,j->", F, jxi * ww, ww))
 
 
-def cameron_martin_laplace(nu: float, nu2: float, y_gap: float,
-                           level: int = 2) -> float:
+def cameron_martin_laplace(nu: float, nu2: float, y_gap: float) -> float:
     """Double Laplace transform of the half-plane covariance kernel applied
-    to e^(-nu .), evaluated at nu2, by triangle-split quadrature."""
+    to e^(-nu .), evaluated at nu2, by triangle-split quadrature at
+    CM_LEVEL."""
     if nu <= 0 or nu2 <= 0:
         raise ValueError("decay rates must be positive")
     if y_gap < 0:
         raise ValueError("y_gap must be nonnegative")
-    return _cm_lower_triangle(nu2, nu, y_gap, level) \
-        + _cm_lower_triangle(nu, nu2, y_gap, level)
+    return _cm_lower_triangle(nu2, nu, y_gap, CM_LEVEL) \
+        + _cm_lower_triangle(nu, nu2, y_gap, CM_LEVEL)
 
 
 def cameron_martin_target(nu: float, nu2: float, y_gap: float) -> float:
@@ -514,13 +513,13 @@ class TensorTestFunction:
 
     def l2sq(self) -> float:
         """||f||^2 over the quadrant: the product of the two factors' 1-D
-        norms, each by one 400-node Gauss-Legendre rule over its support."""
-        xg, wg = roots_legendre(400)
+        norms, each by the L2SQ_NODES-node unit_rule over its support."""
+        xg, wg = unit_rule(L2SQ_NODES)
         fx = lambda x: bump_profile(x, self.x_center, self.x_radius)
         out = 1.0
         for f, (lo, hi) in ((fx, self.x_support), (self.ft, self.ft.support)):
-            fv = f(lo + (hi - lo) * 0.5 * (xg + 1.0))
-            out *= float(np.sum(fv * fv * wg) * 0.5 * (hi - lo))
+            fv = f(lo + (hi - lo) * xg)
+            out *= float(np.sum(fv * fv * wg) * (hi - lo))
         return out
 
 
@@ -641,22 +640,20 @@ class WeakformPlan:
         return float(np.sum(self.omega ** 2) * lat.dy * lat.ds)
 
 
-def weakform_residual_reference(sheet: SheetSample, f: TensorTestFunction,
-                                x_res: int = 8) -> float:
-    """Literal tabulation path: U(x_i, t_j) summed against the bracket.
-
-    Quadratically more work than the plan path; kept as the oracle that the
-    reordering is exact.  Use small grids.
+def weakform_residual_reference(sheet: SheetSample,
+                                plan: WeakformPlan) -> float:
+    """Literal tabulation path on plan's f and x nodes, never its omega:
+    U(x_i, t_j) from the sheet's own lattice (point_weights) summed against
+    the bracket.  Quadratically more work than the plan path; kept as the
+    oracle that the reordering is exact.  Use small grids.
     """
-    g = f.ft.grid
-    dt = g.dt
-    t = g.nodes
-    x, dx = _x_nodes(f, x_res)
+    f, g = plan.f, plan.f.ft.grid
+    x, dx = _x_nodes(f, plan.x_res)
     A = _bracket(f, x)
     yn, sn = sheet.lattice.y_nodes, sheet.lattice.s_nodes
     eta = 0.0
     for i in range(x.size):
-        for j in range(g.n):
-            w = point_weights(yn, sn, x[i], t[j])
-            eta += float(np.sum(w * sheet.increments)) * A[i, j] * dx * dt
+        for j, t in enumerate(g.nodes):
+            w = point_weights(yn, sn, x[i], t)
+            eta += float(np.sum(w * sheet.increments)) * A[i, j] * dx * g.dt
     return eta

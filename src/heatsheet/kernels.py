@@ -3,7 +3,9 @@
 Everything here is a pure function of its arguments: the time-Laplace
 transform of the heat kernel started on a vertical line, and the slowly
 decaying comparison function l_nu that arises when a half-root convolution
-hits a decaying exponential, together with its Laplace transform.
+hits a decaying exponential, together with its Laplace transform; and
+unit_rule, the package's one Gauss-Legendre rule, whose nodes x and weights
+w on [0, 1] every fixed-node integral maps to lo + (hi - lo) x, (hi - lo) w.
 
 l_nu is evaluated from its elementary closed form in the scaled special
 functions dawsn and erfcx, which cannot overflow at large nu t.
@@ -11,6 +13,7 @@ functions dawsn and erfcx, which cannot overflow at large nu t.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +25,17 @@ SQRT4PI = math.sqrt(4.0 * math.pi)
 # l_nu_laplace: Gauss-Legendre nodes on w in [0, sqrt(LAPLACE_T_CUT)], t = w^2
 LAPLACE_NODES = 64
 LAPLACE_T_CUT = 60.0
+
+
+@functools.lru_cache(maxsize=None)
+def unit_rule(n: int) -> tuple:
+    """The n-node Gauss-Legendre rule on [0, 1], nodes 0.5 (x + 1) and
+    weights 0.5 w of the rule on [-1, 1], read-only and built once per n;
+    halving is exact, so the rule rounds as the [-1, 1] rule would."""
+    xg, wg = roots_legendre(n)
+    x, w = 0.5 * (xg + 1.0), 0.5 * wg
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def laplace_g(dist: float, nu: float) -> float:
@@ -72,9 +86,9 @@ def l_nu_laplace(nu: float, nu_tilde: float) -> float:
         raise ValueError("nu must be positive")
     if nu_tilde <= 0.0:
         raise ValueError("nu_tilde must be positive")
-    xg, wg = roots_legendre(LAPLACE_NODES)
-    half = 0.5 * math.sqrt(LAPLACE_T_CUT)
-    w = half * (xg + 1.0)
+    xg, wg = unit_rule(LAPLACE_NODES)
+    hi = math.sqrt(LAPLACE_T_CUT)
+    w = hi * xg
     f = np.array([2.0 * wi * math.exp(-nu_tilde * wi * wi) * l_nu(nu, wi * wi)
                   for wi in w])
-    return float(np.sum(f * wg) * half)
+    return float(np.sum(f * wg) * hi)

@@ -324,6 +324,26 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "cov_report.json").read_text())
         assert len(doc["reports"]) == 4
 
+    @pytest.mark.parametrize("command,suite", [
+        ("verify-ops", "suite_ops"), ("verify-cov", "suite_cov"),
+        ("verify-drift", "suite_drift"), ("verify-spde", "suite_spde"),
+        ("evolve", "suite_evolve")])
+    def test_bad_out_fails_before_the_suite(self, tmp_path, capsys,
+                                            monkeypatch, command, suite):
+        # an --out that cannot be made (here under a regular file) is a
+        # file error reported before any computation, not after the suite
+        def unreachable(cfg):
+            raise AssertionError(f"{suite} ran before --out was made")
+
+        monkeypatch.setattr(cli, suite, unreachable)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = run([command, "--out", str(blocker / "sub")])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     def test_degraded_resolution_fails_honestly(self, tmp_path, capsys):
         # at n = 512 the identity-suite refinement targets are unattainable
         rc = run(["verify-ops", "--n", "512", "--out", str(tmp_path)])
@@ -448,7 +468,7 @@ class TestMcEngine:
         np.testing.assert_allclose(D @ D.T, np.eye(n), rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(db4_matrix((1, n)), D)
 
-    def test_energy_crop(self):
+    def test_energy_crop(self, monkeypatch):
         # a wide row and a narrow, far weaker one whose sign alternates
         # along y, so its energy sits in the finest y details, both zero
         # beyond the tenth s-column: the crop overwrites W by its
@@ -464,8 +484,9 @@ class TestMcEngine:
                       1e-4 * sign * np.exp(-(y - 4.0) ** 2 / 0.1 - s)])
         W[:, :, 10:] = 0.0
         tol = 1e-6
+        monkeypatch.setattr(cli, "TAIL_TOL", tol)
         Wc = W.copy()
-        crop = cli._support(Wc, lat, tol)
+        crop = cli._support(Wc, lat)
         C = np.stack([cli._db4(w.copy()).ravel() for w in W])
         np.testing.assert_array_equal(Wc.reshape(2, -1), C)
         np.testing.assert_array_equal(crop.W, C[:, crop.keep])
@@ -477,9 +498,9 @@ class TestMcEngine:
         assert not crop.keep[~nonzero].any()
         peak = int(np.argmax(C[1] ** 2))
         assert crop.keep[peak]
-        assert not cli._support(W[:1].copy(), lat, tol).keep[peak]
+        assert not cli._support(W[:1].copy(), lat).keep[peak]
 
-    def test_energy_crop_cuts_ties_together(self):
+    def test_energy_crop_cuts_ties_together(self, monkeypatch):
         # equal energies are kept or dropped as a group: a row flat in y and
         # alternating in s has four equal Daubechies-4 details, bit for bit,
         # and roundoff elsewhere; all four are drawn even when half its
@@ -489,11 +510,12 @@ class TestMcEngine:
         c = cli._db4(w.copy())
         big = np.abs(c) > 1e-12
         assert np.count_nonzero(big) == 4 and np.unique(c[big]).size == 1
-        crop = cli._support(w[None], lat, 0.5)
+        monkeypatch.setattr(cli, "TAIL_TOL", 0.5)
+        crop = cli._support(w[None], lat)
         assert crop.cells == 4 and crop.keep[big.ravel()].all()
         assert crop.dropped <= 1e-30
 
-    def test_cropped_replicas_draw_kept_cells(self):
+    def test_cropped_replicas_draw_kept_cells(self, monkeypatch):
         # W is zero outside rows 10..49 and columns 0..9 (s >= t = 0.15):
         # replica r pairs the kept Daubechies-4 coefficients of W with the
         # first crop.cells float32 normals of stream stream_base + r, which
@@ -508,7 +530,8 @@ class TestMcEngine:
         W[:, :10] = 0.0
         W[:, 50:] = 0.0
         tol = 1e-6
-        crop = cli._support(W.copy(), lat, tol)  # the crop consumes its input
+        monkeypatch.setattr(cli, "TAIL_TOL", tol)
+        crop = cli._support(W.copy(), lat)  # the crop consumes its input
         assert crop.cells < lat.cells // 2 and type(crop.cells) is int
         assert crop.scale == lat.scale
         Wf = W.reshape(2, -1)

@@ -24,9 +24,10 @@ from heatsheet import (ResourceError, SheetLattice, TimeGrid,
                        cameron_martin_laplace, cameron_martin_target,
                        cov_u, cov_u_cross, cov_u_gram, cov_v_gram,
                        drift_variance_exact, residual_report, sheet_sample)
-from heatsheet.gaussfield import (PAIR_BLOCK_ENTRIES, SheetSample,
+from heatsheet.gaussfield import (CM_LEVEL, PAIR_BLOCK_ENTRIES, SheetSample,
                                   TensorTestFunction, WeakformPlan,
-                                  _row_blocks, coverage_halfwidth,
+                                  _cm_lower_triangle, _row_blocks,
+                                  coverage_halfwidth,
                                   cov_u_apply, cov_v_apply,
                                   drift_field_weights, drift_integral_weights,
                                   exp_tails, gram_cholesky,
@@ -202,7 +203,7 @@ class TestMcPairingsBuffer:
             assert X[r, 0] == pytest.approx(direct, rel=1e-4)
 
 
-class TestGreenrep:
+class TestPointWeights:
     def test_zero_sheet_gives_zero(self):
         s = zeroed(sheet_sample(SheetLattice(-5.0, 0.25, 0.25, 40, 2), seed=0))
         lat = s.lattice
@@ -569,7 +570,7 @@ class TestDrift:
 
 
 class TestCameronMartin:
-    # level-2 quadrature values, frozen; gap = 0 is exact up to roundoff
+    # CM_LEVEL = 2 quadrature values, frozen; gap = 0 is exact up to roundoff
     GAP0_REF = {(1.0, 1.0): 0.06249999999999968,
                 (1.0, 2.0): 0.024407768234454286,
                 (2.0, 2.0): 0.01104854345603973}
@@ -582,7 +583,7 @@ class TestCameronMartin:
 
     def test_gap_zero_exact(self):
         for (nu, nu2), ref in self.GAP0_REF.items():
-            val = cameron_martin_laplace(nu, nu2, 0.0, level=2)
+            val = cameron_martin_laplace(nu, nu2, 0.0)
             assert val == pytest.approx(ref, rel=1e-12)
             assert val == pytest.approx(cameron_martin_target(nu, nu2, 0.0),
                                         rel=1e-12)
@@ -592,17 +593,20 @@ class TestCameronMartin:
             cameron_martin_laplace(2.0, 1.0, 0.5)
 
     def test_positive_gap_value(self):
-        val = cameron_martin_laplace(1.0, 2.0, 0.5, level=2)
+        val = cameron_martin_laplace(1.0, 2.0, 0.5)
         assert val == pytest.approx(self.GAP_HALF_REF, rel=1e-12)
         assert val == pytest.approx(cameron_martin_target(1.0, 2.0, 0.5), rel=1e-8)
 
     def test_level_refinement(self):
+        # at equal rates the two triangles are one; each level cuts the
+        # error a hundredfold, and cameron_martin_laplace runs CM_LEVEL
         tgt = cameron_martin_target(1.0, 1.0, 0.7)
-        errs = [abs(cameron_martin_laplace(1.0, 1.0, 0.7, level=l) / tgt - 1.0)
-                for l in range(4)]
+        vals = [2.0 * _cm_lower_triangle(1.0, 1.0, 0.7, l) for l in range(4)]
+        errs = [abs(v / tgt - 1.0) for v in vals]
         assert errs[0] / errs[1] >= 100.0
         assert errs[1] / errs[2] >= 100.0
         assert errs[3] <= 1e-12
+        assert cameron_martin_laplace(1.0, 1.0, 0.7) == vals[CM_LEVEL]
 
     def test_report(self):
         # the relative-error report suite_drift builds at gap 0, here at a
@@ -673,12 +677,14 @@ class TestWeakform:
     @pytest.mark.parametrize("which,seed", [(1, 3), (1, 11), (2, 3), (2, 19)])
     def test_reordering_is_exact(self, which, seed):
         # the FFT-reordered cell weights and the literal U-tabulation path
-        # are the same linear functional of the sheet
+        # on the plan's x nodes are the same linear functional of the sheet;
+        # the oracle builds U from the sheet alone, never from omega
         f = small_tensor(which=which)
         plan = WeakformPlan(f, x_res=8)
         s = plan_sheet(plan, seed)
         fast = plan.residual(s)
-        slow = weakform_residual_reference(s, f, x_res=8)
+        plan.omega = None
+        slow = weakform_residual_reference(s, plan)
         assert abs(fast - slow) <= 1e-11
 
     @pytest.mark.parametrize("which,kw", [(1, dict(x_res=8)),

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from heatsheet import l_nu, l_nu_laplace, laplace_g
 from heatsheet.gaussfield import point_weights
+from heatsheet.kernels import unit_rule
 
 SQRT4PI = math.sqrt(4.0 * math.pi)
 
@@ -42,6 +43,26 @@ def l_nu_quad(nu, t):
 
     i4 = quad(far, 1e-300, 0.5, epsabs=tol, epsrel=tol)[0]
     return math.sqrt(t) / SQRT4PI * (i1 + i2 + i3 + i4)
+
+
+class TestUnitRule:
+    @pytest.mark.parametrize("n", [8, 32, 200])
+    def test_exact_on_polynomials(self, n):
+        # an n-node Gauss-Legendre rule integrates every x^k, k <= 2n - 1,
+        # exactly; on [0, 1] that is 1 / (k + 1), up to roundoff
+        x, w = unit_rule(n)
+        assert x.shape == w.shape == (n,)
+        k = np.arange(2 * n)
+        got = (w[None, :] * x[None, :] ** k[:, None]).sum(axis=1)
+        np.testing.assert_allclose(got, 1.0 / (k + 1.0), rtol=1e-11, atol=0)
+
+    def test_cached_and_read_only(self):
+        # one rule per n, shared by every caller, so none may write to it
+        assert unit_rule(32) is unit_rule(32)
+        for a in unit_rule(32):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.5
 
 
 class TestHeatKernel:

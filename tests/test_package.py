@@ -1,7 +1,7 @@
 """The package namespace: every exported name resolves, none twice, and has
 a caller outside the tests; the benchmark tracer's wrap targets still
-exist; and importing the command line pulls in no scipy subpackage it does
-not use."""
+exist; importing the command line pulls in no scipy subpackage it does not
+use; and one module alone builds Gauss-Legendre rules."""
 import ast
 import dataclasses
 import importlib
@@ -113,3 +113,16 @@ def test_cli_import_skips_unused_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]", f"import heatsheet.cli loads {out.strip()}"
+
+
+def test_one_module_builds_gauss_legendre_rules():
+    # every fixed-node integral takes its rule from kernels.unit_rule, so
+    # no other module may name the scipy constructor behind it, whether
+    # imported, called, defined or reached as an attribute
+    named = set()
+    for path in sorted((ROOT / "src" / "heatsheet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if "roots_legendre" in (getattr(node, f, None)
+                                    for f in ("name", "id", "attr")):
+                named.add(path.name)
+    assert named == {"kernels.py"}, f"roots_legendre named in {sorted(named)}"
