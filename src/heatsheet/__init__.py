@@ -15,12 +15,11 @@ from .gaussfield import (cov_u, cov_u_cross, cov_u_apply, cov_v_apply,
                          cov_u_gram, cov_v_gram, SheetLattice, SheetSample,
                          sheet_sample, sheet_rng, drift_variance_exact,
                          cameron_martin_laplace, cameron_martin_target,
-                         TensorTestFunction, WeakformPlan,
-                         weakform_residual_reference, coverage_halfwidth,
+                         TensorTestFunction, WeakformPlan, coverage_halfwidth,
                          ResourceError)
 from .sde import (FieldState, EvolveConfig, EvolveResult, noise_draw,
-                  stationary_basis, StationarySampler, evolve, smooth_window,
-                  stability_limit, spectral_radius, InstabilityError)
+                  stationary_basis, StationarySampler, evolve, stability_limit,
+                  spectral_radius, InstabilityError)
 from .stats import (VerificationReport, mean_se, var_se, z_test,
                     matrix_compare, residual_report)
 
@@ -34,11 +33,11 @@ __all__ = [
     "cov_u", "cov_u_cross", "cov_u_apply", "cov_v_apply", "cov_u_gram",
     "cov_v_gram", "SheetLattice", "SheetSample", "sheet_sample", "sheet_rng",
     "drift_variance_exact", "cameron_martin_laplace", "cameron_martin_target",
-    "TensorTestFunction", "WeakformPlan", "weakform_residual_reference",
-    "coverage_halfwidth", "ResourceError",
+    "TensorTestFunction", "WeakformPlan", "coverage_halfwidth",
+    "ResourceError",
     "FieldState", "EvolveConfig", "EvolveResult", "noise_draw",
-    "stationary_basis", "StationarySampler", "evolve", "smooth_window",
-    "stability_limit", "spectral_radius", "InstabilityError",
+    "stationary_basis", "StationarySampler", "evolve", "stability_limit",
+    "spectral_radius", "InstabilityError",
     "VerificationReport", "mean_se", "var_se", "z_test", "matrix_compare",
     "residual_report",
 ]

@@ -630,30 +630,7 @@ class WeakformPlan:
         self.omega = np.ascontiguousarray(om[:ns].T)
         self.lattice, self.nx, self.dx = lat, nx, dx
 
-    def residual(self, sheet: SheetSample) -> float:
-        if sheet.lattice != self.lattice:
-            raise ValueError("sheet lattice does not match the plan")
-        return float(np.sum(self.omega * sheet.increments))
-
     def variance_discrete(self) -> float:
         lat = self.lattice
         return float(np.sum(self.omega ** 2) * lat.dy * lat.ds)
 
-
-def weakform_residual_reference(sheet: SheetSample,
-                                plan: WeakformPlan) -> float:
-    """Literal tabulation path on plan's f and x nodes, never its omega:
-    U(x_i, t_j) from the sheet's own lattice (point_weights) summed against
-    the bracket.  Quadratically more work than the plan path; kept as the
-    oracle that the reordering is exact.  Use small grids.
-    """
-    f, g = plan.f, plan.f.ft.grid
-    x, dx = _x_nodes(f, plan.x_res)
-    A = _bracket(f, x)
-    yn, sn = sheet.lattice.y_nodes, sheet.lattice.s_nodes
-    eta = 0.0
-    for i in range(x.size):
-        for j, t in enumerate(g.nodes):
-            w = point_weights(yn, sn, x[i], t)
-            eta += float(np.sum(w * sheet.increments)) * A[i, j] * dx * g.dt
-    return eta

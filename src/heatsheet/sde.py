@@ -57,29 +57,6 @@ def spectral_radius(grid: TimeGrid, dz: float) -> float:
     return math.sqrt(max(1.0, nyquist))
 
 
-def smooth_window(grid: TimeGrid, lo: float, hi: float,
-                  ramp: float = 1.0) -> np.ndarray:
-    """C-infinity plateau window: 1 on [lo+ramp, hi-ramp], 0 outside [lo, hi]."""
-    if not (0.0 <= lo < hi <= grid.t_max):
-        raise ValueError("window must sit inside [0, t_max]")
-    if 2.0 * ramp >= hi - lo:
-        raise ValueError("ramps overlap")
-
-    def S(x):
-        out = np.zeros_like(x)
-        up = x >= 1.0
-        mid = (x > 0.0) & ~up
-        out[up] = 1.0
-        xm = x[mid]
-        a = np.exp(-1.0 / xm)
-        b = np.exp(-1.0 / (1.0 - xm))
-        out[mid] = a / (a + b)
-        return out
-
-    t = grid.nodes
-    return S((t - lo) / ramp) * S((hi - t) / ramp)
-
-
 @dataclass(frozen=True, eq=False)
 class FieldState:
     """State (u, v) of the spatial dynamics at location z.
@@ -217,7 +194,7 @@ class EvolveConfig:
         if self.dz > lim * (1.0 + 1e-12):
             raise ValueError(
                 f"dz={self.dz:g} violates the stability rule "
-                f"dz <= 0.1 sqrt(dt) = {lim:.6g}")
+                f"dz <= {STABILITY_FACTOR:g} sqrt(dt) = {lim:.6g}")
 
     def check_records(self, block: int):
         """Raise ResourceError unless the records evolve allocates for a

@@ -680,7 +680,8 @@ class TestWorkerInvariance:
         assert reports(3) == first
 
 
-# each command at a reduced size; only the recorded seeds are checked
+# each command at a reduced size; only the recorded seeds and the rerun
+# bytes are checked
 SEED_RUNS = {
     "ops": ["verify-ops"],
     "cov": ["verify-cov", "--replicas", "16"],
@@ -691,17 +692,40 @@ SEED_RUNS = {
 }
 
 
-class TestReportSeeds:
-    @pytest.mark.parametrize("suite", list(SEED_RUNS))
-    def test_every_report_records_the_suite_seed(self, tmp_path, suite):
-        rc = run([*SEED_RUNS[suite], "--seed", "5", "--out", str(tmp_path)])
+@pytest.fixture(scope="module", params=list(SEED_RUNS))
+def seed_runs(request, tmp_path_factory):
+    """(suite, report texts) of one SEED_RUNS command at seed 5, run at
+    --workers 1 and again at --workers 2."""
+    suite = request.param
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path_factory.mktemp(f"{suite}_w{workers}")
+        rc = run([*SEED_RUNS[suite], "--seed", "5", "--workers", workers,
+                  "--out", str(out)])
         assert rc in (0, 1)
-        doc = json.loads((tmp_path / f"{suite}_report.json").read_text())
+        texts.append((out / f"{suite}_report.json").read_text())
+    return suite, texts
+
+
+class TestReportSeeds:
+    def test_every_report_records_the_suite_seed(self, seed_runs):
+        suite, texts = seed_runs
+        doc = json.loads(texts[0])
         assert doc["config"]["seed"] == 5
         assert doc["reports"]
         want = suite_seed(RunConfig(seed=5), suite)
         assert [r["seed"] for r in doc["reports"]] \
             == [want] * len(doc["reports"])
+
+    def test_reruns_are_byte_identical(self, seed_runs):
+        # a rerun at another worker count changes only the two lines that
+        # record when and how it ran: the top-level timestamp and the
+        # config's workers
+        _, texts = seed_runs
+        a, b = ([ln for ln in t.splitlines(keepends=True)
+                 if not ln.startswith(('  "timestamp": ', '    "workers": '))]
+                for t in texts)
+        assert a == b
 
 
 class TestEvolveArtifacts:

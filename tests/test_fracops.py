@@ -13,9 +13,9 @@ import pytest
 
 import heatsheet as hs
 from heatsheet import (SpectralPlan, TimeGrid, antisym_extend, cov_v_apply,
-                       frac_laplacian, halfroot_conv, l_nu, op_A1, op_A2,
-                       smooth_window)
+                       frac_laplacian, halfroot_conv, l_nu, op_A1, op_A2)
 from heatsheet.fracops import A2_TAIL_POWER, a1_a2_residual
+from windows import smooth_window
 
 T_MAX = 8.0
 N = 1024

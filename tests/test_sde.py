@@ -15,12 +15,13 @@ import pytest
 import heatsheet as hs
 from heatsheet import (EvolveConfig, EvolveResult, FieldState, InstabilityError,
                        SpectralPlan, StationarySampler, TimeGrid, evolve,
-                       noise_draw, smooth_window, spectral_radius,
-                       stability_limit, stationary_basis)
+                       noise_draw, spectral_radius, stability_limit,
+                       stationary_basis)
 from heatsheet.cli import EVOLVE_BATCH, _parallel
 from heatsheet.fracops import frac_laplacian
 from heatsheet.gaussfield import MAX_SHEET_CELLS, sheet_rng
 from heatsheet.sde import SQRT2, _drift_terms
+from windows import smooth_window
 
 T_MAX = 8.0
 N = 512
@@ -335,11 +336,17 @@ class TestEvolveConfig:
         with pytest.raises(ValueError):
             EvolveConfig(dz=0.01, Z=1.0, observables=(h1, h2))
 
-    def test_stability_rule(self, grid):
+    def test_stability_rule(self, grid, monkeypatch):
         cfg = EvolveConfig(dz=1.0, Z=2.0, observables=())
-        with pytest.raises(ValueError, match="stability rule"):
+        with pytest.raises(ValueError,
+                           match=r"stability rule dz <= 0\.1 sqrt\(dt\)"):
             cfg.check_stability(grid)
         EvolveConfig(dz=0.0125, Z=1.0, observables=()).check_stability(grid)
+        # the message states the constant the rule is computed from
+        monkeypatch.setattr("heatsheet.sde.STABILITY_FACTOR", 0.05)
+        with pytest.raises(ValueError,
+                           match=r"dz <= 0\.05 sqrt\(dt\) = 0\.00625$"):
+            cfg.check_stability(grid)
 
     def test_steps(self):
         assert EvolveConfig(dz=0.0125, Z=1.0, observables=()).steps == 80
