@@ -83,13 +83,16 @@ too; f1 and f2 differ in their spatial radius x_radius.""",
 The SDE in the spatial variable z,
     du = v dz,
     dv = -(halflap u + sqrt(2) quarterlap v) dz - dW,
-preserves the field/derivative law of the heat-equation solution.
-Started from stationary draws, carried by a basis of bumps, and stepped
-by explicit Euler in steps dz up to Z, the terminal pairings against
-bumps must stay centered, with the Gram diagonals the initializer used
-as variances; a telescoping audit checks the step bookkeeping.  The
-damping drains what the noise injects, which is what makes the law
-stationary rather than exploding or dying.""",
+preserves the field/derivative law of the heat-equation solution: it
+is Langevin dynamics with potential 1/2 <u; halflap u> and friction
+sqrt(2) quarterlap.  Started from stationary draws, carried by a basis of
+bumps, and stepped by the BAOAB splitting (half kick, half drift, an
+exact Ornstein-Uhlenbeck step per sine mode, half drift, half kick) in
+steps dz up to Z, the terminal pairings against bumps must stay centered,
+with the Gram diagonals the initializer used as variances; a telescoping
+audit checks the step bookkeeping.  The damping drains what the noise
+injects, which is what makes the law stationary rather than exploding or
+dying.""",
      ("dz", "basis")),
 )
 

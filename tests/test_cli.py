@@ -12,7 +12,7 @@ import pytest
 
 from heatsheet import ResourceError, cli, gaussfield, sde
 from heatsheet.cli import (CHUNK_CELL_BUDGET, CHUNK_REPLICAS, COMMAND_FLAGS,
-                           OPTIONS, TAGS, RunConfig, _mc_chunks,
+                           EVOLVE_BATCH, OPTIONS, TAGS, RunConfig, _mc_chunks,
                            _mc_pairings, build_config, main, make_parser,
                            suite_cov, suite_drift, suite_evolve, suite_ops,
                            suite_seed, suite_spde, write_report)
@@ -103,7 +103,7 @@ class TestExitCodes:
         assert "stability rule" in capsys.readouterr().err
 
     def test_evolve_zero_steps(self, tmp_path, capsys):
-        # Z below dz/2 = 0.0125 would run no step and pass vacuously
+        # Z below dz/2 = 0.05 would run no step and pass vacuously
         rc = run(["evolve", "--Z", "0.001", "--replicas", "4", "--n", "256",
                   "--out", str(tmp_path)])
         assert rc == 2
@@ -111,7 +111,8 @@ class TestExitCodes:
         assert not (tmp_path / "evolve_report.json").exists()
 
     @pytest.mark.parametrize("steps_flags,named", [
-        (["--Z", "1e300"], "Z=1e+300 / dz=0.05 = 2e+301 steps"),
+        (["--Z", "1e300", "--dz", "0.05"],
+         "Z=1e+300 / dz=0.05 = 2e+301 steps"),
         (["--dz", "1e-300"], "Z=1 / dz=1e-300 = 1e+300 steps"),
         (["--Z", "1e300", "--dz", "1e-10"], "Z=1e+300 / dz=1e-10 = inf steps"),
     ])
@@ -681,35 +682,47 @@ class TestWorkerInvariance:
 
 
 # each command at a reduced size; only the recorded seeds and the rerun
-# bytes are checked
+# bytes are checked.  The Monte Carlo commands take one replica more than a
+# chunk (an evolve block) holds, so --workers 2 shares out two ranges.
+MC_SPLIT = str(CHUNK_REPLICAS + 1)
 SEED_RUNS = {
     "ops": ["verify-ops"],
-    "cov": ["verify-cov", "--replicas", "16"],
-    "drift": ["verify-drift", "--tmax", "4", "--replicas", "16"],
-    "spde": ["verify-spde", "--n", "64", "--replicas", "16"],
-    "evolve": ["evolve", "--tmax", "8", "--n", "256", "--replicas", "4",
-               "--Z", "0.2"],
+    "cov": ["verify-cov", "--replicas", MC_SPLIT],
+    "drift": ["verify-drift", "--tmax", "4", "--replicas", MC_SPLIT],
+    "spde": ["verify-spde", "--n", "64", "--replicas", MC_SPLIT],
+    "evolve": ["evolve", "--tmax", "8", "--n", "256", "--replicas",
+               str(EVOLVE_BATCH + 1), "--Z", "0.2"],
 }
 
 
 @pytest.fixture(scope="module", params=list(SEED_RUNS))
 def seed_runs(request, tmp_path_factory):
-    """(suite, report texts) of one SEED_RUNS command at seed 5, run at
-    --workers 1 and again at --workers 2."""
+    """(suite, report texts, range counts) of one SEED_RUNS command at seed
+    5, run at --workers 1 and again at --workers 2; the range counts are
+    those of every cli._parallel call of the two runs."""
     suite = request.param
     texts = []
-    for workers in ("1", "2"):
-        out = tmp_path_factory.mktemp(f"{suite}_w{workers}")
-        rc = run([*SEED_RUNS[suite], "--seed", "5", "--workers", workers,
-                  "--out", str(out)])
-        assert rc in (0, 1)
-        texts.append((out / f"{suite}_report.json").read_text())
-    return suite, texts
+    splits = []
+
+    def counted(ranges, workers, task):
+        splits.append(len(ranges))
+        return parallel(ranges, workers, task)
+
+    parallel = cli._parallel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parallel", counted)
+        for workers in ("1", "2"):
+            out = tmp_path_factory.mktemp(f"{suite}_w{workers}")
+            rc = run([*SEED_RUNS[suite], "--seed", "5", "--workers", workers,
+                      "--out", str(out)])
+            assert rc in (0, 1)
+            texts.append((out / f"{suite}_report.json").read_text())
+    return suite, texts, splits
 
 
 class TestReportSeeds:
     def test_every_report_records_the_suite_seed(self, seed_runs):
-        suite, texts = seed_runs
+        suite, texts, _ = seed_runs
         doc = json.loads(texts[0])
         assert doc["config"]["seed"] == 5
         assert doc["reports"]
@@ -721,11 +734,20 @@ class TestReportSeeds:
         # a rerun at another worker count changes only the two lines that
         # record when and how it ran: the top-level timestamp and the
         # config's workers
-        _, texts = seed_runs
+        _, texts, _ = seed_runs
         a, b = ([ln for ln in t.splitlines(keepends=True)
                  if not ln.startswith(('  "timestamp": ', '    "workers": '))]
                 for t in texts)
         assert a == b
+
+    def test_second_worker_gets_work(self, seed_runs):
+        # every Monte Carlo range list splits in two, so the rerun above
+        # shares each one out; verify-ops draws nothing and splits nothing
+        suite, _, splits = seed_runs
+        if suite == "ops":
+            assert splits == []
+        else:
+            assert splits and min(splits) >= 2
 
 
 class TestEvolveArtifacts:
