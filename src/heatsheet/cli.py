@@ -458,13 +458,16 @@ def suite_cov(cfg: RunConfig) -> list:
 
     # Gram comparison of field and derivative pairings at x = 0
     hs = cov_observables(grid)
+    m = len(hs)
     yn, sn = gram.y_nodes, gram.s_nodes
-    crop = _support(np.concatenate([
-        pair_u_weights(yn, sn, 0.0, hs, t_max),
-        pair_v_weights(yn, sn, 0.0, hs, t_max)]), gram)
+    # one stack, written in place, so the u and v weights are not copied
+    W = np.empty((2 * m, gram.ny, gram.ns))
+    W[:m] = pair_u_weights(yn, sn, 0.0, hs, t_max)
+    W[m:] = pair_v_weights(yn, sn, 0.0, hs, t_max)
+    crop = _support(W, gram)
+    del W
     X = _mc_pairings(crop.W, crop.cells, crop.scale, R_gram,
                      seed, GRAM_STREAM_BASE, cfg.workers)
-    m = len(hs)
     S = np.cov(X.T, ddof=1)
     se = _cov_se(S, R_gram)
     gdesc = {"dy": gram.dy, "ds": gram.ds, "ny": gram.ny, "ns": gram.ns,
@@ -678,7 +681,7 @@ def suite_evolve(cfg: RunConfig):
     _parallel([(lo, min(lo + EVOLVE_BATCH, R))
                for lo in range(0, R, EVOLVE_BATCH)], cfg.workers, task)
 
-    gdesc = {"t_max": t_max, "n": n, "dz": dz, "Z": Z,
+    gdesc = {"t_max": t_max, "n": n, "dz": ecfg.step, "Z": Z,
              "basis": len(sampler.basis)}
     reports = [residual_report(
         "telescoping audit, max over replicas", float(book.max()), 1e-10,

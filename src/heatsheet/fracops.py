@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, idst, irfft, next_fast_len, rfft
+from scipy.fft import dst, irfft, next_fast_len, rfft
 from scipy.special import erfc
 
 from .grid import TimeGrid, TestFunction, antisym_extend
@@ -42,13 +42,16 @@ class SpectralPlan:
     """Sine-transform workspace for the odd extensions of TimeGrid values.
 
     An even multiplier applied to an odd sequence is diagonal in the sine
-    basis, so forward takes the half-line values f (..., n) of f^a and
-    returns the DST-II of f zero-padded to padded_len // 2.  Its bin k has
-    the magnitude of bin k + 1 of the complex transform of the 2n values of
-    f^a on [-t_max, t_max] zero-padded to padded_len = pad 2n, whose bin 0
-    vanishes.  pad >= 2 guarantees linear (not circular) convolution
-    semantics for inputs that decay at t_max.  Multipliers are cached per
-    beta.
+    basis.  Bin k of the complex transform of the 2n values of f^a on
+    [-t_max, t_max], zero-padded to padded_len = pad 2n, has the magnitude
+    of bin k - 1 of the DST-II of f zero-padded to 2M = padded_len / 2;
+    bin 0 vanishes.  As f is zero past M = padded_len / 4 >= n, that DST-II
+    splits exactly into a DST-IV of length M for its odd bins 1, 3, ..,
+    2M - 1 and a DST-II of length M for its even bins 2, 4, .., 2M, so no
+    transform runs over the padding.  forward returns the odd bins, then
+    the even ones, and tau lists them in that order.  pad >= 2 guarantees
+    linear (not circular) convolution semantics for inputs that decay at
+    t_max.  Multipliers are cached per beta.
     """
 
     grid: TimeGrid
@@ -58,6 +61,9 @@ class SpectralPlan:
     def __post_init__(self):
         if self.pad < 2:
             raise ValueError("zero-padding factor must be >= 2")
+        if self.pad * self.grid.n % 2:
+            raise ValueError("pad n must be even, so that the padded sine "
+                             "transform splits into halves")
 
     @property
     def padded_len(self) -> int:
@@ -65,11 +71,13 @@ class SpectralPlan:
 
     @functools.cached_property
     def tau(self) -> np.ndarray:
-        """Angular frequency of each sine bin: 2 pi k / (padded_len dt),
-        k = 1..padded_len/2."""
+        """Angular frequency of each sine bin, 2 pi k / (padded_len dt), in
+        forward's order: k = 1, 3, .., padded_len/2 - 1, then k = 2, 4, ..,
+        padded_len/2."""
         N = self.padded_len
-        return 2.0 * np.pi * (
-            np.arange(1, N // 2 + 1) * (1.0 / (N * self.grid.dt)))
+        k = np.arange(1, N // 2 + 1)
+        k = np.concatenate([k[::2], k[1::2]])
+        return 2.0 * np.pi * (k * (1.0 / (N * self.grid.dt)))
 
     def multiplier(self, beta: float) -> np.ndarray:
         if beta not in self._mult:
@@ -80,11 +88,18 @@ class SpectralPlan:
         """Sine spectrum (..., padded_len/2) of half-line values (..., n)."""
         if f.shape[-1] != self.grid.n:
             raise ValueError("input not on the plan's TimeGrid")
-        return dst(f, type=2, n=self.padded_len // 2, axis=-1)
+        M = self.padded_len // 4
+        return np.concatenate([dst(f, type=4, n=M, axis=-1),
+                               dst(f, type=2, n=M, axis=-1)], axis=-1)
 
     def inverse(self, spec: np.ndarray) -> np.ndarray:
         """Inverse of forward, restricted to the half line: (..., n)."""
-        return idst(spec, type=2, axis=-1)[..., :self.grid.n]
+        M = self.padded_len // 4
+        f = dst(spec[..., :M], type=4, axis=-1)
+        f += dst(spec[..., M:], type=3, axis=-1)
+        f = f[..., :self.grid.n]
+        f /= 4 * M
+        return f
 
 
 def frac_laplacian(fa: np.ndarray, beta: float,

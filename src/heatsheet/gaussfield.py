@@ -47,7 +47,9 @@ PAIR_V_CUT = 6.5  # e^(-v^2) support cut for the derivative-kernel integral
 # (s-row, distance, node) entries of one block of a pairing build's tables:
 # 0.5 MB per float64 table, a handful of them alive at once; blocks of 2^15
 # to 2^17 entries built the default cov and drift weights equally fast on a
-# 2-core Xeon, 2^18 and more ran slower
+# 2-core Xeon, 2^18 and more ran slower.  WeakformPlan's blocked transforms
+# take the same entry count: from 2^14 to 2^24 the default spde plans
+# built equally fast
 PAIR_BLOCK_ENTRIES = 1 << 16
 
 # weak-form plan: x cells per space-bump radius, sheet margin beyond the
@@ -609,25 +611,36 @@ class WeakformPlan:
         Ktab = np.exp(-dist[None, :] ** 2 / (4.0 * um[:, None])) \
             / np.sqrt(4.0 * np.pi * um[:, None])
         NF = 4 * nt
-        Khat = np.zeros((NF // 2 + 1, next_fast_len(dist.size)), dtype=complex)
+        L = next_fast_len(dist.size)
+        Khat = np.zeros((NF // 2 + 1, L), dtype=complex)
         np.fft.rfft(Ktab, n=NF, axis=0, out=Khat[:, :dist.size])
         del Ktab
         Bt = np.zeros((NF, nx))
         Bt[0:2 * nt:2] = (A * dx * dt).T
-        Bhat = np.zeros_like(Khat)  # the bracket, upsampled 2x in distance
-        np.fft.rfft(Bt, axis=0, out=Bhat[:, 0:2 * nx:2])
+        Bt = np.fft.rfft(Bt, axis=0)
         # Ohat[c] = sum_i conj(Khat[ny - 1 - c + 2i]) Bhat[2i] = conj(C[ny - 1
         # - c]) with C[d] = sum_p Khat[d + p] conj(Bhat[p]), one correlation
-        # by FFT along distance; its lags d + p < dist.size do not wrap
-        np.fft.fft(Khat, axis=1, out=Khat)
-        np.fft.fft(Bhat, axis=1, out=Bhat)
-        Khat *= np.conjugate(Bhat, out=Bhat)
-        del Bhat
-        np.fft.ifft(Khat, axis=1, out=Khat)
-        np.conjugate(Khat, out=Khat)
-        om = np.fft.irfft(Khat[:, ny - 1::-1], n=NF, axis=0)
-        del Khat
-        self.omega = np.ascontiguousarray(om[:ns].T)
+        # by FFT along distance; its lags d + p < dist.size do not wrap.
+        # Bhat, the bracket upsampled 2x in distance, is formed a block of
+        # frequency rows at a time, so no second table of Khat's size lives
+        rows = max(1, PAIR_BLOCK_ENTRIES // L)
+        for r in range(0, NF // 2 + 1, rows):
+            K = Khat[r:r + rows]
+            Bhat = np.zeros_like(K)
+            Bhat[:, 0:2 * nx:2] = Bt[r:r + rows]
+            np.fft.fft(K, axis=1, out=K)
+            np.fft.fft(Bhat, axis=1, out=Bhat)
+            K *= np.conjugate(Bhat, out=Bhat)
+            np.fft.ifft(K, axis=1, out=K)
+            np.conjugate(K, out=K)
+        # omega row c is the first ns times of column ny - 1 - c, whose
+        # inverse transforms run a block of columns at a time
+        self.omega = np.empty((ny, ns))
+        cols = max(1, PAIR_BLOCK_ENTRIES // NF)
+        for c in range(0, ny, cols):
+            c1 = min(c + cols, ny)
+            om = np.fft.irfft(Khat[:, ny - c1:ny - c][:, ::-1], n=NF, axis=0)
+            self.omega[c:c1] = om[:ns].T
         self.lattice, self.nx, self.dx = lat, nx, dx
 
     def variance_discrete(self) -> float:

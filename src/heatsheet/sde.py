@@ -190,12 +190,6 @@ class EvolveConfig:
     def __post_init__(self):
         if self.dz <= 0 or self.Z <= 0:
             raise ValueError("dz and Z must be positive")
-        # round(Z / dz) == 0 exactly when Z / dz <= 1/2; testing the
-        # quotient never rounds an infinite one
-        if self.Z / self.dz <= 0.5:
-            raise ValueError(
-                f"Z={self.Z:g} is at most dz/2 = {self.dz / 2:g}, "
-                f"so the run would take no step")
         if self.observables:
             g = self.observables[0].grid
             if any(h.grid != g for h in self.observables):
@@ -212,7 +206,8 @@ class EvolveConfig:
         """Raise ResourceError unless the records evolve allocates for a
         block of this many replicas fit: (steps + 1) rows of 2m pairings a
         replica, plus the steps + 1 z nodes.  The step count is taken as
-        the float Z / dz, so that an infinite one fails here too."""
+        the float Z / dz, so that an infinite one fails here, before steps
+        takes its ceiling."""
         steps = self.Z / self.dz
         check_sheet_cells(
             (steps + 1.0) * (block * 2 * len(self.observables) + 1),
@@ -221,7 +216,16 @@ class EvolveConfig:
 
     @property
     def steps(self) -> int:
-        return int(round(self.Z / self.dz))
+        """The fewest steps of at most dz that reach Z, at least one; a
+        quotient Z / dz within roundoff of a whole number takes that
+        number."""
+        return max(1, math.ceil(self.Z / self.dz * (1.0 - 1e-12)))
+
+    @property
+    def step(self) -> float:
+        """The step evolve takes, Z / steps: at most dz, so it keeps the
+        stability rule that dz meets, and it lands on Z."""
+        return self.Z / self.steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +261,9 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     from rngs[r] in step order, so each row reproduces that replica run as
     a block of one.  A noiseless run (cfg.noise False) needs none.
 
-    A copy of init is stepped in place.  With A1 = halflap and gamma =
-    sqrt(2) tau^(1/2) on the sine modes of the plan, one step is:
+    A copy of init is stepped in place, cfg.steps times by dz = cfg.step
+    = Z / cfg.steps, so the run ends at z + Z.  With A1 = halflap and
+    gamma = sqrt(2) tau^(1/2) on the sine modes of the plan, one step is:
       B  v -= (dz/2) A1 u
       A  u += (dz/2) v
       O  V = e^(-gamma dz) V + gain W, v = inverse(V), where W is the sine
@@ -269,11 +274,12 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     The sine spectrum U of u is carried across steps (each half drift adds
     (dz/2) forward(v) to it), and A1 u is computed once a step, since a
     step's closing kick and the next step's opening kick read the same u.
-    A step costs three real forward transforms (v before O, the noise row,
-    v after O) and two inverses (v, A1 u).  As u moves only by the half
-    drifts, the pairings satisfy <u_Z; h> - <u_0; h> = sum of (dz/2) <v;
-    h> over the two half-drift velocities of every step, to roundoff; the
-    realized maximum deviation is stored on the result.
+    A step costs three forward transforms (v before O, the noise row, v
+    after O) and two inverses (v, A1 u), each a pair of real sine
+    transforms of length pad n / 2.  As u moves only by the half drifts,
+    the pairings satisfy <u_Z; h> - <u_0; h> = sum of (dz/2) <v; h> over
+    the two half-drift velocities of every step, to roundoff; the realized
+    maximum deviation is stored on the result.
     """
     grid = init.grid
     if init.u.ndim != 2:
@@ -291,9 +297,9 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     Hobs = np.stack([h.values for h in cfg.observables]) \
         if cfg.observables else np.zeros((0, grid.n))
     dt = grid.dt
-    dz = cfg.dz
-    half = 0.5 * dz
     steps = cfg.steps
+    dz = cfg.step
+    half = 0.5 * dz
     m = Hobs.shape[0]
     u_obs = np.zeros((B, steps + 1, m))
     v_obs = np.zeros((B, steps + 1, m))

@@ -102,13 +102,17 @@ class TestExitCodes:
         assert rc == 2
         assert "stability rule" in capsys.readouterr().err
 
-    def test_evolve_zero_steps(self, tmp_path, capsys):
-        # Z below dz/2 = 0.05 would run no step and pass vacuously
+    def test_evolve_short_z_takes_one_step(self, tmp_path):
+        # Z below dz/2 = 0.05 still takes a step, of length Z, which the
+        # report records as its dz
         rc = run(["evolve", "--Z", "0.001", "--replicas", "4", "--n", "256",
                   "--out", str(tmp_path)])
-        assert rc == 2
-        assert "so the run would take no step" in capsys.readouterr().err
-        assert not (tmp_path / "evolve_report.json").exists()
+        assert rc in (0, 1)
+        doc = json.loads((tmp_path / "evolve_report.json").read_text())
+        assert {r["grid"]["dz"] for r in doc["reports"]} == {0.001}
+        z = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                       skiprows=1)[:, 0]
+        np.testing.assert_array_equal(z, [0.0, 0.001])
 
     @pytest.mark.parametrize("steps_flags,named", [
         (["--Z", "1e300", "--dz", "0.05"],

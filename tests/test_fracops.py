@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import dst
 
 import heatsheet as hs
 from heatsheet import (SpectralPlan, TimeGrid, antisym_extend, cov_v_apply,
@@ -66,6 +67,29 @@ class TestSpectralPlan:
     def test_rejects_small_padding(self, grid):
         with pytest.raises(ValueError):
             SpectralPlan(grid, pad=1)
+        # an odd padded half cannot split into odd and even bins
+        with pytest.raises(ValueError, match="pad n must be even"):
+            SpectralPlan(TimeGrid(T_MAX, 1), pad=3)
+
+    @pytest.mark.parametrize("pad", [2, 3, 4])
+    def test_forward_is_the_padded_dst2_in_bin_order(self, grid, pad):
+        # forward splits the DST-II of f zero-padded to padded_len/2 into a
+        # DST-IV (bins 1, 3, ..) and a DST-II (bins 2, 4, ..) of half that
+        # length; the result is those bins in that order, and tau with them
+        p = SpectralPlan(grid, pad=pad)
+        half = p.padded_len // 2
+        order = np.r_[0:half:2, 1:half:2]
+        f1 = hs.TestFunction(2.0, 1.0, grid).values
+        batch = np.random.default_rng(3).standard_normal((3, N))
+        for f in (f1, batch):
+            ref = dst(f, type=2, n=half, axis=-1)[..., order]
+            out = p.forward(f)
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(p.inverse(out) - f)) <= 1e-14
+        k = np.arange(1, half + 1)[order]
+        np.testing.assert_allclose(
+            p.tau, 2.0 * np.pi * k / (p.padded_len * grid.dt), rtol=1e-15)
 
     def test_multiplier_zero_bin(self, plan):
         # odd input has no tau = 0 component, so the sine bins start at the

@@ -126,3 +126,22 @@ def test_one_module_builds_gauss_legendre_rules():
                                     for f in ("name", "id", "attr")):
                 named.add(path.name)
     assert named == {"kernels.py"}, f"roots_legendre named in {sorted(named)}"
+
+
+def test_one_module_runs_sine_transforms():
+    # fracops.SpectralPlan is the one sine-transform implementation, so no
+    # other module may import scipy's sine transforms or reach them as an
+    # attribute; the plan itself needs only dst, whose types 2, 3 and 4
+    # run both directions
+    sine = {"dst", "idst", "dstn", "idstn"}
+    named = set()
+    for path in sorted((ROOT / "src" / "heatsheet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").startswith("scipy"):
+                named |= {(path.name, a.name) for a in node.names
+                          if a.name in sine}
+            elif isinstance(node, ast.Attribute) and node.attr in sine:
+                named.add((path.name, node.attr))
+    assert named == {("fracops.py", "dst")}, \
+        f"sine transforms named in {sorted(named)}"

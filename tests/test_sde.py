@@ -417,14 +417,23 @@ class TestEvolveConfig:
             cfg.check_stability(grid)
 
     def test_steps(self):
-        assert EvolveConfig(dz=0.05, Z=1.0, observables=()).steps == 20
+        cfg = EvolveConfig(dz=0.05, Z=1.0, observables=())
+        # the default step divides Z = 1 exactly, so it is taken as given
+        assert (cfg.steps, cfg.step) == (20, 0.05)
+        # a quotient that is not whole is rounded up and the step shortened
+        # to land on Z: 0.2 / 0.0707 = 2.83 gives 3 steps of 0.0667
+        cfg = EvolveConfig(dz=0.0707, Z=0.2, observables=())
+        assert (cfg.steps, cfg.step) == (3, 0.2 / 3)
+        # 0.45 / 0.03 = 15.000000000000002 in float: roundoff, 15 steps
+        assert EvolveConfig(dz=0.03, Z=0.45, observables=()).steps == 15
+        assert EvolveConfig(dz=0.1, Z=0.7, observables=()).steps == 7
 
-    def test_zero_steps_rejected(self):
-        # Z at most dz/2 rounds to no step, which would make every
-        # verdict on the run vacuous
-        with pytest.raises(ValueError, match="no step"):
-            EvolveConfig(dz=0.05, Z=0.025, observables=())
-        assert EvolveConfig(dz=0.05, Z=0.026, observables=()).steps == 1
+    def test_short_run_takes_one_step_of_z(self):
+        # every Z > 0, at most dz/2 included, takes at least one step, of
+        # length Z
+        for Z in (0.025, 0.026, 1e-9):
+            cfg = EvolveConfig(dz=0.05, Z=Z, observables=())
+            assert (cfg.steps, cfg.step) == (1, Z)
 
     def test_records_budget_counts_the_block(self, grid):
         # (steps + 1) rows of 2m pairings per replica plus the steps + 1 z
@@ -454,6 +463,15 @@ class TestEvolve:
         cfg = EvolveConfig(dz=0.05, Z=0.25, observables=(), noise=False)
         with pytest.raises(ValueError, match=r"\(B, n\) block"):
             evolve(zero_state(grid), cfg, plan)
+
+    def test_ends_at_z(self, grid, plan):
+        # Z / dz = 2.4: three steps of 0.04 land on Z; two of 0.05 would
+        # stop at 0.1
+        cfg = EvolveConfig(dz=0.05, Z=0.12, observables=(), noise=False)
+        res = evolve(zero_block(grid), cfg, plan)
+        np.testing.assert_allclose(res.z_nodes, [0.0, 0.04, 0.08, 0.12],
+                                   rtol=0, atol=1e-15)
+        assert res.final_state.z == pytest.approx(0.12, rel=1e-14)
 
     def test_zero_flow(self, grid, plan):
         h = hs.TestFunction(4.0, 1.0, grid)
