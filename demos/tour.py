@@ -76,8 +76,9 @@ field against dxx f + the half-order time derivative of the extension -
 sqrt(2) d/dx of its quarter-order time derivative, reordered into a
 single pass over the noise cells.  If the new equation holds weakly,
 eta(f) is centered Gaussian with variance ||f||^2.  discrete_variance is
-the plan's own cell-sum variance, whose bias against ||f||^2 is bounded
-too; f1 and f2 differ in their spatial radius x_radius.""",
+the exact variance of the kept coefficients that are drawn, and its bias
+against ||f||^2 is bounded too; f1 and f2 differ in their spatial radius
+x_radius.""",
      ("x_radius", "cells_drawn", "discrete_variance")),
     ("evolve", """\
 The SDE in the spatial variable z,

@@ -116,7 +116,8 @@ class RunConfig:
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.n is not None and (self.n < 2 or self.n & (self.n - 1)):
-            raise ValueError("n must be a power of two")
+            raise ValueError(f"n must be a power of two, at least 2, got "
+                             f"{self.n}")
         if not (0 <= self.seed < U64):
             raise ValueError("seed must fit in 64 bits")
         for name, v in (("tmax", self.t_max), ("dz", self.dz), ("Z", self.Z)):
@@ -615,12 +616,12 @@ def suite_spde(cfg: RunConfig) -> list:
         plan = WeakformPlan(f)
         lat = plan.lattice
         tgt = f.l2sq()
-        bias = abs(plan.variance_discrete() / tgt - 1.0)
         # the crop overwrites omega by its coefficients
         crop = _support(plan.omega[None], lat)
         gdesc = {"t_max": t_max, "n": n, "x_radius": f.x_radius,
                  "dy": lat.dy, "ds": lat.ds, "nx": plan.nx, "dx": plan.dx,
                  **crop.grid()}
+        bias = abs(gdesc["discrete_variance"] / tgt - 1.0)
         del plan  # only the kept weights are held while drawing
         X = _mc_pairings(crop.W, crop.cells, crop.scale, R,
                          seed, fi * SPDE_STREAM_STRIDE, cfg.workers)

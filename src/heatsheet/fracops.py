@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst, irfft, next_fast_len, rfft
@@ -51,12 +51,11 @@ class SpectralPlan:
     transform runs over the padding.  forward returns the odd bins, then
     the even ones, and tau lists them in that order.  pad >= 2 guarantees
     linear (not circular) convolution semantics for inputs that decay at
-    t_max.  Multipliers are cached per beta.
+    t_max.
     """
 
     grid: TimeGrid
     pad: int = 2
-    _mult: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.pad < 2:
@@ -80,9 +79,7 @@ class SpectralPlan:
         return 2.0 * np.pi * (k * (1.0 / (N * self.grid.dt)))
 
     def multiplier(self, beta: float) -> np.ndarray:
-        if beta not in self._mult:
-            self._mult[beta] = self.tau ** beta
-        return self._mult[beta]
+        return self.tau ** beta
 
     def forward(self, f: np.ndarray) -> np.ndarray:
         """Sine spectrum (..., padded_len/2) of half-line values (..., n)."""

@@ -643,7 +643,3 @@ class WeakformPlan:
             self.omega[c:c1] = om[:ns].T
         self.lattice, self.nx, self.dx = lat, nx, dx
 
-    def variance_discrete(self) -> float:
-        lat = self.lattice
-        return float(np.sum(self.omega ** 2) * lat.dy * lat.ds)
-

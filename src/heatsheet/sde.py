@@ -271,12 +271,13 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
          dz)) / (2 gamma dz)), so each mode takes its exact OU step
       A  u += (dz/2) v
       B  v -= (dz/2) A1 u
-    The sine spectrum U of u is carried across steps (each half drift adds
-    (dz/2) forward(v) to it), and A1 u is computed once a step, since a
-    step's closing kick and the next step's opening kick read the same u.
-    A step costs three forward transforms (v before O, the noise row, v
-    after O) and two inverses (v, A1 u), each a pair of real sine
-    transforms of length pad n / 2.  As u moves only by the half drifts,
+    Only (u, v) and the kick (dz/2) A1 u, computed from u once a step,
+    are carried across steps: a step's closing kick and the next step's
+    opening kick read the same u.  A step costs three forward transforms
+    (v before O, the noise row, u for the kick) and two inverses (v, A1 u),
+    each a pair of real sine transforms of length pad n / 2.  Every z
+    reported, the end state's included, is a node init.z + Z k / steps, so
+    the last is exactly init.z + Z.  As u moves only by the half drifts,
     the pairings satisfy <u_Z; h> - <u_0; h> = sum of (dz/2) <v; h> over
     the two half-drift velocities of every step, to roundoff; the realized
     maximum deviation is stored on the result.
@@ -303,16 +304,14 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     m = Hobs.shape[0]
     u_obs = np.zeros((B, steps + 1, m))
     v_obs = np.zeros((B, steps + 1, m))
-    zs = init.z + dz * np.arange(steps + 1)
+    zs = init.z + cfg.Z * (np.arange(steps + 1) / steps)
     noise = np.zeros((B, grid.n))
     halflap = plan.multiplier(1.0)
     decay, gain = _ou_factors(SQRT2 * plan.multiplier(0.5), dz)
 
     u = init.u.copy()
     v = init.v.copy()
-    z = init.z
-    U = plan.forward(u)
-    kick = half * plan.inverse(U * halflap)
+    kick = half * plan.inverse(plan.forward(u) * halflap)
     vsum = np.zeros((B, m))
     for k in range(steps + 1):
         u_obs[:, k] = u @ Hobs.T * dt
@@ -322,7 +321,6 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
         v -= kick
         V = plan.forward(v)
         u += half * v
-        U += half * V
         vsum += v @ Hobs.T * (dt * half)
         V *= decay
         if cfg.noise:
@@ -330,19 +328,18 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
             V += gain * plan.forward(noise)
         v[:] = plan.inverse(V)
         u += half * v
-        U += half * plan.forward(v)
         vsum += v @ Hobs.T * (dt * half)
-        kick = half * plan.inverse(U * halflap)
+        kick = half * plan.inverse(plan.forward(u) * halflap)
         v -= kick
-        z += dz
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise InstabilityError(
-                f"non-finite state at z={z:.6g}; noiseless amplification "
-                f"factor {spectral_radius(grid, dz):.4f} (>= 1 means the step"
-                f" violates stability; limit dz <= {stability_limit(grid):.3e})")
+                f"non-finite state at z={zs[k + 1]:.6g}; noiseless "
+                f"amplification factor {spectral_radius(grid, dz):.4f} (>= 1 "
+                f"means the step violates stability; limit dz <= "
+                f"{stability_limit(grid):.3e})")
 
     book = np.max(np.abs((u_obs[:, -1] - u_obs[:, 0]) - vsum), axis=1,
                   initial=0.0)
+    end = FieldState(u=u, v=v, z=float(zs[-1]), grid=grid)
     return EvolveResult(z_nodes=zs, u_obs=u_obs, v_obs=v_obs,
-                        final_state=FieldState(u=u, v=v, z=z, grid=grid),
-                        bookkeeping_error=book)
+                        final_state=end, bookkeeping_error=book)

@@ -8,7 +8,8 @@ at reduced replica counts and demands byte-identical reports.
 
 Every criterion test emits a single "criterion NN PASS/FAIL" line so a
 captured log reads as a checklist.  One more test reads the draw records
-that every Monte Carlo report of the cov, drift and spde suites carries.
+that every Monte Carlo report of the cov, drift and spde suites carries,
+and another the exact law behind each spde bias report.
 """
 import json
 import math
@@ -235,6 +236,17 @@ def test_mc_reports_record_their_draws(cov_suite, drift_suite, spde_suite):
         assert r.grid["energy_dropped"] <= 1e-8, r.statistic
         if r.rule.startswith("|z|"):
             assert r.grid["discrete_variance"] > 0.0, r.statistic
+
+
+def test_spde_bias_reads_the_drawn_law(spde_suite):
+    # the bias report measures the exact law of the coefficients it draws,
+    # the discrete_variance it records, against ||f||^2
+    for fi in (1, 2):
+        bias = one(spde_suite, f"weak-form discrete variance bias, f{fi}")
+        var = one(spde_suite, f"weak-form residual variance, f{fi}")
+        assert bias.grid == var.grid
+        assert bias.estimate \
+            == abs(bias.grid["discrete_variance"] / var.target - 1.0)
 
 
 # reduced-size rerun pairs: (suite name, extra argv).  Sizes keep the full

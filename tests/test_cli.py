@@ -181,6 +181,7 @@ class TestExitCodes:
         (["verify-cov", "--tmax", "inf"], "tmax must be finite"),
         (["evolve", "--dz", "nan"], "dz must be finite"),
         (["evolve", "--Z", "inf"], "Z must be finite"),
+        (["verify-ops", "--n", "1"], "n must be a power of two, at least 2"),
     ])
     def test_non_finite_value(self, tmp_path, capsys, argv, msg):
         rc = run(argv + ["--out", str(tmp_path)])

@@ -4,6 +4,7 @@ exist; importing the command line pulls in no scipy subpackage it does not
 use; and one module alone builds Gauss-Legendre rules."""
 import ast
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -145,3 +146,12 @@ def test_one_module_runs_sine_transforms():
                 named.add((path.name, node.attr))
     assert named == {("fracops.py", "dst")}, \
         f"sine transforms named in {sorted(named)}"
+
+
+def test_sine_plan_caches_only_tau():
+    # a plan's fields are its grid and padding, and tau is the one array it
+    # keeps: every multiplier is computed from tau when asked for
+    plan = heatsheet.SpectralPlan
+    assert [f.name for f in dataclasses.fields(plan)] == ["grid", "pad"]
+    assert {name for name, v in vars(plan).items()
+            if isinstance(v, functools.cached_property)} == {"tau"}

@@ -19,7 +19,7 @@ from heatsheet import (EvolveConfig, EvolveResult, FieldState, InstabilityError,
                        SpectralPlan, StationarySampler, TimeGrid, evolve,
                        noise_draw, spectral_radius, stability_limit,
                        stationary_basis)
-from heatsheet.cli import EVOLVE_BATCH, _parallel
+from heatsheet.cli import EVOLVE_BATCH, EVOLVE_N, EVOLVE_T_MAX, _parallel
 from heatsheet.fracops import frac_laplacian
 from heatsheet.gaussfield import MAX_SHEET_CELLS, sheet_rng
 from heatsheet.sde import SQRT2, _ou_factors
@@ -473,6 +473,18 @@ class TestEvolve:
                                    rtol=0, atol=1e-15)
         assert res.final_state.z == pytest.approx(0.12, rel=1e-14)
 
+    @pytest.mark.parametrize("t_max,n,dz,Z", [
+        (EVOLVE_T_MAX, EVOLVE_N, None, 1.0), (8.0, 128, 0.1, 0.45)])
+    def test_every_z_is_a_node(self, t_max, n, dz, Z):
+        # the end z is the last node, exactly Z: twenty steps of 0.05 at
+        # the suite's default grid and dz would sum to 1.0000000000000002,
+        # five of 0.09 multiply to 0.44999999999999996
+        g = TimeGrid(t_max, n)
+        cfg = EvolveConfig(dz=dz or stability_limit(g), Z=Z, observables=(),
+                           noise=False)
+        res = evolve(zero_block(g), cfg, SpectralPlan(g))
+        assert res.final_state.z == res.z_nodes[-1] == Z
+
     def test_zero_flow(self, grid, plan):
         h = hs.TestFunction(4.0, 1.0, grid)
         cfg = EvolveConfig(dz=0.05, Z=0.5, observables=(h,), noise=False)
@@ -574,14 +586,16 @@ def _rel_diff(a, b) -> float:
 
 def _oracle(states, cfg, plan, rngs):
     """Per-replica reference stepping: the test's own BAOAB step, its kicks
-    from time-domain frac_laplacian calls, fed the same noise rows."""
+    from time-domain frac_laplacian calls, fed the same noise rows; each
+    run lands on its start z + Z."""
     out = []
     for state, rng in zip(states, rngs):
+        z = state.z + cfg.Z
         for _ in range(cfg.steps):
             noise = rng.standard_normal(state.grid.n) \
                 * math.sqrt(cfg.dz / state.grid.dt)
             state = baoab_step(state, cfg.dz, noise, plan)
-        out.append(state)
+        out.append(FieldState(u=state.u, v=state.v, z=z, grid=state.grid))
     return out
 
 
@@ -603,8 +617,8 @@ class TestBatchedEvolve:
         return init, rngs
 
     def test_matches_time_domain_oracle(self, grid, plan, sampler):
-        # 20 steps at the stability limit: the carried spectrum and the
-        # once-a-step kick agree with the per-replica time-domain route
+        # 20 steps at the stability limit: the once-a-step kick from u's
+        # sine spectrum agrees with the per-replica time-domain route
         cfg = EvolveConfig(dz=stability_limit(grid), Z=1.0, observables=())
         assert cfg.steps == 20
         init, rngs = self.block(sampler, 0, 4)
