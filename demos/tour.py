@@ -90,11 +90,15 @@ sqrt(2) quarterlap.  Started from stationary draws, carried by a basis of
 bumps, and stepped by the BAOAB splitting (half kick, half drift, an
 exact Ornstein-Uhlenbeck step per sine mode, half drift, half kick) in
 steps dz up to Z, the terminal pairings against bumps must stay centered,
-with the Gram diagonals the initializer used as variances; a telescoping
-audit checks the step bookkeeping.  The damping drains what the noise
-injects, which is what makes the law stationary rather than exploding or
-dying.""",
-     ("dz", "basis")),
+with the Gram diagonals the initializer used as variances.  The scheme is
+linear, so one backward sweep gives each pairing's weights on the start
+and the noise rows: every replica is contracted against them, and
+discrete_variance is the exact variance of the scheme's pairing.  The
+first block is also stepped forward: the contraction must match it, and
+a telescoping audit checks its step bookkeeping.  The damping drains
+what the noise injects, which is what makes the law stationary rather
+than exploding or dying.""",
+     ("dz", "basis", "discrete_variance", "replicas_stepped")),
 )
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures as cf
+import copy
 import json
 import math
 import os
@@ -47,7 +48,8 @@ from .gaussfield import (TAIL_TOL, cov_u, cov_u_gram,
                          TensorTestFunction, WeakformPlan, SheetLattice,
                          check_sheet_cells, weakform_geometry, ResourceError)
 from .sde import (EvolveConfig, FieldState, StationarySampler, evolve,
-                  stability_limit)
+                  stability_limit, adjoint_weights, pairing_variances,
+                  noise_draw)
 from .stats import mean_se, var_se, z_test, residual_report, matrix_compare
 
 # suite tags XORed into the master seed (hex digits of pi: nothing up
@@ -89,9 +91,12 @@ CHUNK_REPLICAS = 128
 # float32 cells per chunk buffer, 8 MB a worker; 16 M-cell buffers ran no
 # faster on a 2-core Xeon and raised peak memory by their size
 CHUNK_CELL_BUDGET = 2_000_000
-# evolve steps this many replicas as one (B, n) block; at the default grid
-# larger blocks ran slower and raised peak memory (their transform
-# temporaries outgrow the cache and grow with B)
+# evolve draws and contracts this many replicas as one (B, n) block, the
+# unit the workers share; the first block is also stepped forward for the
+# sample files and the audits, at a cost that grows with B, so at the
+# default grid and 500 replicas on a 2-core Xeon, blocks of 64 and 256 ran
+# slower (medians 0.37 and 0.80 s against 0.27 s) and raised peak memory
+# (69 and 93 MB against 64 MB)
 EVOLVE_BATCH = 16
 
 # refinement reports: halving dt must shrink the error by this factor
@@ -654,17 +659,20 @@ def suite_evolve(cfg: RunConfig):
     m = len(obs)
     ecfg = EvolveConfig(dz=dz, Z=Z, observables=tuple(obs))
     ecfg.check_stability(grid)
-    # a block's records must fit before anything is drawn
+    # a block's records and the pairing weights must fit before anything
+    # is built; the weights come after the sampler, whose build is the
+    # run's peak of memory
     ecfg.check_records(min(R, EVOLVE_BATCH))
+    ecfg.check_weights(grid)
 
     sampler = StationarySampler(grid)
     plan = SpectralPlan(grid)
+    weights = adjoint_weights(ecfg, plan, grid)
+    alpha, beta, gamma = weights
     G1 = cov_u_gram(obs)
     G2 = cov_v_gram(obs)
 
-    UZ = np.zeros((R, m))
-    VZ = np.zeros((R, m))
-    book = np.zeros(R)
+    X = np.zeros((R, 2 * m))   # u-pairings, then v-pairings, at z = Z
     first = {}
 
     def task(lo, hi):
@@ -672,29 +680,45 @@ def suite_evolve(cfg: RunConfig):
         # noise rows, in the same order as a run of r alone
         rngs = [sheet_rng(seed, r) for r in range(lo, hi)]
         init = FieldState.stack([sampler.draw(rng) for rng in rngs])
-        res = evolve(init, ecfg, plan, rngs)
-        UZ[lo:hi] = res.u_obs[:, -1]
-        VZ[lo:hi] = res.v_obs[:, -1]
-        book[lo:hi] = res.bookkeeping_error
         if lo == 0:
-            first["block"] = res
+            # the first block is stepped forward too, on the same noise
+            # rows, replayed from its streams as they stand after the start
+            replay = [np.random.Generator(copy.deepcopy(rng.bit_generator))
+                      for rng in rngs]
+        x = init.u @ alpha.T + init.v @ beta.T
+        noise = np.empty((hi - lo, n))
+        for gk in gamma:
+            noise_draw(rngs, grid, ecfg.step, out=noise)
+            x += noise @ gk.T
+        X[lo:hi] = x
+        if lo == 0:
+            first["block"] = evolve(init, ecfg, plan, replay)
 
     _parallel([(lo, min(lo + EVOLVE_BATCH, R))
                for lo in range(0, R, EVOLVE_BATCH)], cfg.workers, task)
 
+    block = first["block"]
+    stepped = {"replicas_stepped": block.u_obs.shape[0]}
+    gap = np.max(np.abs(np.hstack([block.u_obs[:, -1], block.v_obs[:, -1]])
+                        - X[:block.u_obs.shape[0]]))
+    exact = pairing_variances(weights, sampler, ecfg)
     gdesc = {"t_max": t_max, "n": n, "dz": ecfg.step, "Z": Z,
              "basis": len(sampler.basis)}
     reports = [residual_report(
-        "telescoping audit, max over replicas", float(book.max()), 1e-10,
-        grid=gdesc)]
+        "telescoping audit, max over replicas",
+        float(block.bookkeeping_error.max()), 1e-10,
+        grid={**gdesc, **stepped})]
     for i, h in enumerate(obs):
         lab = f"h{i + 1} (center {h.center:g})"
-        for name, data, tgt_var in (("u", UZ[:, i], G1[i, i]),
-                                    ("v", VZ[:, i], G2[i, i])):
-            reports += _moment_tests(data, float(tgt_var),
-                                     f"terminal {name}-pairing", lab,
-                                     grid=gdesc)
-    return reports, first["block"]
+        for name, col, tgt_var in (("u", i, G1[i, i]),
+                                   ("v", m + i, G2[i, i])):
+            reports += _moment_tests(
+                X[:, col], float(tgt_var), f"terminal {name}-pairing", lab,
+                grid={**gdesc, "discrete_variance": float(exact[col])})
+    reports.append(residual_report(
+        "adjoint contraction against forward stepping, max pairing gap",
+        float(gap), 1e-10, grid={**gdesc, **stepped}))
+    return reports, block
 
 
 # ----------------------------------------------------------------------

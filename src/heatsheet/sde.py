@@ -12,6 +12,12 @@ keeps the stationary u-law exact at every stable dz and lowers the v
 variance by the factor 1 - h^2/4, h = dz sqrt(tau).  See stability_limit
 for the step rule and spectral_radius for the exact amplification factor
 of the noiseless scheme.
+
+The scheme is linear in the start (u, v) and the noise rows, so each
+terminal pairing evolve records is a fixed linear functional of them.
+adjoint_weights walks the step's factors in reverse once and returns its
+weights; contracting a replica's start and noise_draw rows against them
+gives the same pairings, to roundoff, without stepping the field.
 """
 
 from __future__ import annotations
@@ -115,7 +121,9 @@ def noise_draw(rngs: Sequence[np.random.Generator], grid: TimeGrid,
     """One white-in-t Brownian increment per replica, drawn in place into
     the (B, n) block out, row r from rngs[r]: N(0, dz/dt) per cell, so that
     <dW; h> has variance dz ||h||^2 up to grid resolution.  evolve colours
-    each row per sine mode into its Ornstein-Uhlenbeck step's noise."""
+    each row per sine mode into its Ornstein-Uhlenbeck step's noise; a
+    block contracted in bulk pairs each row with one step of the
+    adjoint_weights noise weights instead."""
     for row, rng in zip(out, rngs, strict=True):
         rng.standard_normal(out=row)
     out *= math.sqrt(dz / grid.dt)
@@ -214,6 +222,16 @@ class EvolveConfig:
             f"the records of Z={self.Z:g} / dz={self.dz:g} = {steps:.6g} "
             f"steps")
 
+    def check_weights(self, grid: TimeGrid):
+        """Raise ResourceError unless the noise weights adjoint_weights
+        allocates fit: 2m rows of n nodes a step, the step count taken as
+        the float Z / dz as in check_records."""
+        m, steps = len(self.observables), self.Z / self.dz
+        check_sheet_cells(
+            2 * m * grid.n * steps,
+            f"the pairing weights of {m} observables over Z={self.Z:g} / "
+            f"dz={self.dz:g} = {steps:.6g} steps")
+
     @property
     def steps(self) -> int:
         """The fewest steps of at most dz that reach Z, at least one; a
@@ -280,7 +298,10 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     the last is exactly init.z + Z.  As u moves only by the half drifts,
     the pairings satisfy <u_Z; h> - <u_0; h> = sum of (dz/2) <v; h> over
     the two half-drift velocities of every step, to roundoff; the realized
-    maximum deviation is stored on the result.
+    maximum deviation is stored on the result.  The terminal pairings alone
+    are cheaper to get by contraction against adjoint_weights; evolve is
+    the reference that contraction is checked against, and the one source
+    of the step records and end states.
     """
     grid = init.grid
     if init.u.ndim != 2:
@@ -343,3 +364,69 @@ def evolve(init: FieldState, cfg: EvolveConfig, plan: SpectralPlan,
     end = FieldState(u=u, v=v, z=float(zs[-1]), grid=grid)
     return EvolveResult(z_nodes=zs, u_obs=u_obs, v_obs=v_obs,
                         final_state=end, bookkeeping_error=book)
+
+
+def adjoint_weights(cfg: EvolveConfig, plan: SpectralPlan,
+                    grid: TimeGrid) -> tuple:
+    """Weights (alpha, beta, gamma) of the terminal pairings of evolve.
+
+    With m observables h_i, row i < m stands for <u_Z; h_i> and row m + i
+    for <v_Z; h_i>, both taken as evolve records them, sum(. h_i) dt.  For
+    a start (u_0, v_0) and noise_draw rows eta_k, k < cfg.steps, the
+    pairing of row i is
+        <u_0, alpha_i> + <v_0, beta_i> + sum_k <eta_k, gamma_k,i>,
+    plain dot products over the n nodes: alpha and beta are (2m, n), gamma
+    is (steps, 2m, n).  A noiseless run pairs to the first two terms.
+
+    The rows start at z + Z as (a, b) = (dt h_i, 0) for u-pairings and
+    (0, dt h_i) for v-pairings and walk evolve's five factors backwards,
+    last step first.  Every operator of the step is symmetric on the grid
+    (inverse . diag . forward of one plan), so each transpose reuses it:
+      B  a -= (dz/2) A1 b
+      A  b += (dz/2) a
+      O  F = forward(b); gamma_k = inverse(gain F); b = inverse(decay F)
+      A  b += (dz/2) a
+      B  a -= (dz/2) A1 b
+    The sweep costs 2m rows of one evolve run.  gamma must pass
+    EvolveConfig.check_weights; ResourceError otherwise, before anything
+    is allocated.
+    """
+    if plan.grid != grid:
+        raise ValueError("plan and weights grids differ")
+    if cfg.observables and cfg.observables[0].grid != grid:
+        raise ValueError("observables not on the weights grid")
+    cfg.check_stability(grid)
+    cfg.check_weights(grid)
+    m = len(cfg.observables)
+    steps = cfg.steps
+    half = 0.5 * cfg.step
+    halflap = plan.multiplier(1.0)
+    decay, gain = _ou_factors(SQRT2 * plan.multiplier(0.5), cfg.step)
+    H = np.stack([h.values for h in cfg.observables]) * grid.dt \
+        if cfg.observables else np.zeros((0, grid.n))
+    a = np.concatenate([H, np.zeros_like(H)])
+    b = np.concatenate([np.zeros_like(H), H])
+    gamma = np.empty((steps, 2 * m, grid.n))
+    for k in reversed(range(steps)):
+        a -= half * plan.inverse(plan.forward(b) * halflap)
+        b += half * a
+        F = plan.forward(b)
+        gamma[k] = plan.inverse(gain * F)
+        b = plan.inverse(decay * F)
+        b += half * a
+        a -= half * plan.inverse(plan.forward(b) * halflap)
+    return a, b, gamma
+
+
+def pairing_variances(weights: tuple, sampler: StationarySampler,
+                      cfg: EvolveConfig) -> np.ndarray:
+    """Exact variance of each terminal pairing of a noisy evolve run that
+    starts from a sampler draw, from its adjoint_weights (alpha, beta,
+    gamma): the start pairs as ||L1^T (dual alpha_i)||^2 + ||L2^T (dual
+    beta_i)||^2, and each noise_draw row, N(0, dz/dt) a cell at dz =
+    cfg.step, adds (dz/dt) ||gamma_k,i||^2."""
+    alpha, beta, gamma = weights
+    D = sampler.dual.T
+    return (np.sum((alpha @ D @ sampler.L1) ** 2, axis=1)
+            + np.sum((beta @ D @ sampler.L2) ** 2, axis=1)
+            + cfg.step / sampler.grid.dt * np.sum(gamma ** 2, axis=(0, 2)))

@@ -9,7 +9,8 @@ at reduced replica counts and demands byte-identical reports.
 Every criterion test emits a single "criterion NN PASS/FAIL" line so a
 captured log reads as a checklist.  One more test reads the draw records
 that every Monte Carlo report of the cov, drift and spde suites carries,
-and another the exact law behind each spde bias report.
+another the exact law behind each spde bias report, and another the
+exact law and the contraction gate behind the evolve reports.
 """
 import json
 import math
@@ -236,6 +237,29 @@ def test_mc_reports_record_their_draws(cov_suite, drift_suite, spde_suite):
         assert r.grid["energy_dropped"] <= 1e-8, r.statistic
         if r.rule.startswith("|z|"):
             assert r.grid["discrete_variance"] > 0.0, r.statistic
+
+
+def test_evolve_reports_record_their_law(evolve_suite):
+    # each terminal pairing test records the exact variance of the scheme's
+    # pairing from its adjoint weights; the 5000 replicas agree with it,
+    # it sits within 2 % of the continuum target, and the contraction that
+    # gives the estimates matches the forward-stepped block
+    pair_reps = [r for r in evolve_suite
+                 if r.statistic.startswith("terminal ")]
+    for r in pair_reps:
+        assert r.grid["discrete_variance"] > 0.0, r.statistic
+    for r in pair_reps:
+        if "-pairing variance" in r.statistic:
+            exact = r.grid["discrete_variance"]
+            assert abs(r.estimate - exact) <= 4.0 * r.se, r.statistic
+            assert abs(exact / r.target - 1.0) <= 2e-2, r.statistic
+    gate = one(evolve_suite,
+               "adjoint contraction against forward stepping, "
+               "max pairing gap")
+    audit = one(evolve_suite, "telescoping audit, max over replicas")
+    assert gate.target == 1e-10 and gate.passed
+    assert gate.grid["replicas_stepped"] == audit.grid["replicas_stepped"] \
+        == 16
 
 
 def test_spde_bias_reads_the_drawn_law(spde_suite):

@@ -135,6 +135,23 @@ class TestExitCodes:
         assert err.startswith(f"error: the records of {named} of ")
         assert "exceeds budget" in err
 
+    def test_evolve_weights_over_budget(self, tmp_path, capsys, monkeypatch):
+        # 10 000 steps: the records of a block of 2 hold 0.13 M cells, but
+        # the pairing weights 2 m steps n = 61.44 M, over the 60 M budget;
+        # refused before the stationary basis is built
+        def unreachable(*a, **k):
+            raise AssertionError("basis built before the weights check")
+
+        monkeypatch.setattr(cli, "StationarySampler", unreachable)
+        rc = run(["evolve", "--Z", "500", "--replicas", "2",
+                  "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the pairing weights of 3 observables "
+                              "over Z=500 / dz=0.05 = 10000 steps of ")
+        assert "exceeds budget" in err
+        assert not any(tmp_path.iterdir())
+
     def test_evolve_basis_outnumbers_nodes(self, tmp_path, capsys):
         # 1280 basis bumps on 1024 nodes: a singular Gram, rejected before
         # the sampler factors anything

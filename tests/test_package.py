@@ -82,6 +82,27 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     assert calls["draw"] == 4
 
 
+def test_evolve_bulk_blocks_run_no_transforms(monkeypatch):
+    # the weights sweep and the one forward-stepped block make every sine
+    # transform of an evolve run, so a run of three blocks makes as many
+    # as a run of one
+    cli = importlib.import_module("heatsheet.cli")
+    forward = heatsheet.SpectralPlan.forward
+    calls = []
+
+    def counted(self, f):
+        calls.append(f.shape)
+        return forward(self, f)
+
+    monkeypatch.setattr(heatsheet.SpectralPlan, "forward", counted)
+    counts = []
+    for R in (cli.EVOLVE_BATCH, 3 * cli.EVOLVE_BATCH):
+        calls.clear()
+        cli.suite_evolve(cli.RunConfig(replicas=R, t_max=8.0, n=256, Z=0.25))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_every_export_has_a_caller():
     # every public name must be used by the library, a demo or the
     # benchmark; a name that only the tests reach is dead weight.  Its own

@@ -7,6 +7,7 @@ k u = 0, whose unit-initial solution is e^(-a z) (cos a z + sin a z) with
 a = sqrt(k/2).  On the tone's plateau every operator of the step acts as
 its symbol at tau = k, so one step acts as that mode's 2x2 BAOAB map.
 """
+import copy
 import math
 import warnings
 
@@ -19,10 +20,11 @@ from heatsheet import (EvolveConfig, EvolveResult, FieldState, InstabilityError,
                        SpectralPlan, StationarySampler, TimeGrid, evolve,
                        noise_draw, spectral_radius, stability_limit,
                        stationary_basis)
-from heatsheet.cli import EVOLVE_BATCH, EVOLVE_N, EVOLVE_T_MAX, _parallel
+from heatsheet.cli import (EVOLVE_BATCH, EVOLVE_N, EVOLVE_T_MAX, _parallel,
+                           evolve_observables)
 from heatsheet.fracops import frac_laplacian
 from heatsheet.gaussfield import MAX_SHEET_CELLS, sheet_rng
-from heatsheet.sde import SQRT2, _ou_factors
+from heatsheet.sde import SQRT2, _ou_factors, adjoint_weights
 from windows import smooth_window
 
 T_MAX = 8.0
@@ -685,6 +687,63 @@ class TestBatchedEvolve:
         cfg = EvolveConfig(dz=stability_limit(grid), Z=0.25, observables=())
         with pytest.raises(ValueError, match="one generator per replica"):
             evolve(zero_block(grid), cfg, plan)
+
+
+def _terminal(res: EvolveResult) -> np.ndarray:
+    """The (B, 2m) terminal pairings of a run: u-pairings, then v."""
+    return np.hstack([res.u_obs[:, -1], res.v_obs[:, -1]])
+
+
+class TestAdjointWeights:
+    # dt = 1/16 admits dz = 0.1; Z = 0.45 then takes 5 steps of 0.09, so the
+    # weights must follow the step evolve takes, not the dz asked for
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        return TimeGrid(16.0, 256)
+
+    def cfg(self, grid, noise):
+        return EvolveConfig(dz=0.1, Z=0.45, noise=noise,
+                            observables=tuple(evolve_observables(grid)))
+
+    def test_noiseless_weights_reproduce_evolve(self, coarse):
+        cfg = self.cfg(coarse, noise=False)
+        assert (cfg.steps, cfg.step) == (5, 0.09)
+        plan = SpectralPlan(coarse)
+        alpha, beta, gamma = adjoint_weights(cfg, plan, coarse)
+        assert alpha.shape == beta.shape == (6, coarse.n)
+        assert gamma.shape == (5, 6, coarse.n)
+        u, v = np.random.default_rng(2).standard_normal((2, 3, coarse.n))
+        res = evolve(FieldState(u=u, v=v, z=0.0, grid=coarse), cfg, plan)
+        got = u @ alpha.T + v @ beta.T
+        assert np.max(np.abs(got - _terminal(res))) <= 1e-12
+
+    def test_noisy_block_contraction_reproduces_evolve(self, coarse):
+        # the block's streams contracted, then the same rows replayed into
+        # evolve from a copy of each stream taken after the start
+        cfg = self.cfg(coarse, noise=True)
+        plan = SpectralPlan(coarse)
+        alpha, beta, gamma = adjoint_weights(cfg, plan, coarse)
+        sampler = StationarySampler(coarse)
+        rngs = [sheet_rng(21, r) for r in range(4)]
+        init = FieldState.stack([sampler.draw(g) for g in rngs])
+        replay = [np.random.Generator(copy.deepcopy(g.bit_generator))
+                  for g in rngs]
+        got = init.u @ alpha.T + init.v @ beta.T
+        noise = np.empty((4, coarse.n))
+        for gk in gamma:
+            noise_draw(rngs, coarse, cfg.step, out=noise)
+            got += noise @ gk.T
+        res = evolve(init, cfg, plan, replay)
+        assert np.max(np.abs(got - _terminal(res))) <= 1e-12
+
+    def test_weights_over_budget(self, coarse, monkeypatch):
+        # 6 rows of 5 steps of 256 nodes, one cell over the budget
+        monkeypatch.setattr(hs.gaussfield, "MAX_SHEET_CELLS", 6 * 4.5 * 256 - 1)
+        with pytest.raises(hs.ResourceError,
+                           match="^the pairing weights of 3 observables over "
+                                 "Z=0.45 / dz=0.1 = 4.5 steps of "):
+            adjoint_weights(self.cfg(coarse, noise=True), SpectralPlan(coarse),
+                            coarse)
 
 
 if __name__ == "__main__":
