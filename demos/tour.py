@@ -49,8 +49,12 @@ whose value at nu = nu2 = 1 is 1/4.""",
 The variance of the field at (0, 1), rebuilt from white-noise sheets,
 must match the closed form above, and so must the Grams of field and
 derivative pairings against a family of bumps; field and derivative
-pairings at one point must be uncorrelated.  Each statistic is drawn in
-the sheet's Daubechies-4 basis, cells_drawn normals per replica.
+pairings at one point must be uncorrelated.  The field weights are even
+about the point and the derivative weights odd, so the sheet is folded
+there into the sums and the differences of mirrored cells, and each
+statistic is drawn in the Daubechies-4 basis of its own half,
+cells_drawn normals per replica: field and derivative pairings share no
+normal, and the drawn cross-covariance is exactly 0.
 discrete_variance is the exact variance of the drawn quadrature: its
 distance from the target is the cell-size bias, while the Monte Carlo
 estimate scatters around it within a few se.  discrete_gap is the same
@@ -75,8 +79,12 @@ For a tensor test function f the residual functional eta(f) collects the
 field against dxx f + the half-order time derivative of the extension -
 sqrt(2) d/dx of its quarter-order time derivative, reordered into a
 single pass over the noise cells.  If the new equation holds weakly,
-eta(f) is centered Gaussian with variance ||f||^2.  discrete_variance is
-the exact variance of the kept coefficients that are drawn, and its bias
+eta(f) is centered Gaussian with variance ||f||^2.  The cell weights are
+smooth in time but far from 0 at s = 0, so the sheet's time axis runs out
+and back before its Daubechies-4 transform, which then sees no jump
+where the periodic basis wraps, and cells_drawn normals per replica
+carry all but 1e-8 of the weights' energy.  discrete_variance is the
+exact variance of the kept coefficients that are drawn, and its bias
 against ||f||^2 is bounded too; f1 and f2 differ in their spatial radius
 x_radius.""",
      ("x_radius", "cells_drawn", "discrete_variance")),

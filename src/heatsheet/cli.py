@@ -46,7 +46,8 @@ from .gaussfield import (TAIL_TOL, cov_u, cov_u_gram,
                          drift_integral_weights, drift_variance_exact,
                          cameron_martin_laplace, cameron_martin_target,
                          TensorTestFunction, WeakformPlan, SheetLattice,
-                         check_sheet_cells, weakform_geometry, ResourceError)
+                         check_sheet_cells, weakform_geometry, ResourceError,
+                         PAIR_BLOCK_ENTRIES)
 from .sde import (EvolveConfig, FieldState, StationarySampler, evolve,
                   stability_limit, adjoint_weights, pairing_variances,
                   noise_draw)
@@ -312,11 +313,14 @@ def _mc_chunks(R: int, ncells: int) -> list:
 
 @dataclass(frozen=True)
 class SheetCrop:
-    """Weights cropped to the Daubechies-4 coefficients that carry their
-    energy."""
+    """Weights cropped to the coefficients that carry their energy, in the
+    orthonormal Daubechies-4 basis that _support fitted to how they were
+    built: the lattice's own, its s axis out and back, or the sheet folded
+    about the centre line, whose sum half comes first and difference half
+    second.  Replica r draws one normal per kept coefficient."""
 
-    W: np.ndarray       # (rows, kept): the kept coefficients, in _db4 order
-    keep: np.ndarray    # (ny * ns,) bool: the kept coefficients of _db4
+    W: np.ndarray       # (rows, kept): the kept coefficients, in basis order
+    keep: np.ndarray    # (ny * ns,) bool: the kept coefficients of the basis
     scale: float        # standard deviation of one cell increment
     dropped: float      # largest share of a row's ||w||^2 left out
 
@@ -346,6 +350,14 @@ DB4_H = np.array([0.2303778133088964, 0.7148465705529154, 0.6308807679298587,
 DB4_HG = np.stack([DB4_H, (-1.0) ** np.arange(8) * DB4_H[::-1]])
 
 
+def _blocks(n: int, per: int) -> list:
+    """Slices that split range(n) into runs of at most PAIR_BLOCK_ENTRIES //
+    per items, at least one each: blocks of about PAIR_BLOCK_ENTRIES
+    entries when an item holds per of them."""
+    size = max(1, PAIR_BLOCK_ENTRIES // per)
+    return [slice(j, j + size) for j in range(0, n, size)]
+
+
 def _db4(w: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D Daubechies-4 coefficients of a (ny, ns) float64
     array, written over it; returns w.
@@ -356,52 +368,129 @@ def _db4(w: np.ndarray) -> np.ndarray:
     levels and leaves 45 coarse sums.  The filters wrap periodically, with
     no padding; periodized they stay orthonormal at every even length,
     short ones included, so the transform is an orthogonal matrix on the
-    ny * ns cells.
+    ny * ns cells.  Each level runs over blocks of lines (_blocks), so it
+    holds two block-sized tables and never a copy of w; every line is
+    filtered on its own, so the blocks change no bit of the result.
     """
     for v in (w, w.T):
         n = v.shape[0]
         while n % 2 == 0:
-            ext = v[np.arange(n + 6) % n]  # x_(j mod n) for j < n + 6
-            win = np.lib.stride_tricks.sliding_window_view(ext, 8, axis=0)
-            out = DB4_HG @ np.moveaxis(win[::2], -1, 1)  # (n/2, 2, ...)
-            v[:n // 2], v[n // 2:n] = out[:, 0], out[:, 1]
+            wrap = np.arange(n + 6) % n  # x_(j mod n) for j < n + 6
+            for b in _blocks(v.shape[1], n):
+                blk = v[:, b]
+                win = np.lib.stride_tricks.sliding_window_view(
+                    blk[wrap], 8, axis=0)
+                out = DB4_HG @ np.moveaxis(win[::2], -1, 1)  # (n/2, 2, ...)
+                blk[:n // 2], blk[n // 2:n] = out[:, 0], out[:, 1]
             n //= 2
     return w
 
 
-def _support(W: np.ndarray, lat: SheetLattice) -> SheetCrop:
-    """Weights W of shape (rows, ny, ns) on lat, cropped by energy in the
-    lattice's Daubechies-4 basis.
+def _reflect(w: np.ndarray):
+    """Reorder the s axis of a (ny, ns) array in place, a block of y-rows at
+    a time: the even cells ascending, then the odd cells descending.  A
+    permutation is orthonormal.  A row smooth in s but far from 0 at s = 0
+    then runs out and back, and the periodic wrap of _db4 joins two cells
+    next to s = 0 instead of s = 0 to s_max."""
+    ns = w.shape[1]
+    order = np.concatenate([np.arange(0, ns, 2), np.arange(1, ns, 2)[::-1]])
+    for b in _blocks(w.shape[0], ns):
+        w[b] = w[b][:, order]
 
-    Each row drops its smallest Daubechies-4 coefficients (_db4) while their
-    summed energy c^2 stays within TAIL_TOL of the row's own ||w||^2;
-    coefficients of equal energy go together, so each row's cut is a
-    threshold and zero coefficients always go.  The crop keeps every
-    coefficient that some row keeps.  The transform D is orthonormal, so
-    w . z = (Dw) . (Dz) and the coefficients Dz of a sheet are again i.i.d.
-    normals: a statistic drawn on the kept coefficients alone is exactly
-    N(0, scale^2 ||(DW)_kept||^2), within a relative TAIL_TOL of its law on
-    the full lattice.  Each row is transformed once, in place: a float64
-    C-contiguous W is overwritten by its coefficients, so callers hand over
-    weights they no longer need.
+
+def _prefix_count(s: np.ndarray, limit: float) -> tuple:
+    """(k, total): how many of the prefix sums np.cumsum(s) are at most
+    limit, and the last one read.  The sums are taken a block at a time,
+    each block's continuing the last, so they round as np.cumsum does,
+    without a table of them; the scan stops at the first block past limit.
     """
+    total = 0.0
+    cs = np.empty(min(s.size, PAIR_BLOCK_ENTRIES) + 1)
+    for b in _blocks(s.size, 1):
+        part = cs[:s[b].size + 1]
+        part[0], part[1:] = total, s[b]
+        np.cumsum(part, out=part)
+        total = float(part[-1])
+        if total > limit:
+            return b.start + int(np.searchsorted(part[1:], limit, "right")), \
+                total
+    return s.size, total
+
+
+def _cut(c: np.ndarray, s: np.ndarray) -> float:
+    """The energy at or below which the coefficients c of a row drop: the
+    smallest energies c^2 go while their sum stays within TAIL_TOL of the
+    row's ||c||^2, and equal energies go together, so the cut is a
+    threshold and zero coefficients always go.  s, a buffer of c's size,
+    is left holding c^2 sorted."""
+    np.multiply(c, c, out=s)
+    s.sort()
+    k = _prefix_count(s, TAIL_TOL * _prefix_count(s, math.inf)[1])[0]
+    if k < s.size:  # back to the start of a group of ties
+        k = int(np.searchsorted(s, s[k]))
+    return float(s[k - 1]) if k else 0.0
+
+
+def _support(W: np.ndarray, lat: SheetLattice, parities=None,
+             reflect: bool = False) -> SheetCrop:
+    """Weights W cropped by energy in a Daubechies-4 basis of lat that the
+    caller picks by stating how it built them.
+
+    * parities None: W is (rows, ny, ns), the full lattice.
+    * parities, one +1 (even) or -1 (odd) per row: W is (rows, ny/2, ns),
+      the upper half of a lattice of even ny, and row i stands for the
+      full row that is parities[i] times its mirror image about the
+      lattice's centre line.  The sheet is folded orthonormally into the
+      sums and the differences of mirrored cells, each over sqrt 2: an
+      even row is sqrt 2 times its half on the sum half and 0 on the
+      difference half, an odd row the reverse.
+    * reflect: the s axis runs out and back first (_reflect), for rows
+      smooth in s that start large at s = 0.
+
+    Each row is then transformed on its own half (_db4) and drops its
+    smallest coefficients (_cut); the crop keeps every coefficient that
+    some row keeps, so an even and an odd row share none.  The basis D is
+    orthonormal, so w . z = (Dw) . (Dz) and the coefficients Dz of a sheet
+    are again i.i.d. normals: a statistic drawn on the kept coefficients
+    alone is exactly N(0, scale^2 ||(DW)_kept||^2), within a relative
+    TAIL_TOL of its law on the full lattice.  Each row is transformed once,
+    in place: a float64 C-contiguous W is overwritten by its coefficients,
+    so callers hand over weights they no longer need.  Besides W and the
+    kept coefficients, the crop holds one row-sized buffer and blocks.
+    """
+    if parities is None:
+        halves, half = 1, [0] * len(W)
+    elif lat.ny % 2 or len(parities) != len(W) or W.shape[1] != lat.ny // 2:
+        raise ValueError(f"half-lattice rows need an even ny and one parity "
+                         f"each: {len(parities)} parities for {len(W)} rows "
+                         f"of {W.shape[1]} y-cells on {lat.ny}")
+    else:
+        halves, half = 2, [int(p < 0) for p in parities]
     C = np.asarray(W, dtype=float).reshape(W.shape[0], -1)
-    keep = np.zeros(lat.cells, dtype=bool)
-    for c in C:
-        _db4(c.reshape(lat.ny, lat.ns))
-        e = c ** 2
-        s = np.sort(e)
-        cs = np.cumsum(s)
-        k = int(np.searchsorted(cs, TAIL_TOL * cs[-1], side="right"))
-        if k < s.size:  # back to the start of a group of ties
-            k = int(np.searchsorted(s, s[k]))
-        keep |= e > (s[k - 1] if k else 0.0)
-    drop = ~keep
+    keep = np.zeros((halves, C.shape[1]), dtype=bool)
+    buf = np.empty(C.shape[1])
+    for c, h in zip(C, half):
+        w = c.reshape(lat.ny // halves, lat.ns)
+        if reflect:
+            _reflect(w)
+        if halves == 2:
+            c *= math.sqrt(2.0)
+        _db4(w)
+        cut = _cut(c, buf)
+        for b in _blocks(c.size, 1):
+            keep[h, b] |= c[b] ** 2 > cut
+    cols = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    out = np.zeros((len(C), cols[-1]))
     dropped = 0.0
-    for c in C:
-        cd = c[drop]
-        dropped = max(dropped, float(cd @ cd / (c @ c)))
-    return SheetCrop(C[:, keep], keep, lat.scale, dropped)
+    for i, (c, h) in enumerate(zip(C, half)):
+        out[i, cols[h]:cols[h + 1]] = c[keep[h]]
+        n = 0  # the dropped coefficients, in order, copied into buf
+        for b in _blocks(c.size, 1):
+            cd = c[b][~keep[h, b]]
+            buf[n:n + cd.size] = cd
+            n += cd.size
+        dropped = max(dropped, float(buf[:n] @ buf[:n] / (c @ c)))
+    return SheetCrop(out, keep.ravel(), lat.scale, dropped)
 
 
 def _mc_pairings(W: np.ndarray, ncells: int, scale: float, R: int,
@@ -450,9 +539,12 @@ def suite_cov(cfg: RunConfig) -> list:
     _check_cov_grid(grid)
     reports = []
 
-    # point variance of the field at (0, 1)
-    crop = _support(point_weights(point.y_nodes, point.s_nodes, 0.0,
-                                  1.0)[None], point)
+    # point variance of the field at (0, 1); both bands are symmetric about
+    # y = 0, where the point and u weights are even and the v weights odd,
+    # so each is built on the upper half and cropped in the folded basis
+    crop = _support(point_weights(point.y_nodes[point.ny // 2:],
+                                  point.s_nodes, 0.0, 1.0)[None], point,
+                    parities=(1,))
     X = _mc_pairings(crop.W, crop.cells, crop.scale, R_point, seed, 0,
                      cfg.workers)
     var, se = var_se(X[:, 0])
@@ -465,12 +557,12 @@ def suite_cov(cfg: RunConfig) -> list:
     # Gram comparison of field and derivative pairings at x = 0
     hs = cov_observables(grid)
     m = len(hs)
-    yn, sn = gram.y_nodes, gram.s_nodes
+    yn, sn = gram.y_nodes[gram.ny // 2:], gram.s_nodes
     # one stack, written in place, so the u and v weights are not copied
-    W = np.empty((2 * m, gram.ny, gram.ns))
+    W = np.empty((2 * m, len(yn), gram.ns))
     W[:m] = pair_u_weights(yn, sn, 0.0, hs, t_max)
     W[m:] = pair_v_weights(yn, sn, 0.0, hs, t_max)
-    crop = _support(W, gram)
+    crop = _support(W, gram, parities=(1,) * m + (-1,) * m)
     del W
     X = _mc_pairings(crop.W, crop.cells, crop.scale, R_gram,
                      seed, GRAM_STREAM_BASE, cfg.workers)
@@ -621,8 +713,10 @@ def suite_spde(cfg: RunConfig) -> list:
         plan = WeakformPlan(f)
         lat = plan.lattice
         tgt = f.l2sq()
-        # the crop overwrites omega by its coefficients
-        crop = _support(plan.omega[None], lat)
+        # the crop overwrites omega by its coefficients; omega is smooth in
+        # s, far from 0 at s = 0 and 0 at s_max, so its s axis runs out and
+        # back
+        crop = _support(plan.omega[None], lat, reflect=True)
         gdesc = {"t_max": t_max, "n": n, "x_radius": f.x_radius,
                  "dy": lat.dy, "ds": lat.ds, "nx": plan.nx, "dx": plan.dx,
                  **crop.grid()}

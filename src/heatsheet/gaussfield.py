@@ -286,18 +286,17 @@ def _row_blocks(s_nodes: np.ndarray, t_hi: float, per_row: int) -> list:
     return [live[i:i + size] for i in range(0, live.size, size)]
 
 
-def _block_values(h, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """h on the quadrature nodes t of a block of s-rows, row r's nodes
-    t[r] all at or after s[r]: a TestFunction is 0 on the rows that start
-    after its support ends, and those rows are not evaluated."""
+def _block_values(h, t: np.ndarray) -> np.ndarray:
+    """h on the quadrature nodes t of a block.  A TestFunction is 0 outside
+    its support and is evaluated only on the nodes inside it, a small share
+    of a pairing block's; within ulps of the support's ends the bump
+    underflows to 0, so the values are those of h(t) bit for bit."""
     if not isinstance(h, TestFunction):
         return np.asarray(h(t), dtype=float)
-    on = s < h.support[1]
-    if on.all():
-        return np.asarray(h(t), dtype=float)
+    lo, hi = h.support
+    on = (t > lo) & (t < hi)
     out = np.zeros(t.shape)
-    if on.any():
-        out[on] = h(t[on])
+    out[on] = h(t[on])
     return out
 
 
@@ -329,7 +328,7 @@ def pair_u_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
         E = np.exp(-d2[None, :, None] / (4.0 * w[:, None, :] ** 2))
         t = s[:, None] + w * w
         for i, h in enumerate(hs):
-            Hw = _block_values(h, t, s) * ww
+            Hw = _block_values(h, t) * ww
             out[i][:, rows] = np.einsum("rdk,rk->dr", E, Hw)
     return out[:, inv]
 
@@ -368,7 +367,7 @@ def pair_v_weights(y_nodes: np.ndarray, s_nodes: np.ndarray, x: float,
         np.minimum(tt, t_hi, out=tt)
         for i, h in enumerate(hs):
             out[i][:, rows] = -(2.0 / SQRT4PI) * np.einsum(
-                "rdk,rdk->dr", ej, _block_values(h, tt, s))
+                "rdk,rdk->dr", ej, _block_values(h, tt))
     out = out[:, inv]
     out *= sgn[:, None]
     return out
@@ -582,7 +581,13 @@ class WeakformPlan:
 
     and U tabulated from the heat-kernel representation on the same sheet.
     Half-offset lattices (dy = dx/2, ds = dt/2) keep every kernel
-    evaluation away from the t = s singularity.
+    evaluation away from the t = s singularity.  omega is smooth in s, far
+    from 0 at s = 0 and 0 at s_max, so a periodic wavelet basis fits it
+    best with its s axis run out and back (the reflected crop of
+    cli._support).  The build holds the complex table Khat and blocks of
+    PAIR_BLOCK_ENTRIES entries: the kernel is tabulated and transformed a
+    block of distance columns at a time, and omega is read out of Khat a
+    block of columns at a time at the end.
     """
 
     f: TensorTestFunction
@@ -607,14 +612,18 @@ class WeakformPlan:
         dist = dy * (np.arange(qmin, qmax + 1) + 0.5)
         um = (np.arange(2 * nt) + 0.5) * ds  # half-integer lags m = 2j - k
         # tables run time lag (or frequency) by distance, so that every
-        # transform writes into a table slice or runs in place along rows
-        Ktab = np.exp(-dist[None, :] ** 2 / (4.0 * um[:, None])) \
-            / np.sqrt(4.0 * np.pi * um[:, None])
+        # transform writes into a table slice or runs in place along rows;
+        # the kernel is tabulated and transformed a block of distance
+        # columns at a time, each column on its own, so no table of it lives
         NF = 4 * nt
         L = next_fast_len(dist.size)
         Khat = np.zeros((NF // 2 + 1, L), dtype=complex)
-        np.fft.rfft(Ktab, n=NF, axis=0, out=Khat[:, :dist.size])
-        del Ktab
+        cols = max(1, PAIR_BLOCK_ENTRIES // NF)
+        for c in range(0, dist.size, cols):
+            d = dist[c:c + cols]
+            Ktab = np.exp(-d[None, :] ** 2 / (4.0 * um[:, None])) \
+                / np.sqrt(4.0 * np.pi * um[:, None])
+            np.fft.rfft(Ktab, n=NF, axis=0, out=Khat[:, c:c + d.size])
         Bt = np.zeros((NF, nx))
         Bt[0:2 * nt:2] = (A * dx * dt).T
         Bt = np.fft.rfft(Bt, axis=0)

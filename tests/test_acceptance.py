@@ -9,6 +9,7 @@ at reduced replica counts and demands byte-identical reports.
 Every criterion test emits a single "criterion NN PASS/FAIL" line so a
 captured log reads as a checklist.  One more test reads the draw records
 that every Monte Carlo report of the cov, drift and spde suites carries,
+another the normals the cov and spde reports draw in their fitted bases,
 another the exact law behind each spde bias report, and another the
 exact law and the contraction gate behind the evolve reports.
 """
@@ -237,6 +238,27 @@ def test_mc_reports_record_their_draws(cov_suite, drift_suite, spde_suite):
         assert r.grid["energy_dropped"] <= 1e-8, r.statistic
         if r.rule.startswith("|z|"):
             assert r.grid["discrete_variance"] > 0.0, r.statistic
+
+
+def test_mc_reports_draw_in_fitted_bases(cov_suite, spde_suite):
+    # the cov weights are cropped folded about y = 0 and the spde weights
+    # with their s axis out and back, which caps the normals each replica
+    # draws; an even and an odd row share no coefficient, so the drawn
+    # field/derivative cross-covariance is exactly 0
+    cap = {"field variance at (0,1)": 1867,
+           "field pairing Gram (8x8)": 18905,
+           "derivative pairing Gram (8x8)": 18905,
+           "field/derivative cross-covariance vs 0": 18905}
+    for fi, cells in ((1, 4369), (2, 5367)):
+        for what in ("mean", "variance"):
+            cap[f"weak-form residual {what}, f{fi}"] = cells
+    reports = {r.statistic: r for r in cov_suite[0] + spde_suite
+               if r.statistic in cap}
+    assert reports.keys() == cap.keys()
+    for name, r in reports.items():
+        assert r.grid["cells_drawn"] <= cap[name], name
+    cross = reports["field/derivative cross-covariance vs 0"]
+    assert cross.grid["discrete_gap"] == 0.0
 
 
 def test_evolve_reports_record_their_law(evolve_suite):

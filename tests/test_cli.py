@@ -429,6 +429,50 @@ def db4_matrix(shape) -> np.ndarray:
                      for e in np.eye(n)], axis=1)
 
 
+def db4_unblocked(w: np.ndarray) -> np.ndarray:
+    """The reference Daubechies-4 transform: each level filters every line
+    of the axis in one pass, on a wrapped copy of the whole array."""
+    for v in (w, w.T):
+        n = v.shape[0]
+        while n % 2 == 0:
+            ext = v[np.arange(n + 6) % n]
+            win = np.lib.stride_tricks.sliding_window_view(ext, 8, axis=0)
+            out = cli.DB4_HG @ np.moveaxis(win[::2], -1, 1)
+            v[:n // 2], v[n // 2:n] = out[:, 0], out[:, 1]
+            n //= 2
+    return w
+
+
+def fold_matrix(lat) -> np.ndarray:
+    """The matrix of the crop's folded basis on a lattice of even ny: column
+    j holds the coefficients of unit cell j, whose even and odd parts about
+    the centre line are cropped as half-lattice rows of parity +1 and -1,
+    each transformed in place on its own half."""
+    m = lat.ny // 2
+    cols = []
+    for e in np.eye(lat.cells):
+        e = e.reshape(lat.ny, lat.ns)
+        up, down = e[m:], e[m - 1::-1]
+        W = np.stack([(up + down) / 2.0, (up - down) / 2.0])
+        cli._support(W, lat, parities=(1, -1))
+        cols.append(W.ravel())
+    return np.stack(cols, axis=1)
+
+
+def reflect_matrix(lat) -> np.ndarray:
+    """The matrix of the crop's reflected-order basis on a lattice."""
+    cols = []
+    for e in np.eye(lat.cells):
+        W = e.reshape(1, lat.ny, lat.ns).copy()
+        cli._support(W, lat, reflect=True)
+        cols.append(W.ravel())
+    return np.stack(cols, axis=1)
+
+
+def symmetric_lattice(ny, ns) -> gaussfield.SheetLattice:
+    return gaussfield.SheetLattice(-ny / 16.0, 0.125, 1.0 / 64, ny, ns)
+
+
 class TestMcEngine:
     @pytest.mark.parametrize("R,ncells", [
         (300, 672 * 1024), (300, 1440 * 1024), (1000, 392 * 512),
@@ -579,6 +623,114 @@ class TestMcEngine:
                 coef[~crop.keep])
             assert np.all(np.abs(X[r] - lat.scale * (Wf @ sheet))
                           <= rest + eps)
+
+    @pytest.mark.parametrize("shape", [(392, 512), (1440, 64), (7, 16)])
+    def test_db4_blocks_change_no_bit(self, shape):
+        # every level runs over blocks of lines, the suites' lattices over
+        # several: the result is the one-pass transform's, bit for bit
+        w = np.random.default_rng(2).standard_normal(shape)
+        assert np.array_equal(cli._db4(w.copy()), db4_unblocked(w.copy()))
+
+    @pytest.mark.parametrize("shape", [(2, 1), (6, 5), (12, 40), (16, 16)])
+    def test_folded_basis_is_orthonormal(self, shape):
+        # half lengths odd, even and a power of two; the sums and the
+        # differences of mirrored cells over sqrt 2, each half then
+        # transformed by _db4: an orthogonal matrix on the full lattice
+        lat = symmetric_lattice(*shape)
+        D = fold_matrix(lat)
+        np.testing.assert_allclose(D @ D.T, np.eye(lat.cells), rtol=0.0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 16), (12, 40), (6, 5)])
+    def test_reflected_basis_is_orthonormal(self, shape):
+        # the s axis out and back (even cells ascending, odd descending),
+        # then _db4: a permutation before an orthogonal matrix
+        lat = symmetric_lattice(*shape)
+        D = reflect_matrix(lat)
+        np.testing.assert_allclose(D @ D.T, np.eye(lat.cells), rtol=0.0,
+                                   atol=1e-12)
+        # unit cell (y, s) moves to (y, p), where order[p] = s
+        ns = shape[1]
+        order = [*range(0, ns, 2), *range(ns - 1 - ns % 2, 0, -2)]
+        assert sorted(order) == list(range(ns))
+        cells = np.arange(lat.cells).reshape(shape)
+        np.testing.assert_array_equal(
+            D, db4_matrix(shape)[:, cells[:, np.argsort(order)].ravel()])
+
+    def test_even_and_odd_rows_crop_onto_disjoint_halves(self, monkeypatch):
+        # an even row lives on the sum half, as sqrt 2 times the transform
+        # of its half-lattice weights, and an odd row on the difference
+        # half: they share no coefficient, so their drawn covariance is 0
+        # bit for bit, and each row drops at most tol of its energy
+        lat = symmetric_lattice(128, 32)
+        y = lat.y_nodes[lat.ny // 2:, None]
+        s = lat.s_nodes[None, :]
+        W = np.stack([np.exp(-y ** 2 - s), y * np.exp(-y ** 2 - 2.0 * s),
+                      np.exp(-(y - 2.0) ** 2 - s / 2.0)])
+        tol = 1e-6
+        monkeypatch.setattr(cli, "TAIL_TOL", tol)
+        Wc = W.copy()
+        crop = cli._support(Wc, lat, parities=(1, -1, 1))
+        for w, c in zip(W, Wc):
+            np.testing.assert_allclose(
+                c, cli._db4(math.sqrt(2.0) * w), rtol=0.0,
+                atol=1e-14 * np.max(np.abs(c)))
+        keep = crop.keep.reshape(2, -1)
+        n_sum = int(keep[0].sum())
+        assert crop.cells == n_sum + int(keep[1].sum())
+        assert 0 < n_sum < crop.cells
+        assert not crop.W[[0, 2], n_sum:].any()
+        assert not crop.W[1, :n_sum].any()
+        G = crop.gram()
+        assert G[0, 1] == G[1, 0] == G[1, 2] == 0.0 and G[0, 2] != 0.0
+        for c, half in zip(Wc.reshape(3, -1), (0, 1, 0)):
+            assert np.sum(c[~keep[half]] ** 2) <= tol * np.sum(c ** 2)
+        assert crop.dropped <= tol
+        np.testing.assert_array_equal(crop.W[0, :n_sum], Wc[0].ravel()[keep[0]])
+
+    def test_parities_must_fit_the_lattice(self):
+        lat = symmetric_lattice(16, 8)
+        with pytest.raises(ValueError, match="parities"):
+            cli._support(np.ones((2, 8, 8)), lat, parities=(1,))
+        with pytest.raises(ValueError, match="parities"):
+            cli._support(np.ones((1, 16, 8)), lat, parities=(1,))
+        with pytest.raises(ValueError, match="parities"):
+            cli._support(np.ones((1, 7, 8)), symmetric_lattice(15, 8),
+                         parities=(1,))
+
+    def test_reflected_order_crops_a_row_large_at_s_zero(self):
+        # smooth in s, largest at s = 0 and vanishing at s_max, as a
+        # weak-form row is: the periodized transform sees a jump across the
+        # wrap in natural order, none out and back
+        lat = symmetric_lattice(64, 256)
+        w = (np.exp(-lat.y_nodes[:, None] ** 2)
+             * np.cos(0.5 * np.pi * lat.s_nodes[None, :] / lat.s_max) ** 2)
+        natural = cli._support(w[None].copy(), lat)
+        reflected = cli._support(w[None].copy(), lat, reflect=True)
+        assert reflected.cells < 0.6 * natural.cells
+        assert reflected.dropped <= cli.TAIL_TOL
+
+    @pytest.mark.parametrize("how", [{}, {"reflect": True},
+                                     {"parities": (1,)}])
+    def test_crop_holds_one_row_sized_buffer(self, how):
+        # besides the row it overwrites and its kept coefficients, cropping
+        # a row holds one row-sized buffer (its sorted energies), the keep
+        # mask and blocks of PAIR_BLOCK_ENTRIES entries
+        ny, ns = 1024, 1024
+        lat = symmetric_lattice(ny, ns)
+        rows = ny // 2 if "parities" in how else ny
+        y = lat.y_nodes[ny - rows:, None]
+        W = np.exp(-y ** 2 / 8.0 - lat.s_nodes[None, :])[None]
+        row = W.nbytes
+        tracemalloc.start()
+        try:
+            crop = cli._support(W, lat, **how)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert crop.W.nbytes < row // 64
+        blocks = 8 * 8 * gaussfield.PAIR_BLOCK_ENTRIES
+        assert peak < row + lat.cells + crop.W.nbytes + blocks
 
     def test_cov_builds_each_pairing_table_once(self, monkeypatch):
         # one call per pairing builder, with all eight observables

@@ -345,8 +345,9 @@ class TestPairings:
             alone = oracle(yn, sn, 0.0, h, g.t_max)
             np.testing.assert_allclose(w, alone, rtol=1e-14,
                                        atol=1e-14 * np.max(np.abs(alone)))
-        # a bump is not evaluated on the s-rows past its support; those rows
-        # hold exact zeros, so plain callables give the same bytes
+        # a bump is evaluated only on the quadrature nodes inside its
+        # support; it is exactly zero on the others, so plain callables,
+        # evaluated everywhere, give the same bytes
         plain = [lambda t, h=h: h(t) for h in fns]
         assert build(yn, sn, 0.0, plain, g.t_max).tobytes() == stack.tobytes()
 
