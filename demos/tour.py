@@ -100,13 +100,17 @@ exact Ornstein-Uhlenbeck step per sine mode, half drift, half kick) in
 steps dz up to Z, the terminal pairings against bumps must stay centered,
 with the Gram diagonals the initializer used as variances.  The scheme is
 linear, so one backward sweep gives each pairing's weights on the start
-and the noise rows: every replica is contracted against them, and
-discrete_variance is the exact variance of the scheme's pairing.  The
-first block is also stepped forward: the contraction must match it, and
-a telescoping audit checks its step bookkeeping.  The damping drains
-what the noise injects, which is what makes the law stationary rather
-than exploding or dying.""",
-     ("dz", "basis", "discrete_variance", "replicas_stepped")),
+and the noise rows.  The noise rows are the increments of a Brownian
+sheet in (z, t), so every replica is drawn as in the other Monte Carlo
+suites, cells_drawn normals: the start's, then the sheet's Daubechies-4
+coefficients that carry all but 1e-8 of the weights' energy.
+discrete_variance is the exact variance of the pairing drawn.  An audit
+block on streams of its own is also stepped forward: its contraction
+against the weights must match it, and a telescoping audit checks its
+step bookkeeping.  The damping drains what the noise injects, which is
+what makes the law stationary rather than exploding or dying.""",
+     ("dz", "basis", "cells_drawn", "discrete_variance",
+      "replicas_stepped")),
 )
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures as cf
-import copy
 import json
 import math
 import os
@@ -49,8 +48,7 @@ from .gaussfield import (TAIL_TOL, cov_u, cov_u_gram,
                          check_sheet_cells, weakform_geometry, ResourceError,
                          PAIR_BLOCK_ENTRIES)
 from .sde import (EvolveConfig, FieldState, StationarySampler, evolve,
-                  stability_limit, adjoint_weights, pairing_variances,
-                  noise_draw)
+                  stability_limit, adjoint_weights, noise_draw)
 from .stats import mean_se, var_se, z_test, residual_report, matrix_compare
 
 # suite tags XORed into the master seed (hex digits of pi: nothing up
@@ -80,6 +78,7 @@ COV_GRAM_DY = 1.0 / 8
 COV_RADIUS = 0.7               # radius of the eight Gram observables
 GRAM_STREAM_BASE = 1 << 20     # keep gram streams clear of the point block
 SPDE_STREAM_STRIDE = 1 << 20   # stream offset between test-function runs
+EVOLVE_AUDIT_STREAM_BASE = 1 << 20  # keep audit streams clear of the engine's
 
 DRIFT_Y_COUNT = 20
 DRIFT_Y_STEP = 1.0 / 8         # lattice-aligned probe locations
@@ -92,12 +91,9 @@ CHUNK_REPLICAS = 128
 # float32 cells per chunk buffer, 8 MB a worker; 16 M-cell buffers ran no
 # faster on a 2-core Xeon and raised peak memory by their size
 CHUNK_CELL_BUDGET = 2_000_000
-# evolve draws and contracts this many replicas as one (B, n) block, the
-# unit the workers share; the first block is also stepped forward for the
-# sample files and the audits, at a cost that grows with B, so at the
-# default grid and 500 replicas on a 2-core Xeon, blocks of 64 and 256 ran
-# slower (medians 0.37 and 0.80 s against 0.27 s) and raised peak memory
-# (69 and 93 MB against 64 MB)
+# evolve's audit block: this many replicas, beside those the Monte Carlo
+# engine draws, get full noise rows and are stepped forward as one (B, n)
+# block for the sample files and the audits; its cost grows with B
 EVOLVE_BATCH = 16
 
 # refinement reports: halving dt must shrink the error by this factor
@@ -753,51 +749,62 @@ def suite_evolve(cfg: RunConfig):
     m = len(obs)
     ecfg = EvolveConfig(dz=dz, Z=Z, observables=tuple(obs))
     ecfg.check_stability(grid)
-    # a block's records and the pairing weights must fit before anything
-    # is built; the weights come after the sampler, whose build is the
-    # run's peak of memory
-    ecfg.check_records(min(R, EVOLVE_BATCH))
+    # the audit block's records and the pairing weights must fit before
+    # anything is built; the weights come after the sampler, whose build
+    # is the run's peak of memory
+    B = min(R, EVOLVE_BATCH)
+    ecfg.check_records(B)
     ecfg.check_weights(grid)
 
     sampler = StationarySampler(grid)
     plan = SpectralPlan(grid)
-    weights = adjoint_weights(ecfg, plan, grid)
-    alpha, beta, gamma = weights
+    alpha, beta, gamma = adjoint_weights(ecfg, plan, grid)
     G1 = cov_u_gram(obs)
     G2 = cov_v_gram(obs)
 
-    X = np.zeros((R, 2 * m))   # u-pairings, then v-pairings, at z = Z
-    first = {}
-
-    def task(lo, hi):
-        # replica r keeps its own stream: its stationary draw, then its
-        # noise rows, in the same order as a run of r alone
-        rngs = [sheet_rng(seed, r) for r in range(lo, hi)]
-        init = FieldState.stack([sampler.draw(rng) for rng in rngs])
-        if lo == 0:
-            # the first block is stepped forward too, on the same noise
-            # rows, replayed from its streams as they stand after the start
-            replay = [np.random.Generator(copy.deepcopy(rng.bit_generator))
-                      for rng in rngs]
-        x = init.u @ alpha.T + init.v @ beta.T
-        noise = np.empty((hi - lo, n))
-        for gk in gamma:
-            noise_draw(rngs, grid, ecfg.step, out=noise)
-            x += noise @ gk.T
-        X[lo:hi] = x
-        if lo == 0:
-            first["block"] = evolve(init, ecfg, plan, replay)
-
-    _parallel([(lo, min(lo + EVOLVE_BATCH, R))
-               for lo in range(0, R, EVOLVE_BATCH)], cfg.workers, task)
-
-    block = first["block"]
-    stepped = {"replicas_stepped": block.u_obs.shape[0]}
+    # the audit block, on streams of its own: each replica draws its start
+    # and its noise rows, contracted in float64 against the full weights,
+    # and is stepped forward by evolve on the same draws, replayed from
+    # fresh streams advanced past the start
+    streams = range(EVOLVE_AUDIT_STREAM_BASE, EVOLVE_AUDIT_STREAM_BASE + B)
+    rngs = [sheet_rng(seed, s) for s in streams]
+    init = FieldState.stack([sampler.draw(rng) for rng in rngs])
+    x = init.u @ alpha.T + init.v @ beta.T
+    noise = np.empty((B, n))
+    for gk in gamma:
+        noise_draw(rngs, grid, ecfg.step, out=noise)
+        x += noise @ gk.T
+    replay = [sheet_rng(seed, s) for s in streams]
+    for rng in replay:
+        sampler.draw(rng)
+    block = evolve(init, ecfg, plan, replay)
     gap = np.max(np.abs(np.hstack([block.u_obs[:, -1], block.v_obs[:, -1]])
-                        - X[:block.u_obs.shape[0]]))
-    exact = pairing_variances(weights, sampler, ecfg)
+                        - x))
+
+    # every replica through the Monte Carlo engine.  The noise rows are a
+    # Brownian sheet in (z, t): row k is the increments of step k over its
+    # cells of dz x dt, divided by dt, so the weights on the sheet are
+    # gamma / dt, cropped in the lattice's own basis.  They are copied in
+    # C order, which the crop overwrites, and gamma goes, so the run holds
+    # two arrays of its size at most.  The start pairs as
+    # z_u . (L1^T D alpha_i) + z_v . (L2^T D beta_i), D the dual basis:
+    # 2 mb more normals, put first in the sheet's units
+    lat = SheetLattice(0.0, ecfg.step, grid.dt, ecfg.steps, n)
+    sheet_w = gamma.transpose(1, 0, 2).copy()
+    del gamma
+    sheet_w /= grid.dt
+    crop = _support(sheet_w, lat)
+    D = sampler.dual.T
+    start = np.hstack([alpha @ D @ sampler.L1, beta @ D @ sampler.L2])
+    W = np.hstack([start / lat.scale, crop.W])
+    X = _mc_pairings(W, W.shape[1], lat.scale, R, seed, 0, cfg.workers)
+    # the exact law of the pairings drawn, from the weights drawn
+    exact = lat.scale ** 2 * np.sum(W * W, axis=1)
+
+    stepped = {"replicas_stepped": B}
     gdesc = {"t_max": t_max, "n": n, "dz": ecfg.step, "Z": Z,
-             "basis": len(sampler.basis)}
+             "basis": len(sampler.basis), "cells_drawn": W.shape[1],
+             "energy_dropped": crop.dropped}
     reports = [residual_report(
         "telescoping audit, max over replicas",
         float(block.bookkeeping_error.max()), 1e-10,
@@ -844,7 +851,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     reports, block = suite_evolve(cfg)
     with open(os.path.join(cfg.out_dir, "trajectory.csv"), "w") as fh:
         fh.write(block.to_csv(0))
-    # the sample, replica 0: its final (u, v) as a float64 (2, n) array
+    # the sample, the audit block's replica 0: its final (u, v) as a
+    # float64 (2, n) array
     state = block.final_state
     np.save(os.path.join(cfg.out_dir, "final_state.npy"),
             np.vstack([state.u[0], state.v[0]]))

@@ -16,8 +16,11 @@ of the noiseless scheme.
 The scheme is linear in the start (u, v) and the noise rows, so each
 terminal pairing evolve records is a fixed linear functional of them.
 adjoint_weights walks the step's factors in reverse once and returns its
-weights; contracting a replica's start and noise_draw rows against them
-gives the same pairings, to roundoff, without stepping the field.
+weights; contracting a start and its noise_draw rows against them gives
+the same pairings, to roundoff, without stepping the field.  The noise
+rows are the increments of a Brownian sheet in (z, t) over cells of dz x
+dt, divided by dt, so the weights can also be drawn against that sheet
+in a cropped basis, without drawing the rows at all.
 """
 
 from __future__ import annotations
@@ -120,10 +123,12 @@ def noise_draw(rngs: Sequence[np.random.Generator], grid: TimeGrid,
                dz: float, out: np.ndarray) -> None:
     """One white-in-t Brownian increment per replica, drawn in place into
     the (B, n) block out, row r from rngs[r]: N(0, dz/dt) per cell, so that
-    <dW; h> has variance dz ||h||^2 up to grid resolution.  evolve colours
-    each row per sine mode into its Ornstein-Uhlenbeck step's noise; a
-    block contracted in bulk pairs each row with one step of the
-    adjoint_weights noise weights instead."""
+    <dW; h> has variance dz ||h||^2 up to grid resolution.  Row r is the
+    increments of a Brownian sheet over the n cells of dz x dt of one
+    step, divided by dt.  evolve colours each row per sine mode into its
+    Ornstein-Uhlenbeck step's noise; a block contracted against
+    adjoint_weights pairs each row with one step of its noise weights
+    instead."""
     for row, rng in zip(out, rngs, strict=True):
         rng.standard_normal(out=row)
     out *= math.sqrt(dz / grid.dt)
@@ -417,16 +422,3 @@ def adjoint_weights(cfg: EvolveConfig, plan: SpectralPlan,
         a -= half * plan.inverse(plan.forward(b) * halflap)
     return a, b, gamma
 
-
-def pairing_variances(weights: tuple, sampler: StationarySampler,
-                      cfg: EvolveConfig) -> np.ndarray:
-    """Exact variance of each terminal pairing of a noisy evolve run that
-    starts from a sampler draw, from its adjoint_weights (alpha, beta,
-    gamma): the start pairs as ||L1^T (dual alpha_i)||^2 + ||L2^T (dual
-    beta_i)||^2, and each noise_draw row, N(0, dz/dt) a cell at dz =
-    cfg.step, adds (dz/dt) ||gamma_k,i||^2."""
-    alpha, beta, gamma = weights
-    D = sampler.dual.T
-    return (np.sum((alpha @ D @ sampler.L1) ** 2, axis=1)
-            + np.sum((beta @ D @ sampler.L2) ** 2, axis=1)
-            + cfg.step / sampler.grid.dt * np.sum(gamma ** 2, axis=(0, 2)))

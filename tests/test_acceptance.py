@@ -10,8 +10,9 @@ Every criterion test emits a single "criterion NN PASS/FAIL" line so a
 captured log reads as a checklist.  One more test reads the draw records
 that every Monte Carlo report of the cov, drift and spde suites carries,
 another the normals the cov and spde reports draw in their fitted bases,
-another the exact law behind each spde bias report, and another the
-exact law and the contraction gate behind the evolve reports.
+another the exact law behind each spde bias report, another the exact
+law and the contraction gate behind the evolve reports, and another the
+normals the evolve reports draw.
 """
 import json
 import math
@@ -263,9 +264,9 @@ def test_mc_reports_draw_in_fitted_bases(cov_suite, spde_suite):
 
 def test_evolve_reports_record_their_law(evolve_suite):
     # each terminal pairing test records the exact variance of the scheme's
-    # pairing from its adjoint weights; the 5000 replicas agree with it,
-    # it sits within 2 % of the continuum target, and the contraction that
-    # gives the estimates matches the forward-stepped block
+    # pairing from the weights it draws; the 5000 replicas agree with it,
+    # it sits within 2 % of the continuum target, and the audit block's
+    # contraction against the adjoint weights matches its forward stepping
     pair_reps = [r for r in evolve_suite
                  if r.statistic.startswith("terminal ")]
     for r in pair_reps:
@@ -282,6 +283,15 @@ def test_evolve_reports_record_their_law(evolve_suite):
     assert gate.target == 1e-10 and gate.passed
     assert gate.grid["replicas_stepped"] == audit.grid["replicas_stepped"] \
         == 16
+
+
+def test_evolve_reports_record_their_draws(evolve_suite):
+    # every evolve report records the normals a replica draws, the 2 x 80
+    # of the sampler's start and the noise sheet's kept coefficients, and
+    # the largest share of a noise row's energy the crop left out
+    for r in evolve_suite:
+        assert r.grid["cells_drawn"] <= 2580, r.statistic
+        assert r.grid["energy_dropped"] <= 1e-8, r.statistic
 
 
 def test_spde_bias_reads_the_drawn_law(spde_suite):

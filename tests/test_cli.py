@@ -12,8 +12,8 @@ import pytest
 
 from heatsheet import ResourceError, cli, gaussfield, sde
 from heatsheet.cli import (CHUNK_CELL_BUDGET, CHUNK_REPLICAS, COMMAND_FLAGS,
-                           EVOLVE_BATCH, OPTIONS, TAGS, RunConfig, _mc_chunks,
-                           _mc_pairings, build_config, main, make_parser,
+                           OPTIONS, TAGS, RunConfig, _mc_chunks, _mc_pairings,
+                           build_config, main, make_parser,
                            suite_cov, suite_drift, suite_evolve, suite_ops,
                            suite_seed, suite_spde, write_report)
 from heatsheet.gaussfield import MAX_SHEET_CELLS
@@ -856,8 +856,9 @@ class TestWorkerInvariance:
 
 
 # each command at a reduced size; only the recorded seeds and the rerun
-# bytes are checked.  The Monte Carlo commands take one replica more than a
-# chunk (an evolve block) holds, so --workers 2 shares out two ranges.
+# bytes are checked.  The Monte Carlo commands, evolve among them, take one
+# replica more than an engine chunk holds, so --workers 2 shares out two
+# ranges.
 MC_SPLIT = str(CHUNK_REPLICAS + 1)
 SEED_RUNS = {
     "ops": ["verify-ops"],
@@ -865,7 +866,7 @@ SEED_RUNS = {
     "drift": ["verify-drift", "--tmax", "4", "--replicas", MC_SPLIT],
     "spde": ["verify-spde", "--n", "64", "--replicas", MC_SPLIT],
     "evolve": ["evolve", "--tmax", "8", "--n", "256", "--replicas",
-               str(EVOLVE_BATCH + 1), "--Z", "0.2"],
+               MC_SPLIT, "--Z", "0.2"],
 }
 
 

@@ -63,7 +63,9 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     assert heatsheet.sheet_sample(lat, 0).cells == 12
     # the tracer expects a span for sde.noise_draw on evolve's path, and
     # its draw hook counts one replica's normals per StationarySampler.draw
-    # call; inlining the one or batching the other adds trace check failures
+    # call; inlining the one or batching the other adds trace check
+    # failures.  The audit block draws each start twice: once for its
+    # contraction, once to advance the stream evolve replays
     sde = importlib.import_module("heatsheet.sde")
     calls = {"noise_draw": 0, "draw": 0}
 
@@ -79,13 +81,14 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
                         counted("draw", sde.StationarySampler.draw))
     cli.suite_evolve(cli.RunConfig(replicas=4, n=256, Z=0.25))
     assert calls["noise_draw"] > 0
-    assert calls["draw"] == 4
+    assert calls["draw"] == 2 * 4
 
 
 def test_evolve_bulk_blocks_run_no_transforms(monkeypatch):
-    # the weights sweep and the one forward-stepped block make every sine
-    # transform of an evolve run, so a run of three blocks makes as many
-    # as a run of one
+    # the weights sweep and the one forward-stepped audit block make every
+    # sine transform of an evolve run, and the other replicas are drawn
+    # through the Monte Carlo engine, so a run of three blocks' worth of
+    # replicas makes as many as a run of one
     cli = importlib.import_module("heatsheet.cli")
     forward = heatsheet.SpectralPlan.forward
     calls = []

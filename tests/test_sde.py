@@ -7,7 +7,6 @@ k u = 0, whose unit-initial solution is e^(-a z) (cos a z + sin a z) with
 a = sqrt(k/2).  On the tone's plateau every operator of the step acts as
 its symbol at tau = k, so one step acts as that mode's 2x2 BAOAB map.
 """
-import copy
 import math
 import warnings
 
@@ -20,8 +19,8 @@ from heatsheet import (EvolveConfig, EvolveResult, FieldState, InstabilityError,
                        SpectralPlan, StationarySampler, TimeGrid, evolve,
                        noise_draw, spectral_radius, stability_limit,
                        stationary_basis)
-from heatsheet.cli import (EVOLVE_BATCH, EVOLVE_N, EVOLVE_T_MAX, _parallel,
-                           evolve_observables)
+from heatsheet.cli import (EVOLVE_BATCH, EVOLVE_N, EVOLVE_T_MAX, RunConfig,
+                           _parallel, evolve_observables, suite_evolve)
 from heatsheet.fracops import frac_laplacian
 from heatsheet.gaussfield import MAX_SHEET_CELLS, sheet_rng
 from heatsheet.sde import SQRT2, _ou_factors, adjoint_weights
@@ -689,6 +688,22 @@ class TestBatchedEvolve:
             evolve(zero_block(grid), cfg, plan)
 
 
+def pairing_covariance(weights: tuple, sampler: StationarySampler,
+                       step: float) -> np.ndarray:
+    """The full-lattice law of the terminal pairings of a noisy evolve run
+    at dz = step that starts from a sampler draw, from its adjoint_weights
+    (alpha, beta, gamma): the start's u and v coefficients are L1 and L2
+    times standard normals, read through the dual basis D, so it pairs as
+    F1 F1^T + F2 F2^T with F1 = alpha D L1 and F2 = beta D L2; each
+    noise_draw row, N(0, dz/dt) a cell, adds (dz/dt) gamma_k gamma_k^T."""
+    alpha, beta, gamma = weights
+    D = sampler.dual.T
+    F1 = alpha @ D @ sampler.L1
+    F2 = beta @ D @ sampler.L2
+    return (F1 @ F1.T + F2 @ F2.T + step / sampler.grid.dt
+            * np.einsum("kin,kjn->ij", gamma, gamma))
+
+
 def _terminal(res: EvolveResult) -> np.ndarray:
     """The (B, 2m) terminal pairings of a run: u-pairings, then v."""
     return np.hstack([res.u_obs[:, -1], res.v_obs[:, -1]])
@@ -719,15 +734,16 @@ class TestAdjointWeights:
 
     def test_noisy_block_contraction_reproduces_evolve(self, coarse):
         # the block's streams contracted, then the same rows replayed into
-        # evolve from a copy of each stream taken after the start
+        # evolve from fresh streams advanced past the start by a second draw
         cfg = self.cfg(coarse, noise=True)
         plan = SpectralPlan(coarse)
         alpha, beta, gamma = adjoint_weights(cfg, plan, coarse)
         sampler = StationarySampler(coarse)
         rngs = [sheet_rng(21, r) for r in range(4)]
         init = FieldState.stack([sampler.draw(g) for g in rngs])
-        replay = [np.random.Generator(copy.deepcopy(g.bit_generator))
-                  for g in rngs]
+        replay = [sheet_rng(21, r) for r in range(4)]
+        for g in replay:
+            sampler.draw(g)
         got = init.u @ alpha.T + init.v @ beta.T
         noise = np.empty((4, coarse.n))
         for gk in gamma:
@@ -735,6 +751,41 @@ class TestAdjointWeights:
             got += noise @ gk.T
         res = evolve(init, cfg, plan, replay)
         assert np.max(np.abs(got - _terminal(res))) <= 1e-12
+
+    def test_suite_draws_the_full_lattice_law(self, monkeypatch):
+        # at the default grid, the suite draws every replica's pairings
+        # through the Monte Carlo engine, on the start's factors and the
+        # cropped noise sheet; the exact covariance scale^2 W W^T of the
+        # weights it draws is the law of the full start and every noise
+        # cell, within the crop's TAIL_TOL of each row's energy, and each
+        # terminal report records its diagonal
+        drawn = []
+
+        def spy(W, ncells, scale, *a):
+            drawn.append((W.copy(), ncells, scale))
+            return engine(W, ncells, scale, *a)
+
+        engine = hs.cli._mc_pairings
+        monkeypatch.setattr(hs.cli, "_mc_pairings", spy)
+        reports, _ = suite_evolve(RunConfig(replicas=2))
+        [(W, ncells, scale)] = drawn
+        assert ncells == W.shape[1]
+        grid = TimeGrid(EVOLVE_T_MAX, EVOLVE_N)
+        cfg = EvolveConfig(dz=stability_limit(grid), Z=1.0,
+                           observables=tuple(evolve_observables(grid)))
+        ref = pairing_covariance(
+            adjoint_weights(cfg, SpectralPlan(grid), grid),
+            StationarySampler(grid), cfg.step)
+        got = scale ** 2 * (W @ W.T)
+        d = np.sqrt(np.diag(ref))
+        assert np.max(np.abs(got - ref) / np.outer(d, d)) <= 1e-8
+        # the terminal reports, per observable: u mean, u variance, v mean,
+        # v variance
+        m = len(cfg.observables)
+        want = [got[c, c] for i in range(m) for c in (i, i, m + i, m + i)]
+        np.testing.assert_allclose(
+            [r.grid["discrete_variance"] for r in reports[1:-1]], want,
+            rtol=1e-12)
 
     def test_weights_over_budget(self, coarse, monkeypatch):
         # 6 rows of 5 steps of 256 nodes, one cell over the budget
